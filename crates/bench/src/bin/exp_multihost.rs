@@ -9,11 +9,12 @@
 //!
 //! Deploys the two-machine OpenMRS production stack (§2: "in a production
 //! setting, the database will run on a separate machine") sequentially and
-//! with true parallel slaves, and reports per-node specs and makespans.
+//! in parallel on the wavefront worker pool, and reports per-node specs
+//! and makespans.
 //!
 //! Run with: `cargo run -p engage-bench --bin exp_multihost [--metrics [FILE]] [--trace FILE]`
 
-use engage::{Engage, SchedulerStrategy};
+use engage::Engage;
 use engage_bench::Reporter;
 use engage_util::obs::Obs;
 
@@ -49,11 +50,11 @@ fn main() {
     );
     println!();
 
-    println!("== Parallel slave deployment (one thread per machine) ==");
-    let e = engage_sys(reporter.obs()).with_scheduler(SchedulerStrategy::Slaves);
+    println!("== Parallel deployment (wavefront DAG scheduler) ==");
+    let e = engage_sys(reporter.obs());
     let (_, parallel) = e.deploy_parallel(&partial).expect("deploys");
     println!(
-        "{} slaves; all drivers active: {}",
+        "{} workers; all drivers active: {}",
         parallel.slaves,
         parallel.deployment.is_deployed()
     );
@@ -73,28 +74,18 @@ fn main() {
         "MySQL (db host) started before OpenMRS (app host): {}",
         mysql_pos < openmrs_pos
     );
-    println!();
-
-    println!("== Wavefront DAG scheduler (default parallel engine) ==");
-    let e = engage_sys(reporter.obs());
-    let (wave_outcome, wavefront) = e.deploy_parallel(&partial).expect("deploys");
-    println!(
-        "{} workers; all drivers active: {}",
-        wavefront.slaves,
-        wavefront.deployment.is_deployed()
-    );
-    let agrees = wave_outcome
+    let agrees = outcome
         .spec
         .iter()
-        .all(|inst| wavefront.deployment.state(inst.id()) == parallel.deployment.state(inst.id()));
-    println!("wavefront states equal legacy slave states: {agrees}");
-    assert!(agrees, "wavefront diverged from the legacy slave engine");
+        .all(|inst| parallel.deployment.state(inst.id()) == dep.state(inst.id()));
+    println!("wavefront states equal sequential states: {agrees}");
+    assert!(agrees, "wavefront diverged from the sequential engine");
 
     println!();
     println!(
         "paper: slaves run in parallel, coordinated by the master via dependencies;\n\
-         ours: reproduced with {} concurrent slaves synchronizing on guard state,\n\
-         and scaled by a wavefront DAG scheduler with O(1) guard releases.",
+         ours: reproduced with {} concurrent workers on a wavefront DAG scheduler,\n\
+         guards compiled to O(1) reverse-dependency releases.",
         parallel.slaves
     );
     reporter.finish();

@@ -17,7 +17,6 @@ use crate::action::{service_name, ActionCtx, DriverRegistry};
 use crate::error::{DeployError, DeployFailure};
 use crate::journal::{parse_driver_state, parse_os, DeployJournal, JournalRecord};
 use crate::retry::RetryPolicy;
-use crate::schedule::SchedulerStrategy;
 
 /// How an interrupted deployment's journal is brought back to life by
 /// [`DeploymentEngine::resume`].
@@ -276,7 +275,6 @@ pub struct DeploymentEngine<'a> {
     registry: DriverRegistry,
     mode: ProvisionMode,
     obs: Obs,
-    guard_timeout: Duration,
     retry: RetryPolicy,
     journal: Option<DeployJournal>,
     rollback_on_failure: bool,
@@ -287,16 +285,7 @@ pub struct DeploymentEngine<'a> {
     /// exact-state matching would wedge the rollback of a stack whose
     /// lower layers never got installed).
     relaxed_guards: bool,
-    strategy: SchedulerStrategy,
     workers: Option<usize>,
-    /// Global progress epoch: bumped on every committed transition and
-    /// every retry-backoff simulated-clock advance. Legacy slaves use it
-    /// to make their wall-clock guard deadlines progress-aware — a guard
-    /// wait only times out after `guard_timeout` with *no* global
-    /// progress, so one host's heavy retry backoff (which advances the
-    /// simulated clock, not the wall clock) cannot spuriously trip
-    /// `GuardFailed` on another.
-    progress: Arc<AtomicU64>,
 }
 
 impl<'a> DeploymentEngine<'a> {
@@ -308,15 +297,12 @@ impl<'a> DeploymentEngine<'a> {
             registry: DriverRegistry::new(),
             mode: ProvisionMode::Local,
             obs: Obs::disabled(),
-            guard_timeout: crate::parallel::GUARD_TIMEOUT,
             retry: RetryPolicy::none(),
             journal: None,
             rollback_on_failure: false,
             kill: None,
             relaxed_guards: false,
-            strategy: SchedulerStrategy::default(),
             workers: None,
-            progress: Arc::new(AtomicU64::new(0)),
         }
     }
 
@@ -341,19 +327,10 @@ impl<'a> DeploymentEngine<'a> {
         self
     }
 
-    /// Overrides how long a parallel slave waits for a cross-host guard
-    /// before declaring the deployment stuck (builder-style; default
-    /// 30 s). Tests use short timeouts to exercise the wedged path.
-    pub fn with_guard_timeout(mut self, timeout: Duration) -> Self {
-        self.guard_timeout = timeout;
-        self
-    }
-
     /// Applies a [`RetryPolicy`] to every driver transition
     /// (builder-style; default: one attempt, no retries). Transient
     /// failures are retried with seeded exponential backoff; the waits
-    /// advance the *simulated* clock, so they cost no host wall-clock
-    /// and do not eat into the parallel guard timeout.
+    /// advance the *simulated* clock, so they cost no host wall-clock.
     pub fn with_retry_policy(mut self, retry: RetryPolicy) -> Self {
         self.retry = retry;
         self
@@ -385,18 +362,8 @@ impl<'a> DeploymentEngine<'a> {
         self
     }
 
-    /// Selects the parallel scheduler (builder-style; default
-    /// [`SchedulerStrategy::Wavefront`]). The legacy
-    /// [`SchedulerStrategy::Slaves`] engine is kept as a differential
-    /// oracle.
-    pub fn with_scheduler(mut self, strategy: SchedulerStrategy) -> Self {
-        self.strategy = strategy;
-        self
-    }
-
     /// Overrides the wavefront scheduler's worker count (builder-style;
-    /// default: one worker per machine, capped at 8). Ignored by the
-    /// legacy slave engine, which always runs one slave per machine.
+    /// default: one worker per machine, capped at 8).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
         self
@@ -420,21 +387,8 @@ impl<'a> DeploymentEngine<'a> {
         &self.obs
     }
 
-    pub(crate) fn guard_timeout(&self) -> Duration {
-        self.guard_timeout
-    }
-
-    pub(crate) fn strategy(&self) -> SchedulerStrategy {
-        self.strategy
-    }
-
     pub(crate) fn workers(&self) -> Option<usize> {
         self.workers
-    }
-
-    /// The global progress epoch (see the field's docs).
-    pub(crate) fn progress_epoch(&self) -> &Arc<AtomicU64> {
-        &self.progress
     }
 
     /// The simulated data center.
@@ -914,7 +868,6 @@ impl<'a> DeploymentEngine<'a> {
                         );
                     }
                     self.sim.advance(wait);
-                    self.progress.fetch_add(1, Ordering::Release);
                     attempt += 1;
                 }
                 Err(e) => return Err(e),
@@ -946,7 +899,6 @@ impl<'a> DeploymentEngine<'a> {
         if let Some(kill) = &self.kill {
             kill.on_commit();
         }
-        self.progress.fetch_add(1, Ordering::Release);
     }
 
     /// Emits the `driver.transition` event shared by the sequential and

@@ -78,5 +78,4 @@ pub use reconcile::{
     InstanceHealth, ReconcileLoop, ReconcileOptions, ReconcileRound, ReconcileStats,
 };
 pub use retry::RetryPolicy;
-pub use schedule::SchedulerStrategy;
 pub use upgrade::{plan_upgrade, ReplanInfo, UpgradePlanEntry, UpgradeReport, UpgradeStrategy};

@@ -1,10 +1,10 @@
 //! The wavefront transition scheduler: a critical-path-aware DAG
 //! scheduler over *all* driver transitions of a deployment.
 //!
-//! Instead of one slave thread per machine blocking on condvar guard
-//! rescans (the legacy §5.2 engine, kept behind
-//! [`SchedulerStrategy::Slaves`] as a differential oracle), the whole
-//! deployment is compiled up front into an explicit **transition DAG**:
+//! This is the one implementation of the paper's §5.2 contract ("slave
+//! deployments can run in parallel when the slaves have no
+//! inter-dependencies"): the whole deployment is compiled up front into
+//! an explicit **transition DAG**:
 //!
 //! * **nodes** are per-instance driver actions — the steps of each
 //!   driver's shortest path from its current state to the target state;
@@ -21,8 +21,8 @@
 //! their own continuation (depth-first along the critical path) and
 //! publish the rest for idle workers to steal.
 //!
-//! Guard cycles that would wedge the legacy engine until its timeout are
-//! rejected here in O(nodes + edges) before anything runs.
+//! Guard cycles that would wedge a deployment are rejected here in
+//! O(nodes + edges) before anything runs.
 //!
 //! The static guard resolution is *monotone*: it assumes a dependency
 //! that enters the required state stays acceptable for the waiter. For
@@ -42,19 +42,6 @@ use engage_util::sync::{channel, Mutex};
 use crate::action::ActionCtx;
 use crate::engine::{find_path, DeploymentEngine, TimelineEntry};
 use crate::error::DeployError;
-
-/// Which engine executes a parallel deployment.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SchedulerStrategy {
-    /// The critical-path-aware wavefront DAG scheduler (default):
-    /// transitions of *all* instances are scheduled globally on a
-    /// work-stealing pool, guards resolved as O(1) counter decrements.
-    #[default]
-    Wavefront,
-    /// The legacy §5.2 engine — one slave thread per machine, condvar
-    /// guard waits — kept as a differential oracle.
-    Slaves,
-}
 
 /// The sentinel a worker interprets as "shut down".
 const STOP: u32 = u32::MAX;
@@ -114,8 +101,7 @@ fn add_edge(succs: &mut [Vec<u32>], indegree: &mut [u32], from: u32, to: u32) {
 /// [`DeployError::NoPath`] when a driver cannot reach `target`, and
 /// [`DeployError::GuardFailed`] when a guard can be proven statically
 /// unsatisfiable — the required state is never entered, or the guard
-/// edges form a cycle (the wedged-deployment case the legacy engine only
-/// detects by timing out).
+/// edges form a cycle (the wedged-deployment case).
 pub(crate) fn build_dag(
     universe: &Universe,
     spec: &InstallSpec,
@@ -206,8 +192,8 @@ pub(crate) fn build_dag(
             let (required, deps): (&BasicState, Vec<u32>) = match pred {
                 StatePred::Upstream(s) => {
                     // A link outside the spec can never satisfy the
-                    // guard — same verdict the legacy engines reach by
-                    // evaluating it at run time.
+                    // guard — same verdict the sequential engine reaches
+                    // by evaluating it at run time.
                     let mut linked = Vec::new();
                     for link in inst.links() {
                         match index.get(link) {
@@ -251,8 +237,7 @@ pub(crate) fn build_dag(
         }
     }
     if topo.len() != n {
-        // A guard-edge cycle: the deployment the legacy engine only
-        // detects by wedging until its guard timeout.
+        // A guard-edge cycle: no execution order can satisfy it.
         let wedged = (0..n).find(|&i| indeg[i] > 0).expect("cycle has nodes");
         return Err(DeployError::GuardFailed {
             instance: insts[nodes[wedged].inst as usize].id().clone(),
@@ -285,8 +270,7 @@ pub(crate) fn build_dag(
 
 /// What the wavefront pool produced: the merged timeline, the per-instance
 /// driver states reconstructed from the executed prefix of each driver
-/// path, and the first error (engine kills preferred, as in the legacy
-/// engine).
+/// path, and the first error (engine kills preferred).
 pub(crate) struct WavefrontRun {
     pub(crate) timeline: Vec<TimelineEntry>,
     pub(crate) states: BTreeMap<InstanceId, DriverState>,
@@ -627,7 +611,7 @@ mod tests {
     #[test]
     fn dag_rejects_guard_cycles_statically() {
         // db.start waits on downstream active; app.start waits on
-        // upstream active: a 2-cycle the legacy engine wedges on.
+        // upstream active: a 2-cycle no execution order can satisfy.
         let mut wedged = DriverSpec::new();
         wedged.add_transition(Transition::new(
             BasicState::Uninstalled,

@@ -31,10 +31,8 @@
 //! jitter); `--journal FILE.jsonl` writes a write-ahead transition
 //! journal; `--resume FILE.jsonl` resumes an interrupted deployment
 //! from its journal; `--rollback` uninstalls everything automatically
-//! when a deployment fails permanently; `--guard-timeout-ms T` bounds
-//! how long a parallel slave waits for cross-host guards;
-//! `--scheduler wavefront|slaves` picks the parallel engine (default:
-//! the wavefront DAG scheduler) and `--workers N` its worker count;
+//! when a deployment fails permanently; `--workers N` sets the
+//! `--parallel` scheduler's worker count;
 //! `--kill-after N` kills the engine after `N` committed transitions
 //! (chaos testing); `--chaos P[:SEED]` injects transient install/start
 //! faults with probability `P` per operation.
@@ -59,11 +57,8 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
-use std::time::Duration;
 
-use engage::{
-    load_jsonl, DeployFailure, DeployJournal, Engage, ResumeMode, RetryPolicy, SchedulerStrategy,
-};
+use engage::{load_jsonl, DeployFailure, DeployJournal, Engage, ResumeMode, RetryPolicy};
 use engage_config::{diagnose, generate, graph_gen, ConfigEngine, ConfigError, SolverMode};
 use engage_model::{PartialInstallSpec, Universe};
 use engage_sat::ExactlyOneEncoding;
@@ -101,10 +96,8 @@ struct Options {
     journal: Option<String>,
     resume: Option<String>,
     rollback: bool,
-    guard_timeout_ms: Option<u64>,
     kill_after: Option<u64>,
     chaos: Option<(f64, u64)>,
-    scheduler: Option<SchedulerStrategy>,
     workers: Option<usize>,
     listen: Option<String>,
     unix: Option<String>,
@@ -131,10 +124,8 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         journal: None,
         resume: None,
         rollback: false,
-        guard_timeout_ms: None,
         kill_after: None,
         chaos: None,
-        scheduler: None,
         workers: None,
         listen: None,
         unix: None,
@@ -230,26 +221,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--rollback" => {
                 opts.rollback = true;
                 i += 1;
-            }
-            "--guard-timeout-ms" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or("--guard-timeout-ms needs a duration in milliseconds")?;
-                opts.guard_timeout_ms = Some(value.parse::<u64>().map_err(|_| {
-                    format!("--guard-timeout-ms `{value}` is not a whole number of milliseconds")
-                })?);
-                i += 2;
-            }
-            "--scheduler" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or("--scheduler needs `wavefront` or `slaves`")?;
-                opts.scheduler = Some(match value.as_str() {
-                    "wavefront" => SchedulerStrategy::Wavefront,
-                    "slaves" => SchedulerStrategy::Slaves,
-                    other => return Err(format!("--scheduler `{other}` is not a scheduler")),
-                });
-                i += 2;
             }
             "--workers" => {
                 let value = args.get(i + 1).ok_or("--workers needs a thread count")?;
@@ -545,9 +516,6 @@ fn run(args: &[String]) -> Result<String, String> {
             if opts.cloud {
                 system = system.with_cloud_provisioning();
             }
-            if let Some(ms) = opts.guard_timeout_ms {
-                system = system.with_guard_timeout(Duration::from_millis(ms));
-            }
             if opts.retries > 1 {
                 let mut retry = RetryPolicy::new(opts.retries);
                 if let Some(seed) = opts.retry_seed {
@@ -565,9 +533,6 @@ fn run(args: &[String]) -> Result<String, String> {
             }
             if let Some(after) = opts.kill_after {
                 system = system.with_kill_point(after);
-            }
-            if let Some(strategy) = opts.scheduler {
-                system = system.with_scheduler(strategy);
             }
             if let Some(workers) = opts.workers {
                 system = system.with_workers(workers);

@@ -60,8 +60,8 @@ pub use engage_config::ConfigEngine as RawConfigEngine;
 pub use engage_config::SolverMode;
 pub use engage_deploy::{
     load_jsonl, DeployFailure, DeployJournal, InstanceHealth, JournalRecord, ReconcileLoop,
-    ReconcileOptions, ReconcileRound, ReconcileStats, ResumeMode, RetryPolicy, SchedulerStrategy,
-    UpgradeReport, UpgradeStrategy,
+    ReconcileOptions, ReconcileRound, ReconcileStats, ResumeMode, RetryPolicy, UpgradeReport,
+    UpgradeStrategy,
 };
 
 /// Top-level error: configuration or deployment.
@@ -114,12 +114,10 @@ pub struct Engage {
     encoding: ExactlyOneEncoding,
     mode: ProvisionMode,
     obs: Obs,
-    guard_timeout: Option<std::time::Duration>,
     retry: RetryPolicy,
     journal: Option<DeployJournal>,
     auto_rollback: bool,
     kill_point: Option<u64>,
-    scheduler: SchedulerStrategy,
     workers: Option<usize>,
     solver_mode: SolverMode,
     /// Live solver state for [`SolverMode::Incremental`], shared by
@@ -138,12 +136,10 @@ impl Clone for Engage {
             encoding: self.encoding,
             mode: self.mode,
             obs: self.obs.clone(),
-            guard_timeout: self.guard_timeout,
             retry: self.retry.clone(),
             journal: self.journal.clone(),
             auto_rollback: self.auto_rollback,
             kill_point: self.kill_point,
-            scheduler: self.scheduler,
             workers: self.workers,
             solver_mode: self.solver_mode,
             session: Mutex::new(self.session.lock().clone()),
@@ -162,12 +158,10 @@ impl Engage {
             encoding: ExactlyOneEncoding::Pairwise,
             mode: ProvisionMode::Local,
             obs: Obs::disabled(),
-            guard_timeout: None,
             retry: RetryPolicy::none(),
             journal: None,
             auto_rollback: false,
             kill_point: None,
-            scheduler: SchedulerStrategy::default(),
             workers: None,
             solver_mode: SolverMode::Serial,
             session: Mutex::new(ConfigSession::new()),
@@ -245,13 +239,6 @@ impl Engage {
         self
     }
 
-    /// How long parallel slaves wait on a cross-host guard before
-    /// declaring the deployment stuck (builder-style; default 30 s).
-    pub fn with_guard_timeout(mut self, timeout: std::time::Duration) -> Self {
-        self.guard_timeout = Some(timeout);
-        self
-    }
-
     /// Applies a [`RetryPolicy`] to every driver transition
     /// (builder-style; default: single attempt). Transient faults are
     /// retried with seeded exponential backoff on the simulated clock.
@@ -281,13 +268,6 @@ impl Engage {
     /// transitions.
     pub fn with_kill_point(mut self, after: u64) -> Self {
         self.kill_point = Some(after);
-        self
-    }
-
-    /// Selects the parallel deployment scheduler (builder-style; default
-    /// [`SchedulerStrategy::Wavefront`]).
-    pub fn with_scheduler(mut self, strategy: SchedulerStrategy) -> Self {
-        self.scheduler = strategy;
         self
     }
 
@@ -392,8 +372,8 @@ impl Engage {
         Ok((outcome, deployment))
     }
 
-    /// Plans and deploys with one slave per machine running in parallel
-    /// (§5.2 master/slave); cross-host ordering is enforced by the driver
+    /// Plans and deploys in parallel on the wavefront worker pool (§5.2
+    /// master/slave); cross-host ordering is enforced by the driver
     /// guards.
     ///
     /// # Errors
@@ -408,7 +388,7 @@ impl Engage {
         Ok((outcome, parallel))
     }
 
-    /// Deploys a full specification with one slave per machine, keeping
+    /// Deploys a full specification on the wavefront worker pool, keeping
     /// the recovery report on failure (see
     /// [`DeploymentEngine::deploy_parallel_with_recovery`]).
     ///
@@ -573,13 +553,9 @@ impl Engage {
             .with_mode(self.mode)
             .with_obs(self.obs.clone())
             .with_retry_policy(self.retry.clone())
-            .with_auto_rollback(self.auto_rollback)
-            .with_scheduler(self.scheduler);
+            .with_auto_rollback(self.auto_rollback);
         if let Some(workers) = self.workers {
             engine = engine.with_workers(workers);
-        }
-        if let Some(timeout) = self.guard_timeout {
-            engine = engine.with_guard_timeout(timeout);
         }
         if let Some(journal) = &self.journal {
             engine = engine.with_journal(journal.clone());

@@ -11,7 +11,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use engage_config::{ConfigEngine, ConfigError, ConfigSession, SolverMode};
-use engage_deploy::{service_name, Deployment, DeploymentEngine, RetryPolicy, SchedulerStrategy};
+use engage_deploy::{service_name, Deployment, DeploymentEngine, RetryPolicy};
 use engage_model::{DriverState, InstallSpec, InstanceId};
 use engage_sat::ExactlyOneEncoding;
 use engage_sim::{DownloadSource, FaultPlan, Sim};
@@ -74,14 +74,12 @@ impl FaultSetting {
 enum Scheduler {
     Sequential,
     Wavefront(usize),
-    Slaves(usize),
 }
 
-const SCHEDULERS: [Scheduler; 4] = [
+const SCHEDULERS: [Scheduler; 3] = [
     Scheduler::Sequential,
     Scheduler::Wavefront(1),
     Scheduler::Wavefront(4),
-    Scheduler::Slaves(2),
 ];
 
 impl fmt::Display for Scheduler {
@@ -89,7 +87,6 @@ impl fmt::Display for Scheduler {
         match self {
             Scheduler::Sequential => write!(f, "sequential"),
             Scheduler::Wavefront(w) => write!(f, "wavefront:{w}"),
-            Scheduler::Slaves(w) => write!(f, "slaves:{w}"),
         }
     }
 }
@@ -391,18 +388,7 @@ fn run_cell(
     let dep = match sched {
         Scheduler::Sequential => engine.deploy(deploy_spec).map_err(|e| e.to_string())?,
         Scheduler::Wavefront(workers) => {
-            engine = engine
-                .with_scheduler(SchedulerStrategy::Wavefront)
-                .with_workers(workers);
-            engine
-                .deploy_parallel(deploy_spec)
-                .map_err(|e| e.to_string())?
-                .deployment
-        }
-        Scheduler::Slaves(workers) => {
-            engine = engine
-                .with_scheduler(SchedulerStrategy::Slaves)
-                .with_workers(workers);
+            engine = engine.with_workers(workers);
             engine
                 .deploy_parallel(deploy_spec)
                 .map_err(|e| e.to_string())?

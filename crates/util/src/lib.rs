@@ -13,9 +13,9 @@
 //!   over integer ranges, `gen_bool`, and Fisher–Yates `shuffle`.
 //! * [`sync`] replaces `parking_lot` and `crossbeam::channel`:
 //!   a poison-free [`sync::Mutex`] whose `lock()` returns the guard
-//!   directly, a [`sync::Condvar`] with `wait`/`wait_until` taking
-//!   `&mut MutexGuard`, and [`sync::channel`] — an MPMC channel
-//!   (`unbounded` and `bounded`) with cloneable `Sender`/`Receiver`,
+//!   directly, a matching [`sync::RwLock`], and [`sync::channel`] — an
+//!   MPMC channel (`unbounded` and `bounded`) with cloneable
+//!   `Sender`/`Receiver`,
 //!   `send`, `try_send`, `recv`, `try_recv`, `try_iter`, `iter`,
 //!   disconnect-on-last-drop semantics, and typed backpressure
 //!   (`TrySendError::Full`) on bounded queues.

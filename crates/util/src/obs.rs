@@ -12,9 +12,8 @@
 //!   watching.
 //! * **Spans** ([`Obs::span`]) — monotonic-clock timed, thread-aware
 //!   intervals. Nesting is tracked per thread; a span started on a worker
-//!   thread can be parented explicitly with [`Obs::span_under`] (the
-//!   master/slave deploy does this so slave work hangs off the deploy
-//!   span).
+//!   thread can be parented explicitly with [`Obs::span_under`], so
+//!   work handed to a pool hangs off the span that dispatched it.
 //! * **Counters and gauges** ([`Obs::counter`], [`Obs::gauge`]) —
 //!   atomically updated, snapshot with [`Obs::metrics`]. Handles can be
 //!   pre-resolved once and bumped from hot loops (the SAT solver does

@@ -1,23 +1,19 @@
 //! Synchronization shims over `std::sync`.
 //!
 //! Replaces the `parking_lot` and `crossbeam::channel` API subsets used
-//! by `crates/deploy/src/parallel.rs` and `crates/sim/src/sim.rs`:
+//! by `crates/deploy/src/schedule.rs` and `crates/sim/src/sim.rs`:
 //!
 //! * [`Mutex`] — `lock()` returns the guard directly (no poison
-//!   `Result`); a panicking slave thread must not wedge the whole
+//!   `Result`); a panicking worker thread must not wedge the whole
 //!   deployment, so poisoned locks are recovered transparently.
 //! * [`RwLock`] — `read()` / `write()` return guards directly; backs
 //!   the simulator's flat host arena.
-//! * [`Condvar`] — `wait` / `wait_until` take `&mut MutexGuard` (the
-//!   `parking_lot` calling convention) and `wait_until` reports timeout
-//!   via [`WaitTimeoutResult::timed_out`].
 //! * [`channel`] — an unbounded MPMC channel (`crossbeam::channel`
 //!   subset: `unbounded`, cloneable `Sender`/`Receiver`, `send`,
 //!   `recv`, `try_recv`, `try_iter`, `iter`) built on a mutex-guarded
 //!   queue with disconnect-on-last-drop semantics.
 
 use std::sync::{self, PoisonError};
-use std::time::Instant;
 
 /// A mutual-exclusion lock whose `lock()` returns the guard directly.
 ///
@@ -38,9 +34,8 @@ impl<T> Mutex<T> {
     }
 
     /// Acquires the lock, blocking until available.
-    pub fn lock(&self) -> MutexGuard<'_, T> {
-        let guard = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        MutexGuard { inner: Some(guard) }
+    pub fn lock(&self) -> sync::MutexGuard<'_, T> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Consumes the mutex and returns the protected value.
@@ -54,27 +49,6 @@ impl<T> Mutex<T> {
     /// exclusive borrow is proof of unique access).
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// RAII guard returned by [`Mutex::lock`]; releases the lock on drop.
-#[derive(Debug)]
-pub struct MutexGuard<'a, T> {
-    // `Option` so `Condvar` can temporarily take the underlying std
-    // guard across a wait; outside a wait it is always `Some`.
-    inner: Option<sync::MutexGuard<'a, T>>,
-}
-
-impl<T> std::ops::Deref for MutexGuard<'_, T> {
-    type Target = T;
-    fn deref(&self) -> &T {
-        self.inner.as_ref().expect("guard present outside wait")
-    }
-}
-
-impl<T> std::ops::DerefMut for MutexGuard<'_, T> {
-    fn deref_mut(&mut self) -> &mut T {
-        self.inner.as_mut().expect("guard present outside wait")
     }
 }
 
@@ -118,71 +92,6 @@ impl<T> RwLock<T> {
     /// Returns a mutable reference to the value without locking.
     pub fn get_mut(&mut self) -> &mut T {
         self.inner.get_mut().unwrap_or_else(PoisonError::into_inner)
-    }
-}
-
-/// Whether a [`Condvar::wait_until`] returned because the deadline
-/// passed rather than because of a notification.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct WaitTimeoutResult(bool);
-
-impl WaitTimeoutResult {
-    /// `true` if the wait ended by timeout.
-    pub fn timed_out(&self) -> bool {
-        self.0
-    }
-}
-
-/// A condition variable whose wait methods take `&mut MutexGuard`.
-#[derive(Debug, Default)]
-pub struct Condvar {
-    inner: sync::Condvar,
-}
-
-impl Condvar {
-    /// Creates a new condition variable.
-    pub const fn new() -> Self {
-        Condvar {
-            inner: sync::Condvar::new(),
-        }
-    }
-
-    /// Wakes one waiting thread.
-    pub fn notify_one(&self) {
-        self.inner.notify_one();
-    }
-
-    /// Wakes all waiting threads.
-    pub fn notify_all(&self) {
-        self.inner.notify_all();
-    }
-
-    /// Atomically releases the guard's lock and waits for a
-    /// notification; the lock is re-acquired before returning. Spurious
-    /// wakeups are possible, as with every condvar.
-    pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
-        let inner = guard.inner.take().expect("guard present outside wait");
-        let inner = self
-            .inner
-            .wait(inner)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(inner);
-    }
-
-    /// Like [`Condvar::wait`], but gives up once `deadline` passes.
-    pub fn wait_until<T>(
-        &self,
-        guard: &mut MutexGuard<'_, T>,
-        deadline: Instant,
-    ) -> WaitTimeoutResult {
-        let timeout = deadline.saturating_duration_since(Instant::now());
-        let inner = guard.inner.take().expect("guard present outside wait");
-        let (inner, result) = self
-            .inner
-            .wait_timeout(inner, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        guard.inner = Some(inner);
-        WaitTimeoutResult(result.timed_out())
     }
 }
 
@@ -547,36 +456,6 @@ mod tests {
         let m = Mutex::new(vec![1, 2]);
         m.lock().push(3);
         assert_eq!(m.into_inner(), vec![1, 2, 3]);
-    }
-
-    #[test]
-    fn condvar_wait_until_times_out() {
-        let m = Mutex::new(false);
-        let c = Condvar::new();
-        let mut g = m.lock();
-        let res = c.wait_until(&mut g, Instant::now() + Duration::from_millis(10));
-        assert!(res.timed_out());
-        // The guard is usable again after the wait.
-        *g = true;
-        assert!(*g);
-    }
-
-    #[test]
-    fn condvar_notify_crosses_threads() {
-        let shared = std::sync::Arc::new((Mutex::new(0u32), Condvar::new()));
-        let s2 = std::sync::Arc::clone(&shared);
-        let t = std::thread::spawn(move || {
-            *s2.0.lock() = 7;
-            s2.1.notify_all();
-        });
-        let (lock, cond) = &*shared;
-        let mut g = lock.lock();
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while *g == 0 {
-            assert!(!cond.wait_until(&mut g, deadline).timed_out());
-        }
-        assert_eq!(*g, 7);
-        t.join().unwrap();
     }
 
     #[test]

@@ -97,8 +97,8 @@ fn explicit_parent_crosses_threads() {
         for host in 0..3 {
             let obs = obs.clone();
             scope.spawn(move || {
-                let _slave = obs.span_under(
-                    "deploy.slave",
+                let _worker = obs.span_under(
+                    "deploy.worker",
                     Some(root_id),
                     &[("host", &host.to_string())],
                 );
@@ -108,17 +108,17 @@ fn explicit_parent_crosses_threads() {
     });
     drop(root);
     let spans = sink.finished_spans();
-    let slaves: Vec<_> = spans.iter().filter(|s| s.name == "deploy.slave").collect();
-    assert_eq!(slaves.len(), 3);
-    for s in &slaves {
-        assert_eq!(s.parent, Some(root_id), "slave spans parent to the master");
+    let workers: Vec<_> = spans.iter().filter(|s| s.name == "deploy.worker").collect();
+    assert_eq!(workers.len(), 3);
+    for s in &workers {
+        assert_eq!(s.parent, Some(root_id), "worker spans parent to the root");
     }
-    // Each worker thread's event nests under its own slave span.
+    // Each worker thread's event nests under its own worker span.
     for e in sink.events_named("work") {
         let Record::Event { parent, .. } = e else {
             unreachable!()
         };
-        assert!(slaves.iter().any(|s| Some(s.id) == parent));
+        assert!(workers.iter().any(|s| Some(s.id) == parent));
     }
 }
 

@@ -41,7 +41,7 @@ cargo run -q --release --offline -p engage-bench --bin exp_multihost -- \
     --metrics "$obs_tmp/BENCH_multihost.json" --trace "$obs_tmp/trace.jsonl" \
     > /dev/null
 for needle in '"type":"span_start"' '"type":"span_end"' \
-    '"name":"config.solve"' '"name":"deploy.slave"' \
+    '"name":"config.solve"' '"name":"deploy.wavefront"' \
     '"name":"driver.transition"' '"type":"metrics"'; do
     if ! grep -q "$needle" "$obs_tmp/trace.jsonl"; then
         echo "error: $needle missing from --trace output" >&2
@@ -132,16 +132,17 @@ grep -q '"experiment":"reconcile"' "$obs_tmp/BENCH_reconcile.json"
 grep -q '"bench.reconcile.r30.mttr_ms"' "$obs_tmp/BENCH_reconcile.json"
 grep -q 'host loss: replaced' "$obs_tmp/reconcile.txt"
 
-# Wavefront scheduler smoke test: the megadeploy estate (smoke size)
-# must deploy identically under the sequential oracle and the wavefront
-# scheduler at workers {1,2,4,8}. The >=3x speedup bar at 10k instances
-# is asserted by the binary in full (non --smoke) runs only.
-cargo run -q --release --offline -p engage-bench --bin exp_megadeploy -- \
-    --smoke --metrics "$obs_tmp/BENCH_megadeploy.json" > /dev/null
-grep -q '"experiment":"megadeploy"' "$obs_tmp/BENCH_megadeploy.json"
+# Pipeline-ledger checks (the benchmark package is a workspace of its
+# own, so the workspace build and test above never reach it): its unit
+# tests, then a --smoke run of all eight workloads — the deploy and
+# deploy_io rungs assert is_deployed and timeline length against
+# testgen's construction-time oracles.
+ledger=crates/bench/src/bin/exp_pipeline/Cargo.toml
+cargo test -q --release --offline --manifest-path "$ledger"
+cargo run --release --offline --quiet --manifest-path "$ledger" -- --smoke > /dev/null
 
-# Scheduler-equivalence sweep at CI depth: wavefront == sequential ==
-# legacy slaves over random topologies, worker counts, and fault plans.
+# Scheduler-equivalence sweep at CI depth: wavefront == sequential over
+# random topologies, worker counts {1,2,4,8}, and fault plans.
 ENGAGE_SCHED_SWEEP_SEEDS=8 \
     cargo test -q --offline --release -p engage --test scheduler_equivalence
 

@@ -345,34 +345,30 @@ fn deploy_kill_after_reports_structured_failure_and_resumes() {
     std::fs::remove_file(&journal).ok();
 }
 
+/// The legacy slave engine's two knobs are gone, not hidden: both are
+/// ordinary unknown flags (see docs/decisions/0001-one-parallel-engine.md).
 #[test]
-fn deploy_guard_timeout_flag() {
+fn deploy_rejects_removed_slave_engine_flags() {
     let spec = write_temp("fig2l.json", FIGURE_2);
     let path = spec.to_str().unwrap();
-    let ok = engage_cmd(&[
-        "deploy",
-        "--library",
-        "base",
-        "--spec",
-        path,
-        "--parallel",
-        "--guard-timeout-ms",
-        "5000",
-    ]);
-    assert!(ok.status.success(), "{}", stderr(&ok));
-    let bad = engage_cmd(&["deploy", "--spec", path, "--guard-timeout-ms", "soon"]);
-    assert!(!bad.status.success());
-    assert!(
-        stderr(&bad).contains("not a whole number of milliseconds"),
-        "{}",
-        stderr(&bad)
-    );
-    // Missing value is also rejected.
-    assert!(
-        !engage_cmd(&["deploy", "--spec", path, "--guard-timeout-ms"])
-            .status
-            .success()
-    );
+    for removed in [["--scheduler", "slaves"], ["--guard-timeout-ms", "5000"]] {
+        let out = engage_cmd(&[
+            "deploy",
+            "--library",
+            "base",
+            "--spec",
+            path,
+            "--parallel",
+            removed[0],
+            removed[1],
+        ]);
+        assert!(!out.status.success(), "{} accepted", removed[0]);
+        assert!(
+            stderr(&out).contains(&format!("unknown flag `{}`", removed[0])),
+            "{}",
+            stderr(&out)
+        );
+    }
 }
 
 #[test]

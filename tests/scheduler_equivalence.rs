@@ -1,14 +1,14 @@
 //! Seeded property sweep: the wavefront DAG scheduler must be
-//! observationally equivalent to the sequential engine and the legacy
-//! slave engine — identical final driver states, identical per-instance
-//! action sequences, identical running services — across
+//! observationally equivalent to the sequential engine — identical
+//! final driver states, identical per-instance action sequences,
+//! identical running services — across
 //! `engage-testgen` scenarios (rotating through every topology family),
 //! worker counts {1, 2, 4, 8}, and fault plans.
 //!
 //! Seed depth is controlled by `ENGAGE_SCHED_SWEEP_SEEDS` (default 4).
 
 use engage_config::ConfigEngine;
-use engage_deploy::{package_name, service_name, DeploymentEngine, RetryPolicy, SchedulerStrategy};
+use engage_deploy::{package_name, service_name, DeploymentEngine, RetryPolicy};
 use engage_model::InstallSpec;
 use engage_sim::{DownloadSource, FaultKind, FaultOp, FaultPlan, Sim};
 use engage_testgen::{observe, scenario, Family, Observation, Scenario};
@@ -43,52 +43,40 @@ fn fault_targets(spec: &InstallSpec) -> (String, String) {
     (package_name(first.key()), service_name(last.key()))
 }
 
-/// Runs one engine configuration over `spec` and observes the result.
+/// Runs one engine configuration over `spec` and observes the result:
+/// the sequential engine (`None`) or the wavefront pool at a worker
+/// count.
 fn run(
     s: &Scenario,
     spec: &InstallSpec,
     configure: &dyn Fn(&Sim),
     retry: &RetryPolicy,
-    strategy: Option<(SchedulerStrategy, usize)>,
+    workers: Option<usize>,
 ) -> Observation {
     let sim = Sim::new(DownloadSource::local_cache());
     configure(&sim);
     let mut engine = DeploymentEngine::new(sim, &s.universe).with_retry_policy(retry.clone());
-    match strategy {
+    match workers {
         None => {
             let dep = engine.deploy(spec).unwrap();
             observe(spec, engine.sim(), &dep)
         }
-        Some((strategy, workers)) => {
-            engine = engine.with_scheduler(strategy).with_workers(workers);
+        Some(workers) => {
+            engine = engine.with_workers(workers);
             let outcome = engine.deploy_parallel(spec).unwrap();
             observe(spec, engine.sim(), &outcome.deployment)
         }
     }
 }
 
-/// The sweep core: sequential oracle vs. legacy slaves vs. wavefront at
-/// every worker count, on one seeded topology and fault setup.
+/// The sweep core: sequential oracle vs. wavefront at every worker
+/// count, on one seeded topology and fault setup.
 fn assert_equivalent(seed: u64, configure: &dyn Fn(&Sim, &InstallSpec), retry: &RetryPolicy) {
     let (s, spec) = case(seed);
     let setup = |sim: &Sim| configure(sim, &spec);
     let oracle = run(&s, &spec, &setup, retry, None);
-    let legacy = run(
-        &s,
-        &spec,
-        &setup,
-        retry,
-        Some((SchedulerStrategy::Slaves, 1)),
-    );
-    assert_eq!(oracle, legacy, "{}: legacy slaves diverge", s.name());
     for workers in WORKER_COUNTS {
-        let wavefront = run(
-            &s,
-            &spec,
-            &setup,
-            retry,
-            Some((SchedulerStrategy::Wavefront, workers)),
-        );
+        let wavefront = run(&s, &spec, &setup, retry, Some(workers));
         assert_eq!(
             oracle,
             wavefront,
