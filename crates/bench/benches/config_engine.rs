@@ -89,8 +89,11 @@ fn phase_breakdown(c: &mut Criterion) {
         b.iter(|| engage_config::build_full_spec(&u, &graph, &chosen).unwrap());
     });
     group.bench_function("5_static_recheck", |b| {
+        // As `configure` runs it: against the engine's shared index, not
+        // through the `&Universe` wrapper (which builds one per call).
+        let engine = ConfigEngine::new(&u);
         let spec = engage_config::build_full_spec(&u, &graph, &chosen).unwrap();
-        b.iter(|| engage_model::check_install_spec(&u, &spec).unwrap());
+        b.iter(|| engage_model::check_install_spec_indexed(engine.index(), &spec).unwrap());
     });
     group.finish();
 }

@@ -6,8 +6,8 @@ use std::fmt;
 use std::sync::Arc;
 
 use engage_model::{
-    check_install_spec, InstallSpec, InstanceId, ModelError, PartialInstallSpec, ResourceKey,
-    Universe, UniverseIndex,
+    check_install_spec_indexed, InstallSpec, InstanceId, ModelError, PartialInstallSpec,
+    ResourceKey, Universe, UniverseIndex,
 };
 use engage_sat::{
     ExactlyOneEncoding, IncrementalSession, PortfolioSolver, SatResult, Solver, SolverStats,
@@ -110,7 +110,6 @@ struct CachedStructure {
     encoding: ExactlyOneEncoding,
     graph: HyperGraph,
     constraints: Constraints,
-    rendered: String,
     spec_lits: Vec<engage_sat::Lit>,
 }
 
@@ -141,7 +140,7 @@ impl ConfigSession {
         &self,
         engine: &ConfigEngine<'_>,
         partial: &PartialInstallSpec,
-    ) -> Option<(HyperGraph, Constraints, String, Vec<engage_sat::Lit>)> {
+    ) -> Option<(HyperGraph, Constraints, Vec<engage_sat::Lit>)> {
         let c = self.structure.as_ref()?;
         if c.shape != spec_shape(partial)
             || c.universe_types != engine.universe.len()
@@ -151,12 +150,7 @@ impl ConfigSession {
         }
         let mut graph = c.graph.clone();
         graph.refresh_config_overrides(partial);
-        Some((
-            graph,
-            c.constraints.clone(),
-            c.rendered.clone(),
-            c.spec_lits.clone(),
-        ))
+        Some((graph, c.constraints.clone(), c.spec_lits.clone()))
     }
 }
 
@@ -210,8 +204,9 @@ pub struct ConfigOutcome {
     pub spec: InstallSpec,
     /// The resource-instance hypergraph (Figure 5).
     pub graph: HyperGraph,
-    /// The Boolean constraints in the paper's notation.
-    pub constraints_rendered: String,
+    /// The Boolean constraints generated from `graph` (list them with
+    /// [`ConfigOutcome::render_constraints`]).
+    constraints: Constraints,
     /// CNF size: (variables, clauses).
     pub cnf_size: (u32, usize),
     /// SAT-solver statistics. Serial/incremental stats are
@@ -227,6 +222,15 @@ pub struct ConfigOutcome {
     /// generation entirely. Implies nothing about `reused_solver`; both
     /// are `false` outside incremental reconfiguration.
     pub reused_structure: bool,
+}
+
+impl ConfigOutcome {
+    /// The Boolean constraints in the paper's notation — the listing a
+    /// [`ConfigError::Unsatisfiable`] carries. Rendered on demand: a
+    /// successful configure never builds it.
+    pub fn render_constraints(&self) -> String {
+        self.constraints.render(&self.graph)
+    }
 }
 
 /// The constraint-based configuration engine.
@@ -423,10 +427,10 @@ impl<'a> ConfigEngine<'a> {
             None
         };
         let reused_structure = cached.is_some();
-        let (graph, constraints, rendered, spec_lits) = match cached {
-            Some((graph, constraints, rendered, lits)) => {
+        let (graph, constraints, spec_lits) = match cached {
+            Some((graph, constraints, lits)) => {
                 self.obs.counter("config.structure_reuses").incr();
-                (graph, constraints, rendered, Some(lits))
+                (graph, constraints, Some(lits))
             }
             None => {
                 let graph = {
@@ -456,7 +460,6 @@ impl<'a> ConfigEngine<'a> {
                 self.obs
                     .gauge("config.constraint_gen.parallel_chunks")
                     .set(constraints.parallel_chunks() as i64);
-                let rendered = constraints.render(&graph);
                 if incremental {
                     if let (Some(s), Some(lits)) = (session.as_deref_mut(), spec_lits.as_ref()) {
                         s.structure = Some(CachedStructure {
@@ -465,12 +468,11 @@ impl<'a> ConfigEngine<'a> {
                             encoding: self.encoding,
                             graph: graph.clone(),
                             constraints: constraints.clone(),
-                            rendered: rendered.clone(),
                             spec_lits: lits.clone(),
                         });
                     }
                 }
-                (graph, constraints, rendered, spec_lits)
+                (graph, constraints, spec_lits)
             }
         };
         self.obs
@@ -522,9 +524,10 @@ impl<'a> ConfigEngine<'a> {
         let (model, solver_stats, reused_solver) = match solved {
             (SatResult::Sat(m), stats, reused) => (m, stats, reused),
             (SatResult::Unsat, ..) => {
+                // The one consumer of the constraint listing.
                 return Err(ConfigError::Unsatisfiable {
-                    constraints: rendered,
-                })
+                    constraints: constraints.render(&graph),
+                });
             }
         };
         let spec = {
@@ -544,13 +547,15 @@ impl<'a> ConfigEngine<'a> {
             crate::propagate::build_full_spec_indexed(&self.index, &graph, &chosen)?
         };
         if self.verify {
-            check_install_spec(self.universe, &spec)
-                .map_err(|mut errs| ConfigError::Model(errs.remove(0)))?;
+            let _s = self.obs.span("config.static_check");
+            let checked = check_install_spec_indexed(&self.index, &spec);
+            self.report_index_stats();
+            checked.map_err(|mut errs| ConfigError::Model(errs.remove(0)))?;
         }
         Ok(ConfigOutcome {
             spec,
             cnf_size: (constraints.cnf().num_vars(), logical_clauses),
-            constraints_rendered: rendered,
+            constraints,
             solver_stats,
             reused_solver,
             reused_structure,
@@ -678,7 +683,7 @@ mod tests {
         let out = engine.configure(&figure_2()).unwrap();
         assert_eq!(out.spec.len(), 5);
         assert!(out.cnf_size.0 >= 6);
-        assert!(out.constraints_rendered.contains("from install spec"));
+        assert!(out.render_constraints().contains("from install spec"));
         // The partial spec (3 instances) expanded (5 instances) — the
         // paper's headline expansion behavior.
         assert!(out.spec.len() > figure_2().len());

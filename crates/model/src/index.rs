@@ -18,7 +18,11 @@
 //! * **concrete frontiers** — cached per key (§4's frontier
 //!   computation), again with the per-key error preserved;
 //! * **per-name version tables** — concrete versioned types grouped by
-//!   name, so range targets expand without scanning the universe.
+//!   name, so range targets expand without scanning the universe;
+//! * **per-type check plans** — for every instantiable type, what the
+//!   static re-check ([`crate::check_install_spec_indexed`]) asks about
+//!   it, resolved to handles once: each dependency's expanded targets,
+//!   the ports grouped by kind, and which inputs are reverse-fed (§3.4).
 //!
 //! Every query answers in O(1) or O(answer); atomic hit counters
 //! ([`UniverseIndex::stats`]) feed the `universe.index.*` metrics that
@@ -33,6 +37,7 @@ use crate::deps::{DepTarget, Dependency};
 use crate::driver::DriverSpec;
 use crate::error::ModelError;
 use crate::key::ResourceKey;
+use crate::ports::PortKind;
 use crate::rtype::ResourceType;
 use crate::universe::Universe;
 
@@ -60,6 +65,43 @@ pub struct IndexStats {
     pub subtype_queries: u64,
     /// Cumulative [`UniverseIndex::expand_targets`] calls.
     pub expand_queries: u64,
+}
+
+/// What the static re-check needs to know about one instantiable type,
+/// compiled once in [`UniverseIndex::new`] so that checking an instance
+/// of it is hash probes and integer compares.
+#[derive(Debug)]
+pub(crate) struct CheckPlan {
+    /// One entry per dependency of the effective type, in
+    /// [`ResourceType::dependencies`] order (inside, env.., peer..).
+    pub(crate) deps: Vec<DepPlan>,
+    /// The effective type's ports grouped by kind (indexed by
+    /// `PortKind as usize`), each group in declaration order.
+    pub(crate) ports: [Vec<PortPlan>; 3],
+}
+
+/// One dependency of a [`CheckPlan`].
+#[derive(Debug)]
+pub(crate) struct DepPlan {
+    /// The dependency's expanded targets as type handles; `None` when
+    /// expansion fails (the checker re-runs
+    /// [`UniverseIndex::expand_targets`] on that path for the error,
+    /// whose text names the referring instance).
+    pub(crate) targets: Option<Vec<u32>>,
+    /// Whether any port mapping runs along the dependency direction
+    /// (only those are checked against the linked instance's outputs).
+    pub(crate) has_forward: bool,
+}
+
+/// One port of a [`CheckPlan`].
+#[derive(Debug)]
+pub(crate) struct PortPlan {
+    /// Position in the effective type's [`ResourceType::ports`].
+    pub(crate) port: u32,
+    /// An input fed *against* the dependency direction by some
+    /// dependent's output (§3.4): when that dependent is not part of the
+    /// deployment, the input legitimately has no value.
+    pub(crate) reverse_fed: bool,
 }
 
 /// Precomputed query index over a sealed [`Universe`]. See the module
@@ -98,6 +140,9 @@ pub struct UniverseIndex {
     frontier: Vec<Result<Vec<ResourceKey>, ModelError>>,
     /// Name -> concrete versioned type handles, in key order.
     by_name: HashMap<String, Vec<u32>>,
+    /// Check plan per type handle; `None` for types no instance may
+    /// have (abstract, or with a broken `extends` chain).
+    plans: Vec<Option<CheckPlan>>,
     counters: Counters,
 }
 
@@ -207,7 +252,7 @@ impl UniverseIndex {
             }
         }
 
-        UniverseIndex {
+        let mut index = UniverseIndex {
             ids,
             keys,
             declared_abstract,
@@ -219,8 +264,61 @@ impl UniverseIndex {
             preorder,
             frontier,
             by_name,
+            plans: Vec::new(),
             counters: Counters::default(),
-        }
+        };
+        index.plans = index.compile_check_plans();
+        index
+    }
+
+    /// Compiles the per-type check plans (see [`CheckPlan`]): one
+    /// expansion per dependency per type, then one pass over the ports.
+    fn compile_check_plans(&self) -> Vec<Option<CheckPlan>> {
+        let n = self.keys.len();
+        // Dependencies of *every* well-formed type — abstract ones too,
+        // whose reverse mappings feed inputs all the same.
+        let mut reverse_fed: Vec<Vec<&str>> = vec![Vec::new(); n];
+        let deps: Vec<Option<Vec<DepPlan>>> = self
+            .effective
+            .iter()
+            .map(|ty| {
+                let ty = ty.as_ref().ok()?;
+                let plans = ty.dependencies().map(|dep| {
+                    let targets = self.expand(dep, "").ok().map(|keys| {
+                        let handles: Vec<u32> = keys.iter().map(|k| self.ids[k]).collect();
+                        for m in dep.reverse_mappings() {
+                            for &t in &handles {
+                                reverse_fed[t as usize].push(m.to_input());
+                            }
+                        }
+                        handles
+                    });
+                    DepPlan {
+                        targets,
+                        has_forward: dep.forward_mappings().next().is_some(),
+                    }
+                });
+                Some(plans.collect())
+            })
+            .collect();
+        deps.into_iter()
+            .enumerate()
+            .map(|(i, deps)| {
+                let ty = self.effective[i].as_ref().ok()?;
+                if ty.is_abstract() {
+                    return None;
+                }
+                let mut ports: [Vec<PortPlan>; 3] = Default::default();
+                for (ix, p) in ty.ports().iter().enumerate() {
+                    ports[p.kind() as usize].push(PortPlan {
+                        port: ix as u32,
+                        reverse_fed: p.kind() == PortKind::Input
+                            && reverse_fed[i].contains(&p.name()),
+                    });
+                }
+                Some(CheckPlan { deps: deps?, ports })
+            })
+            .collect()
     }
 
     /// Number of resource types indexed.
@@ -236,6 +334,33 @@ impl UniverseIndex {
     /// Whether the indexed universe contains `key`.
     pub fn contains(&self, key: &ResourceKey) -> bool {
         self.ids.contains_key(key)
+    }
+
+    /// The dense handle of `key`, if the universe has it.
+    pub(crate) fn handle(&self, key: &ResourceKey) -> Option<u32> {
+        self.ids.get(key).copied()
+    }
+
+    /// The memoized effective type of the type with handle `h`.
+    pub(crate) fn effective_at(&self, h: u32) -> &Result<ResourceType, ModelError> {
+        &self.effective[h as usize]
+    }
+
+    /// The check plan of the type with handle `h`; `None` when no
+    /// instance may have that type.
+    pub(crate) fn check_plan(&self, h: u32) -> Option<&CheckPlan> {
+        self.plans[h as usize].as_ref()
+    }
+
+    /// Adds the static re-check's tallies to the lookup counters: it
+    /// works on handles, below the counted key-level queries, and reports
+    /// once per call what they would have counted.
+    pub(crate) fn count_check(&self, effective: u64, subtype: u64, expand: u64) {
+        self.counters
+            .effective
+            .fetch_add(effective, Ordering::Relaxed);
+        self.counters.subtype.fetch_add(subtype, Ordering::Relaxed);
+        self.counters.expand.fetch_add(expand, Ordering::Relaxed);
     }
 
     /// The memoized *effective* type for `key` (inherited ports and
@@ -292,13 +417,18 @@ impl UniverseIndex {
         let (Some(&si), Some(&pi)) = (self.ids.get(sub), self.ids.get(sup)) else {
             return false;
         };
-        match (self.span[si as usize], self.span[pi as usize]) {
+        self.is_subtype_handle(si, pi)
+    }
+
+    /// [`UniverseIndex::is_declared_subtype`] on type handles (reflexive).
+    pub(crate) fn is_subtype_handle(&self, sub: u32, sup: u32) -> bool {
+        match (self.span[sub as usize], self.span[sup as usize]) {
             (Some((a, _)), Some((b, e))) => b <= a && a < e,
             _ => {
                 // Cycle territory: walk parents at most `len` hops.
-                let mut cur = si;
+                let mut cur = sub;
                 for _ in 0..=self.keys.len() {
-                    if cur == pi {
+                    if cur == sup {
                         return true;
                     }
                     match self.parent[cur as usize] {
@@ -362,6 +492,11 @@ impl UniverseIndex {
         referrer: &str,
     ) -> Result<Vec<ResourceKey>, ModelError> {
         self.counters.expand.fetch_add(1, Ordering::Relaxed);
+        self.expand(dep, referrer)
+    }
+
+    /// [`UniverseIndex::expand_targets`] below the lookup counter.
+    fn expand(&self, dep: &Dependency, referrer: &str) -> Result<Vec<ResourceKey>, ModelError> {
         let mut out: Vec<ResourceKey> = Vec::new();
         for target in dep.targets() {
             match target {

@@ -239,6 +239,16 @@ impl InstallSpec {
         self.instances.iter()
     }
 
+    /// The instances in order, as a slice.
+    pub(crate) fn instances(&self) -> &[ResourceInstance] {
+        &self.instances
+    }
+
+    /// Position of the instance `id` in spec order (O(1)).
+    pub(crate) fn position(&self, id: &InstanceId) -> Option<usize> {
+        self.index.get(id).copied()
+    }
+
     /// The machine an instance runs on: "one can walk the inside
     /// dependencies to eventually reach a physical machine" (§3.1).
     ///
@@ -334,9 +344,18 @@ impl PartialInstance {
 
 /// A partial installation specification: "a list of the main application
 /// components to be installed" (§1), e.g. Figure 2.
-#[derive(Debug, Clone, PartialEq, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct PartialInstallSpec {
     instances: Vec<PartialInstance>,
+    /// id → position in `instances`, as in [`InstallSpec`].
+    index: HashMap<InstanceId, usize>,
+}
+
+impl PartialEq for PartialInstallSpec {
+    fn eq(&self, other: &Self) -> bool {
+        // The index is derived from `instances`.
+        self.instances == other.instances
+    }
 }
 
 impl PartialInstallSpec {
@@ -345,15 +364,18 @@ impl PartialInstallSpec {
         Self::default()
     }
 
-    /// Appends a partial instance.
+    /// Appends a partial instance. O(1) amortized: duplicate detection
+    /// is a hash probe (it was a scan, which made parsing an N-instance
+    /// partial spec O(N²)).
     ///
     /// # Errors
     ///
     /// Returns the instance back if its id is already taken.
     pub fn push(&mut self, inst: PartialInstance) -> Result<(), PartialInstance> {
-        if self.get(inst.id()).is_some() {
+        if self.index.contains_key(inst.id()) {
             return Err(inst);
         }
+        self.index.insert(inst.id().clone(), self.instances.len());
         self.instances.push(inst);
         Ok(())
     }
@@ -368,9 +390,9 @@ impl PartialInstallSpec {
         self.instances.is_empty()
     }
 
-    /// Instance by id.
+    /// Instance by id (O(1) via the id index).
     pub fn get(&self, id: &InstanceId) -> Option<&PartialInstance> {
-        self.instances.iter().find(|i| i.id() == id)
+        self.index.get(id).map(|&ix| &self.instances[ix])
     }
 
     /// Iterates instances in order.
@@ -431,6 +453,75 @@ mod tests {
         let mut f = InstallSpec::new();
         f.push(ResourceInstance::new("x", "A 1")).unwrap();
         assert!(f.push(ResourceInstance::new("x", "B 1")).is_err());
+    }
+
+    #[test]
+    fn partial_spec_duplicate_push_returns_the_instance_back() {
+        let mut s = PartialInstallSpec::new();
+        s.push(PartialInstance::new("x", "A 1").config("port", 1i64))
+            .unwrap();
+        let dup = PartialInstance::new("x", "B 1").inside("m");
+        assert_eq!(s.push(dup.clone()), Err(dup));
+        // The rejected push left nothing behind.
+        assert_eq!(s.len(), 1);
+        assert_eq!(s.get(&"x".into()).unwrap().key(), &ResourceKey::from("A 1"));
+    }
+
+    #[test]
+    fn partial_spec_get_after_many_pushes() {
+        let mut s = PartialInstallSpec::new();
+        for n in 0..10_000 {
+            s.push(PartialInstance::new(format!("i{n}"), "A 1").config("n", n as i64))
+                .unwrap();
+        }
+        assert_eq!(s.len(), 10_000);
+        for n in [0usize, 1, 4_999, 9_999] {
+            let inst = s.get(&format!("i{n}").into()).unwrap();
+            assert_eq!(
+                inst.config_overrides().get("n"),
+                Some(&Value::from(n as i64))
+            );
+            assert_eq!(s.iter().nth(n).unwrap().id(), inst.id());
+        }
+        assert!(s.get(&"i10000".into()).is_none());
+        assert!(s.push(PartialInstance::new("i4999", "A 1")).is_err());
+    }
+
+    #[test]
+    fn partial_spec_eq_ignores_and_clone_preserves_the_index() {
+        let a = figure_2();
+        // Same instances, built another way (extra failed push included).
+        let mut b = PartialInstallSpec::new();
+        for inst in a.iter() {
+            b.push(inst.clone()).unwrap();
+            assert!(b.push(inst.clone()).is_err());
+        }
+        assert_eq!(a, b);
+        // Order is part of equality; the index is not.
+        let mut instances: Vec<PartialInstance> = a.iter().cloned().collect();
+        instances.reverse();
+        let reversed: PartialInstallSpec = instances.into_iter().collect();
+        assert_ne!(a, reversed);
+        assert_eq!(reversed.get(&"tomcat".into()), a.get(&"tomcat".into()));
+        // A clone answers lookups and rejects duplicates like the original.
+        let mut c = a.clone();
+        assert_eq!(c, a);
+        assert_eq!(c.get(&"openmrs".into()), a.get(&"openmrs".into()));
+        assert!(c.push(PartialInstance::new("server", "X 1")).is_err());
+        c.push(PartialInstance::new("extra", "X 1")).unwrap();
+        assert!(a.get(&"extra".into()).is_none());
+        assert_ne!(c, a);
+    }
+
+    #[test]
+    #[should_panic(expected = "duplicate instance id")]
+    fn partial_spec_from_iter_panics_on_duplicates() {
+        let _: PartialInstallSpec = [
+            PartialInstance::new("x", "A 1"),
+            PartialInstance::new("x", "B 1"),
+        ]
+        .into_iter()
+        .collect();
     }
 
     #[test]

@@ -81,6 +81,14 @@ grep -q '"bench.scaling.smoke.nodes"' "$obs_tmp/BENCH_scaling.json"
 ENGAGE_SCENARIO_SWEEP_SEEDS=16 \
     cargo test -q --offline --release -p engage --test flat_pipeline_differential
 
+# Static re-check mutation sweep at CI depth: every testgen family × all
+# 8 committed seeds, 15 single-fault mutations of the configured spec
+# each — the checker's exact ordered error lists are pinned as golden
+# digests, and the `&Universe` wrapper and a shared index must agree
+# (see docs/decisions/0002-one-static-checker.md).
+ENGAGE_STATIC_CHECK_SWEEP_SEEDS=8 \
+    cargo test -q --offline --release -p engage --test static_check_mutations
+
 # Oracle-equivalence sweep: the GraphGen property tests (indexed vs
 # naive hypergraph equality, UniverseIndex vs Universe answers) at CI
 # depth.

@@ -83,6 +83,54 @@ fn partial_specs_roundtrip_through_figure_2_json() {
 }
 
 #[test]
+fn large_shuffled_partial_spec_roundtrips() {
+    // 5 000 instances listed in a seeded random order (a spec is a set;
+    // containers need not come first): render → parse gives the same spec
+    // back, every id still resolves, and a duplicate is still refused.
+    use engage_model::{PartialInstallSpec, PartialInstance};
+    use engage_util::rand::{Rng, SeedableRng, StdRng};
+
+    let mut instances: Vec<PartialInstance> = (0..1_000)
+        .flat_map(|m| {
+            let machine = PartialInstance::new(format!("m{m}"), "Mac-OSX 10.6")
+                .config("hostname", format!("host-{m}.example.com").as_str());
+            let inside = (0..4).map(move |k| {
+                PartialInstance::new(format!("svc{m}-{k}"), "Tomcat 6.0.18")
+                    .inside(format!("m{m}"))
+                    .config("manager_port", 8_000 + k as i64)
+            });
+            std::iter::once(machine).chain(inside)
+        })
+        .collect();
+    StdRng::seed_from_u64(0x5EED_5000).shuffle(&mut instances);
+    let spec: PartialInstallSpec = instances.into_iter().collect();
+    assert_eq!(spec.len(), 5_000);
+
+    let json = engage_dsl::render_partial_spec(&spec);
+    let back = engage_dsl::parse_partial_spec(&json).unwrap();
+    assert_eq!(spec, back);
+    assert!(spec.iter().map(|i| i.id()).eq(back.iter().map(|i| i.id())));
+    for inst in spec.iter() {
+        assert_eq!(back.get(inst.id()), Some(inst));
+    }
+
+    // The same text with its first instance listed twice is rejected.
+    let first = spec.iter().next().unwrap();
+    let one = engage_dsl::render_partial_spec(&[first.clone()].into_iter().collect());
+    let doubled = format!(
+        "{},{}",
+        one.trim_end().trim_end_matches(']'),
+        json.trim_start().trim_start_matches('[')
+    );
+    let err = engage_dsl::parse_partial_spec(&doubled).unwrap_err();
+    assert!(
+        err.to_string()
+            .contains(&format!("duplicate instance id `{}`", first.id())),
+        "{err}"
+    );
+}
+
+#[test]
 fn figure_2_verbatim_parses() {
     // The paper's Figure 2 text (keys/ids exactly as printed).
     let src = r#"[

@@ -378,6 +378,6 @@ fn config_engine_stats_are_populated() {
     let (vars, clauses) = outcome.cnf_size;
     assert!(vars >= outcome.spec.len() as u32);
     assert!(clauses > 0);
-    assert!(!outcome.constraints_rendered.is_empty());
+    assert!(!outcome.render_constraints().is_empty());
     assert!(!outcome.graph.render().is_empty());
 }

@@ -45,6 +45,7 @@ fn span_tree_matches_pipeline_order() {
     let constraints = span_start(&records, "config.constraint_gen");
     let solve = span_start(&records, "config.solve");
     let propagate = span_start(&records, "config.propagate");
+    let static_check = span_start(&records, "config.static_check");
     let deploy = span_start(&records, "deploy.deploy");
 
     let first_transition = records
@@ -58,9 +59,10 @@ fn span_tree_matches_pipeline_order() {
     assert!(graphgen <= constraints, "graphgen before constraint-gen");
     assert!(constraints <= solve, "constraint-gen before solve");
     assert!(solve <= propagate, "solve before propagate");
-    assert!(propagate <= deploy, "configuration before deployment");
+    assert!(propagate <= static_check, "propagate before the re-check");
+    assert!(static_check <= deploy, "configuration before deployment");
     assert!(
-        propagate <= first_transition,
+        static_check <= first_transition,
         "no driver runs before the config pipeline finished"
     );
 }
@@ -78,6 +80,7 @@ fn config_phases_nest_under_the_configure_span() {
         "config.constraint_gen",
         "config.solve",
         "config.propagate",
+        "config.static_check",
     ] {
         let s = spans
             .iter()
@@ -181,6 +184,7 @@ fn cli_trace_covers_phases_and_transitions() {
         "config.constraint_gen",
         "config.solve",
         "config.propagate",
+        "config.static_check",
     ] {
         assert!(
             body.contains(&format!("\"name\":\"{phase}\"")),
