@@ -11,28 +11,19 @@
 //! [`HyperGraph`] is proposition `Var(h)`, so the node↔variable bijection
 //! is the graph's own node table (a `Vec`, shared via `Arc`) instead of a
 //! `BTreeMap<InstanceId, Var>`, and clause emission walks the dense
-//! handle-resolved edge tables without a single id lookup. Emission is
-//! chunked over contiguous runs of per-source edge lists and the chunks
-//! are merged back in edge order, so the CNF is byte-stable regardless of
-//! worker count — auxiliary encoding variables are pre-numbered with a
-//! prefix sum over per-edge counts. [`generate_legacy`] keeps the
-//! original map-keyed generator as a differential-testing oracle; the two
-//! produce byte-identical CNFs.
+//! handle-resolved edge tables without a single id lookup. Auxiliary
+//! encoding variables are pre-numbered with a prefix sum over per-edge
+//! counts, which also sizes the clause store exactly. [`generate_legacy`]
+//! keeps the original map-keyed generator as a differential-testing
+//! oracle; the two produce byte-identical CNFs.
 
 use std::collections::{BTreeMap, HashMap};
-use std::ops::Range;
 use std::sync::{Arc, OnceLock};
-use std::thread;
 
 use engage_model::InstanceId;
 use engage_sat::{Clause, Cnf, ExactlyOneEncoding, Lit, Var};
 
 use crate::graph::HyperGraph;
-
-/// Edge count below which constraint emission stays single-threaded:
-/// thread spawn/join overhead beats the win on small graphs, and every
-/// interactive workload (OpenMRS-sized universes) lands here.
-const PARALLEL_EDGE_MIN: usize = 8192;
 
 /// Vec-backed node↔variable bijection: `Var(h)` *is* node handle `h`, so
 /// the forward direction is an array index and only the id→handle
@@ -77,7 +68,6 @@ impl VarMap {
 pub struct Constraints {
     cnf: Cnf,
     vars: Arc<VarMap>,
-    parallel_chunks: u32,
 }
 
 impl Constraints {
@@ -104,13 +94,6 @@ impl Constraints {
     /// The node variables as a vector (for model projection/enumeration).
     pub fn node_vars(&self) -> Vec<Var> {
         (0..self.vars.ids.len() as u32).map(Var).collect()
-    }
-
-    /// How many chunks the hyperedge constraints were emitted in (1 for
-    /// a serial run) — surfaced as the `config.constraint_gen.parallel_chunks`
-    /// gauge.
-    pub fn parallel_chunks(&self) -> u32 {
-        self.parallel_chunks
     }
 
     /// Renders the constraints in the paper's notation (§4), e.g.
@@ -162,7 +145,7 @@ pub fn generate_structural(
 
 /// Shared generator body: node vars are the handles, spec literals are
 /// added as units (`with_units`) or returned, and the hyperedge clauses
-/// come from the chunked emitter.
+/// follow in edge order.
 fn build(
     g: &HyperGraph,
     encoding: ExactlyOneEncoding,
@@ -170,10 +153,9 @@ fn build(
 ) -> (Constraints, Vec<Lit>) {
     let n = g.nodes().len() as u32;
 
-    // Pre-number the encoding's auxiliary variables so every chunk knows
-    // its edges' variable ranges up front: aux vars start after the node
-    // vars and are laid out in edge order, exactly as the sequential
-    // fresh_var() calls of the legacy generator produced them.
+    // Pre-number the encoding's auxiliary variables: they start after
+    // the node vars and are laid out in edge order, exactly as the
+    // sequential fresh_var() calls of the legacy generator produced them.
     let edges = g.edges();
     let mut aux_base: Vec<u32> = Vec::with_capacity(edges.len());
     let mut next_aux = n;
@@ -204,38 +186,11 @@ fn build(
         }
     }
 
-    let ranges = chunk_ranges(g, emission_workers(edges.len()));
-    let parallel_chunks = ranges.len() as u32;
-    if ranges.len() <= 1 {
-        emit_range(g, encoding, &aux_base, 0..edges.len(), &mut clauses);
-    } else {
-        let chunks: Vec<Vec<Clause>> = thread::scope(|s| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .cloned()
-                .map(|r| {
-                    let aux_base = &aux_base;
-                    s.spawn(move || {
-                        let mut out = Vec::new();
-                        emit_range(g, encoding, aux_base, r, &mut out);
-                        out
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("constraint emitter panicked"))
-                .collect()
-        });
-        for chunk in chunks {
-            clauses.extend(chunk);
-        }
-    }
+    emit_edges(g, encoding, &aux_base, &mut clauses);
 
     let constraints = Constraints {
         cnf: Cnf::from_parts(next_aux, clauses),
         vars: Arc::new(VarMap::from_graph(g)),
-        parallel_chunks,
     };
     (constraints, spec_lits)
 }
@@ -251,7 +206,7 @@ fn aux_var_count(encoding: ExactlyOneEncoding, targets: usize) -> u32 {
 }
 
 /// Clauses one hyperedge emits under `encoding` (capacity sizing for the
-/// emitters; mirrors [`emit_implied_exactly_one`] exactly).
+/// clause store; mirrors [`emit_implied_exactly_one`] exactly).
 fn clause_count(encoding: ExactlyOneEncoding, targets: usize) -> usize {
     match (encoding, targets) {
         (_, 0) => 1,
@@ -263,56 +218,16 @@ fn clause_count(encoding: ExactlyOneEncoding, targets: usize) -> usize {
     }
 }
 
-/// Worker count for clause emission: one per core, but never more than
-/// one per `PARALLEL_EDGE_MIN` edges and never parallel below that
-/// threshold.
-fn emission_workers(edges: usize) -> usize {
-    if edges < PARALLEL_EDGE_MIN {
-        return 1;
-    }
-    let cores = thread::available_parallelism().map_or(1, |n| n.get());
-    cores.min(edges / PARALLEL_EDGE_MIN).max(1)
-}
-
-/// Splits the edge index space into up to `workers` contiguous ranges,
-/// cutting only at source boundaries so each per-source edge list stays
-/// within one chunk (a cache-friendly unit; correctness only needs
-/// contiguity, which keeps the merge a plain concatenation).
-fn chunk_ranges(g: &HyperGraph, workers: usize) -> Vec<Range<usize>> {
-    let total = g.edges().len();
-    if workers <= 1 || total == 0 {
-        #[allow(clippy::single_range_in_vec_init)]
-        return vec![0..total];
-    }
-    let target = total.div_ceil(workers);
-    let mut ranges = Vec::with_capacity(workers);
-    let mut start = 0;
-    while start < total {
-        let mut end = (start + target).min(total);
-        while end < total && g.edge_source_handle(end) == g.edge_source_handle(end - 1) {
-            end += 1;
-        }
-        ranges.push(start..end);
-        start = end;
-    }
-    ranges
-}
-
-/// Emits the exactly-one clauses for the edges in `range`, in edge
-/// order, reading endpoints straight from the dense handle tables.
-fn emit_range(
+/// Emits the exactly-one clauses of every edge (`aux_base` has one entry
+/// per edge), in edge order, reading endpoints straight from the dense
+/// handle tables.
+fn emit_edges(
     g: &HyperGraph,
     encoding: ExactlyOneEncoding,
     aux_base: &[u32],
-    range: Range<usize>,
     out: &mut Vec<Clause>,
 ) {
-    let cap: usize = range
-        .clone()
-        .map(|e| clause_count(encoding, g.edge_target_handles(e).len()))
-        .sum();
-    out.reserve(cap);
-    for e in range {
+    for (e, &aux) in aux_base.iter().enumerate() {
         let source = g.edge_source_handle(e);
         debug_assert_ne!(source, crate::graph::HANDLE_NONE, "edge source is a node");
         let guard = Var(source).negative();
@@ -321,7 +236,7 @@ fn emit_range(
             targets.iter().all(|&t| t != crate::graph::HANDLE_NONE),
             "edge targets are nodes"
         );
-        emit_implied_exactly_one(out, guard, targets, encoding, aux_base[e]);
+        emit_implied_exactly_one(out, guard, targets, encoding, aux);
     }
 }
 
@@ -403,7 +318,6 @@ pub fn generate_legacy(g: &HyperGraph, encoding: ExactlyOneEncoding) -> Constrai
     Constraints {
         cnf,
         vars: Arc::new(VarMap::from_graph(g)),
-        parallel_chunks: 1,
     }
 }
 
@@ -547,53 +461,6 @@ mod tests {
                 .zip(legacy.vars())
                 .all(|((ida, va), (idb, vb))| ida == idb && va == vb));
             assert_eq!(flat.node_vars(), legacy.node_vars(), "{enc}");
-        }
-    }
-
-    #[test]
-    fn parallel_chunks_are_byte_stable() {
-        let u = openmrs_universe();
-        let g = graph_gen(&u, &figure_2()).unwrap();
-        for enc in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
-            let mut aux_base = Vec::new();
-            let mut next = g.nodes().len() as u32;
-            for e in g.edges() {
-                aux_base.push(next);
-                next += aux_var_count(enc, e.targets().len());
-            }
-            let mut serial = Vec::new();
-            emit_range(&g, enc, &aux_base, 0..g.edges().len(), &mut serial);
-            for workers in [2, 3, 5] {
-                let mut merged: Vec<Clause> = Vec::new();
-                for r in chunk_ranges(&g, workers) {
-                    emit_range(&g, enc, &aux_base, r, &mut merged);
-                }
-                assert_eq!(serial, merged, "{enc} with {workers} workers");
-            }
-        }
-    }
-
-    #[test]
-    fn chunk_ranges_cover_and_respect_source_boundaries() {
-        let u = openmrs_universe();
-        let g = graph_gen(&u, &figure_2()).unwrap();
-        for workers in [1, 2, 4, 16] {
-            let ranges = chunk_ranges(&g, workers);
-            let mut next = 0;
-            for r in &ranges {
-                assert_eq!(r.start, next, "contiguous coverage");
-                assert!(r.end > r.start || g.edges().is_empty());
-                next = r.end;
-            }
-            assert_eq!(next, g.edges().len());
-            // No source's edge list straddles a chunk boundary.
-            for w in ranges.windows(2) {
-                assert_ne!(
-                    g.edge_source_handle(w[1].start),
-                    g.edge_source_handle(w[1].start - 1),
-                    "chunk cut inside a per-source edge list"
-                );
-            }
         }
     }
 

@@ -457,9 +457,6 @@ impl<'a> ConfigEngine<'a> {
                         _ => (generate(&graph, self.encoding), None),
                     }
                 };
-                self.obs
-                    .gauge("config.constraint_gen.parallel_chunks")
-                    .set(constraints.parallel_chunks() as i64);
                 if incremental {
                     if let (Some(s), Some(lits)) = (session.as_deref_mut(), spec_lits.as_ref()) {
                         s.structure = Some(CachedStructure {

@@ -16,7 +16,7 @@
 //!   verbatim as a differential-testing oracle (every lookup is a linear
 //!   scan over `Universe` / the node list, as in the seed
 //!   implementation). `tests/graphgen_properties.rs` proves the two
-//!   produce identical hypergraphs; `exp_graphgen` measures the gap.
+//!   produce identical hypergraphs.
 //!
 //! [`graph_gen`] is the convenience wrapper: build an index, run the
 //! indexed path.

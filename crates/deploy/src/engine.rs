@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use engage_model::{
-    topological_order, BasicState, DriverState, Guard, InstallSpec, InstanceId, StatePred, Universe,
+    topological_order, BasicState, DriverSpec, DriverState, Guard, InstallSpec, InstanceId,
+    ModelError, ResourceInstance, StatePred, Transition, Universe,
 };
 use engage_sim::{HostId, Monitor, Os, Sim};
 use engage_util::obs::Obs;
@@ -53,7 +54,7 @@ impl KillSwitch {
 
     /// Errors if the engine is already dead (called before every
     /// transition).
-    pub(crate) fn check(&self) -> Result<(), DeployError> {
+    fn check(&self) -> Result<(), DeployError> {
         let committed = self.committed.load(Ordering::SeqCst);
         if committed >= self.after {
             return Err(DeployError::EngineKilled { after: committed });
@@ -61,7 +62,7 @@ impl KillSwitch {
         Ok(())
     }
 
-    pub(crate) fn on_commit(&self) {
+    fn on_commit(&self) {
         self.committed.fetch_add(1, Ordering::SeqCst);
     }
 }
@@ -97,8 +98,9 @@ impl TimelineEntry {
     }
 }
 
-/// A deployed (or partially deployed) application stack.
-#[derive(Debug, Clone)]
+/// A deployed (or partially deployed) application stack; the default is
+/// the empty stack.
+#[derive(Debug, Clone, Default)]
 pub struct Deployment {
     pub(crate) spec: InstallSpec,
     pub(crate) states: BTreeMap<InstanceId, DriverState>,
@@ -108,6 +110,29 @@ pub struct Deployment {
 }
 
 impl Deployment {
+    /// A deployment of `spec` with nothing provisioned or installed yet.
+    pub(crate) fn fresh(spec: &InstallSpec) -> Self {
+        let mut dep = Deployment::default();
+        dep.rebase(spec.clone());
+        dep
+    }
+
+    /// Swaps in a new specification: instances present before keep their
+    /// driver state, new ones start `uninstalled`; machines, timeline and
+    /// monitor carry over. (An upgrade has already driven whatever it
+    /// replaces to `uninstalled`, so "kept" is the right state for it too.)
+    pub(crate) fn rebase(&mut self, new_spec: InstallSpec) {
+        self.states = new_spec
+            .iter()
+            .map(|i| {
+                let kept = self.states.get(i.id()).cloned();
+                let fresh = DriverState::Basic(BasicState::Uninstalled);
+                (i.id().clone(), kept.unwrap_or(fresh))
+            })
+            .collect();
+        self.spec = new_spec;
+    }
+
     /// The full installation specification being managed.
     pub fn spec(&self) -> &InstallSpec {
         &self.spec
@@ -262,6 +287,16 @@ impl Deployment {
     }
 }
 
+/// The spec's dependency order, or the one cycle error every walk and
+/// selection over it reports.
+pub(crate) fn ordered(spec: &InstallSpec) -> Result<Vec<InstanceId>, DeployError> {
+    topological_order(spec).ok_or_else(|| {
+        DeployError::Model(ModelError::SpecError {
+            detail: "instance dependency graph has a cycle".into(),
+        })
+    })
+}
+
 /// The deployment engine: executes driver state machines against the
 /// simulated data center.
 ///
@@ -279,12 +314,14 @@ pub struct DeploymentEngine<'a> {
     journal: Option<DeployJournal>,
     rollback_on_failure: bool,
     kill: Option<Arc<KillSwitch>>,
-    /// Teardown-guard relaxation, used only while rolling back a partial
-    /// deployment: a guard asking for `inactive` also accepts
-    /// `uninstalled` (the dependent is *more* stopped than required —
-    /// exact-state matching would wedge the rollback of a stack whose
-    /// lower layers never got installed).
-    relaxed_guards: bool,
+    /// Teardown semantics, set only on [`DeploymentEngine::teardown_clone`]
+    /// (rollback of a partial deployment, orphan removal). Guards relax:
+    /// one asking for `inactive` also accepts `uninstalled` (the
+    /// dependent is *more* stopped than required — exact-state matching
+    /// would wedge the rollback of a stack whose lower layers never got
+    /// installed). And a walk is best-effort: an instance that fails to
+    /// come down does not keep the rest up.
+    teardown: bool,
     workers: Option<usize>,
 }
 
@@ -301,7 +338,7 @@ impl<'a> DeploymentEngine<'a> {
             journal: None,
             rollback_on_failure: false,
             kill: None,
-            relaxed_guards: false,
+            teardown: false,
             workers: None,
         }
     }
@@ -379,16 +416,15 @@ impl<'a> DeploymentEngine<'a> {
         self.journal.as_ref()
     }
 
-    pub(crate) fn kill_switch(&self) -> Option<&Arc<KillSwitch>> {
-        self.kill.as_ref()
-    }
-
     pub(crate) fn obs(&self) -> &Obs {
         &self.obs
     }
 
-    pub(crate) fn workers(&self) -> Option<usize> {
-        self.workers
+    /// The wavefront pool's size for a deployment over `machines`
+    /// machines: the `with_workers` override, else one worker per
+    /// machine capped at 8.
+    pub(crate) fn pool_size(&self, machines: usize) -> usize {
+        self.workers.unwrap_or_else(|| machines.clamp(1, 8))
     }
 
     /// The simulated data center.
@@ -433,24 +469,8 @@ impl<'a> DeploymentEngine<'a> {
         let _span = self
             .obs
             .span_with("deploy.deploy", &[("instances", &spec.len().to_string())]);
-        let machines = self.provision_machines(spec).map_err(|error| {
-            Box::new(DeployFailure {
-                error,
-                completed: Vec::new(),
-                states: BTreeMap::new(),
-                rolled_back: None,
-            })
-        })?;
-        let mut dep = Deployment {
-            spec: spec.clone(),
-            states: spec
-                .iter()
-                .map(|i| (i.id().clone(), DriverState::Basic(BasicState::Uninstalled)))
-                .collect(),
-            machines,
-            timeline: Vec::new(),
-            monitor: Monitor::new(),
-        };
+        let mut dep = Deployment::fresh(spec);
+        self.provision_machines(&mut dep);
         match self.activate_all(&mut dep) {
             Ok(()) => {
                 self.register_services(&mut dep);
@@ -487,46 +507,25 @@ impl<'a> DeploymentEngine<'a> {
     /// rollback must not die at the kill-point that just fired).
     pub(crate) fn rollback_partial(&self, dep: &mut Deployment) -> bool {
         self.obs.counter("deploy.rollbacks").incr();
-        let quiet = DeploymentEngine {
-            kill: None,
-            relaxed_guards: true,
-            ..self.clone()
+        let quiet = self.teardown_clone();
+        // Two walks, like `uninstall_all` — but the first stops only what
+        // is running: driving an instance the failure left `uninstalled`
+        // to `inactive` would install it.
+        let running = |dep: &Deployment, id: &InstanceId| {
+            dep.states[id] == DriverState::Basic(BasicState::Active)
         };
-        let Some(order) = topological_order(&dep.spec) else {
-            return false;
-        };
-        let mut clean = true;
-        // Two phases, like `uninstall_all`: stop whatever is running in
-        // reverse dependency order, then uninstall in reverse order —
-        // skipping instances the failure left uninstalled.
-        for id in order.iter().rev() {
-            if dep.states[id] == DriverState::Basic(BasicState::Active)
-                && quiet.drive_to(dep, id, BasicState::Inactive).is_err()
-            {
-                clean = false;
-            }
-        }
-        for id in order.iter().rev() {
-            if dep.states[id] != DriverState::Basic(BasicState::Uninstalled)
-                && quiet.drive_to(dep, id, BasicState::Uninstalled).is_err()
-            {
-                clean = false;
-            }
-        }
-        clean
-            && dep
-                .states
-                .values()
-                .all(|s| s == &DriverState::Basic(BasicState::Uninstalled))
+        let stopped = quiet.sweep(dep, BasicState::Inactive, running);
+        let removed = quiet.sweep(dep, BasicState::Uninstalled, |_, _| true);
+        stopped.and(removed).is_ok()
     }
 
-    /// Clones the engine with teardown semantics: no kill switch and
-    /// relaxed guards — the same quiet configuration `rollback_partial`
-    /// uses. The reconciler tears orphaned instances down through this.
+    /// Clones the engine with teardown semantics: no kill switch, relaxed
+    /// guards, best-effort walks. Rollback and the reconciler's orphan
+    /// teardown sweep through this.
     pub(crate) fn teardown_clone(&self) -> DeploymentEngine<'a> {
         DeploymentEngine {
             kill: None,
-            relaxed_guards: true,
+            teardown: true,
             ..self.clone()
         }
     }
@@ -572,17 +571,7 @@ impl<'a> DeploymentEngine<'a> {
             .obs
             .span_with("deploy.resume", &[("records", &records.len().to_string())]);
         let resume_failed = |detail: String| DeployError::ResumeFailed { detail };
-        let mut machines = BTreeMap::new();
-        let mut dep = Deployment {
-            spec: spec.clone(),
-            states: spec
-                .iter()
-                .map(|i| (i.id().clone(), DriverState::Basic(BasicState::Uninstalled)))
-                .collect(),
-            machines: BTreeMap::new(),
-            timeline: Vec::new(),
-            monitor: Monitor::new(),
-        };
+        let mut dep = Deployment::fresh(spec);
         for record in records {
             match record {
                 JournalRecord::Provisioned {
@@ -620,7 +609,7 @@ impl<'a> DeploymentEngine<'a> {
                             }
                         }
                     }
-                    machines.insert(instance.clone(), *host);
+                    dep.machines.insert(instance.clone(), *host);
                 }
                 JournalRecord::Attempt { .. } => {
                     // Write-ahead marker: an Attempt without a matching
@@ -640,7 +629,6 @@ impl<'a> DeploymentEngine<'a> {
                             "journaled instance `{instance}` is not in the spec"
                         ))
                     })?;
-                    dep.machines = machines.clone();
                     let host = dep.host_of(instance).ok_or_else(|| {
                         resume_failed(format!("no journaled machine for instance `{instance}`"))
                     })?;
@@ -682,12 +670,7 @@ impl<'a> DeploymentEngine<'a> {
         }
         // Machines the crash happened too early to journal: provision
         // them now, exactly as an uninterrupted run would have.
-        for inst in spec.iter() {
-            if inst.inside_link().is_none() && !machines.contains_key(inst.id()) {
-                machines.insert(inst.id().clone(), self.provision_one(inst));
-            }
-        }
-        dep.machines = machines;
+        self.provision_machines(&mut dep);
         self.obs.counter("deploy.resumes").incr();
         if self.obs.is_enabled() {
             self.obs.event(
@@ -710,15 +693,7 @@ impl<'a> DeploymentEngine<'a> {
     ///
     /// Pathing, guard, or action failures.
     pub fn activate_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
-        let order = topological_order(&dep.spec).ok_or(DeployError::Model(
-            engage_model::ModelError::SpecError {
-                detail: "instance dependency graph has a cycle".into(),
-            },
-        ))?;
-        for id in &order {
-            self.drive_to(dep, id, BasicState::Active)?;
-        }
-        Ok(())
+        self.sweep(dep, BasicState::Active, |_, _| true)
     }
 
     /// Stops the whole stack: drives every instance to `inactive` in
@@ -729,15 +704,7 @@ impl<'a> DeploymentEngine<'a> {
     ///
     /// Pathing, guard, or action failures.
     pub fn stop_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
-        let order = topological_order(&dep.spec).ok_or(DeployError::Model(
-            engage_model::ModelError::SpecError {
-                detail: "instance dependency graph has a cycle".into(),
-            },
-        ))?;
-        for id in order.iter().rev() {
-            self.drive_to(dep, id, BasicState::Inactive)?;
-        }
-        Ok(())
+        self.sweep(dep, BasicState::Inactive, |_, _| true)
     }
 
     /// Uninstalls the whole stack (reverse dependency order).
@@ -747,11 +714,45 @@ impl<'a> DeploymentEngine<'a> {
     /// Pathing, guard, or action failures.
     pub fn uninstall_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
         self.stop_all(dep)?;
-        let order = topological_order(&dep.spec).expect("checked in stop_all");
-        for id in order.iter().rev() {
-            self.drive_to(dep, id, BasicState::Uninstalled)?;
+        self.sweep(dep, BasicState::Uninstalled, |_, _| true)
+    }
+
+    /// The one stack walk every lifecycle operation is made of (§5.2):
+    /// drives each instance `only` admits to `target` — in dependency
+    /// order when bringing up to `active`, in reverse dependency order
+    /// when taking down to `inactive` or `uninstalled`. `only` is asked
+    /// as the walk reaches the instance, so it sees the states earlier
+    /// drives left. The first failed drive ends the walk; a
+    /// [`DeploymentEngine::teardown_clone`] walks on to the end first.
+    ///
+    /// # Errors
+    ///
+    /// A dependency cycle in the spec (nothing is driven), else the
+    /// first pathing, guard, or action failure.
+    pub(crate) fn sweep(
+        &self,
+        dep: &mut Deployment,
+        target: BasicState,
+        only: impl Fn(&Deployment, &InstanceId) -> bool,
+    ) -> Result<(), DeployError> {
+        let mut order = ordered(&dep.spec)?;
+        if target != BasicState::Active {
+            order.reverse();
         }
-        Ok(())
+        // `↓s` guards ask for an instance's dependents at every step of
+        // the walk: one table here, not a scan of the spec per guard.
+        let dependents = dep.spec.dependents_table();
+        let mut outcome = Ok(());
+        for id in &order {
+            if only(dep, id) {
+                let driven = self.drive(dep, id, target, &dependents);
+                if driven.is_err() && !self.teardown {
+                    return driven;
+                }
+                outcome = outcome.and(driven);
+            }
+        }
+        outcome
     }
 
     /// Drives one instance's driver to a basic state, firing guarded
@@ -768,64 +769,111 @@ impl<'a> DeploymentEngine<'a> {
         id: &InstanceId,
         target: BasicState,
     ) -> Result<(), DeployError> {
+        let dependents = dep.spec.dependents_table();
+        self.drive(dep, id, target, &dependents)
+    }
+
+    /// [`DeploymentEngine::drive_to`] against the spec's
+    /// [`InstallSpec::dependents_table`], which a walk builds once.
+    fn drive(
+        &self,
+        dep: &mut Deployment,
+        id: &InstanceId,
+        target: BasicState,
+        dependents: &[Vec<usize>],
+    ) -> Result<(), DeployError> {
         let inst = dep
             .spec
             .get(id)
             .ok_or_else(|| DeployError::UnknownInstance {
                 instance: id.clone(),
-            })?
-            .clone();
+            })?;
         let driver = self.universe.effective_driver(inst.key())?;
-        let current = dep.states[id].clone();
         let target_state = DriverState::Basic(target);
-        if current == target_state {
+        if dep.states[id] == target_state {
             return Ok(());
         }
         // BFS for the shortest action path.
-        let path =
-            find_path(&driver, &current, &target_state).ok_or_else(|| DeployError::NoPath {
+        let path = find_path(&driver, &dep.states[id], &target_state).ok_or_else(|| {
+            DeployError::NoPath {
                 instance: id.clone(),
-                from: current.to_string(),
+                from: dep.states[id].to_string(),
                 to: target_state.to_string(),
-            })?;
+            }
+        })?;
         let host = dep.host_of(id).ok_or_else(|| DeployError::NoMachine {
             instance: id.clone(),
         })?;
-        for (action, to) in path {
-            if let Some(kill) = &self.kill {
-                kill.check()?;
-            }
-            let guard = driver
-                .transition(&dep.states[id], &action)
-                .expect("path transitions exist")
-                .guard()
-                .clone();
-            if !self.guard_holds(dep, id, &guard) {
+        for t in path {
+            if !self.guard_holds(dep, inst, t.guard(), dependents) {
                 return Err(DeployError::GuardFailed {
                     instance: id.clone(),
-                    action,
-                    guard: guard.to_string(),
+                    action: t.action().to_owned(),
+                    guard: t.guard().to_string(),
                 });
             }
-            let start = self.sim.now();
-            let ctx = ActionCtx {
-                sim: &self.sim,
-                host,
-                instance: &inst,
-            };
-            self.run_action(&ctx, id, &action)?;
-            let end = self.sim.now();
-            self.record_transition(id, &action, &dep.states[id], &to);
-            self.commit_transition(id, &action, &dep.states[id], &to, start, end);
-            dep.timeline.push(TimelineEntry {
-                instance: id.clone(),
-                action,
-                start,
-                end,
-            });
-            dep.states.insert(id.clone(), to);
+            let entry = self.step(inst, host, t)?;
+            dep.timeline.push(entry);
+            dep.states.insert(id.clone(), t.to().clone());
         }
         Ok(())
+    }
+
+    /// One driver transition, the unit both executors commit: the kill
+    /// check, the action under the retry policy between two readings of
+    /// the simulated clock, the `driver.transition` event, the journaled
+    /// commit, the kill switch's count. The caller has cleared the
+    /// transition's guard — by evaluating it (`drive`) or by DAG edge
+    /// (the wavefront) — and applies the returned entry to its states.
+    pub(crate) fn step(
+        &self,
+        inst: &ResourceInstance,
+        host: HostId,
+        t: &Transition,
+    ) -> Result<TimelineEntry, DeployError> {
+        if let Some(kill) = &self.kill {
+            kill.check()?;
+        }
+        let (id, action) = (inst.id(), t.action());
+        let start = self.sim.now();
+        let ctx = ActionCtx {
+            sim: &self.sim,
+            host,
+            instance: inst,
+        };
+        self.run_action(&ctx, action)?;
+        let end = self.sim.now();
+        if self.obs.is_enabled() {
+            self.obs.event(
+                "driver.transition",
+                &[
+                    ("instance", id.as_str()),
+                    ("action", action),
+                    ("from", &t.from().to_string()),
+                    ("to", &t.to().to_string()),
+                ],
+            );
+            self.obs.counter("deploy.transitions").incr();
+        }
+        if let Some(journal) = &self.journal {
+            journal.append(JournalRecord::Commit {
+                instance: id.clone(),
+                action: action.to_owned(),
+                from: t.from().to_string(),
+                to: t.to().to_string(),
+                start_ns: start.as_nanos() as u64,
+                end_ns: end.as_nanos() as u64,
+            });
+        }
+        if let Some(kill) = &self.kill {
+            kill.on_commit();
+        }
+        Ok(TimelineEntry {
+            instance: id.clone(),
+            action: action.to_owned(),
+            start,
+            end,
+        })
     }
 
     /// Runs one driver action under the engine's retry policy: transient
@@ -833,12 +881,8 @@ impl<'a> DeploymentEngine<'a> {
     /// retry up to the policy's attempt budget; permanent failures and
     /// exhausted budgets propagate. Each attempt is journaled
     /// write-ahead.
-    pub(crate) fn run_action(
-        &self,
-        ctx: &ActionCtx<'_>,
-        id: &InstanceId,
-        action: &str,
-    ) -> Result<(), DeployError> {
+    fn run_action(&self, ctx: &ActionCtx<'_>, action: &str) -> Result<(), DeployError> {
+        let id = ctx.instance.id();
         let mut attempt = 1u32;
         loop {
             if let Some(journal) = &self.journal {
@@ -875,75 +919,32 @@ impl<'a> DeploymentEngine<'a> {
         }
     }
 
-    /// Journals a committed transition and advances the kill switch
-    /// (shared by the sequential and parallel paths).
-    pub(crate) fn commit_transition(
+    /// Evaluates a transition guard: `↑s` over the instances `inst` links
+    /// to, `↓s` over the instances linking to it (read off the spec's
+    /// `dependents` table). Under teardown's relaxed mode, a required
+    /// `inactive` is also satisfied by `uninstalled`.
+    fn guard_holds(
         &self,
-        id: &InstanceId,
-        action: &str,
-        from: &DriverState,
-        to: &DriverState,
-        start: Duration,
-        end: Duration,
-    ) {
-        if let Some(journal) = &self.journal {
-            journal.append(JournalRecord::Commit {
-                instance: id.clone(),
-                action: action.to_owned(),
-                from: from.to_string(),
-                to: to.to_string(),
-                start_ns: start.as_nanos() as u64,
-                end_ns: end.as_nanos() as u64,
-            });
-        }
-        if let Some(kill) = &self.kill {
-            kill.on_commit();
-        }
-    }
-
-    /// Emits the `driver.transition` event shared by the sequential and
-    /// parallel paths, and bumps `deploy.transitions`.
-    pub(crate) fn record_transition(
-        &self,
-        id: &InstanceId,
-        action: &str,
-        from: &DriverState,
-        to: &DriverState,
-    ) {
-        if !self.obs.is_enabled() {
-            return;
-        }
-        self.obs.event(
-            "driver.transition",
-            &[
-                ("instance", id.as_str()),
-                ("action", action),
-                ("from", &from.to_string()),
-                ("to", &to.to_string()),
-            ],
-        );
-        self.obs.counter("deploy.transitions").incr();
-    }
-
-    /// Evaluates a transition guard: `↑s` over the instances `id` links to,
-    /// `↓s` over the instances linking to `id`. Under rollback's relaxed
-    /// mode, a required `inactive` is also satisfied by `uninstalled`.
-    fn guard_holds(&self, dep: &Deployment, id: &InstanceId, guard: &Guard) -> bool {
-        let inst = dep.spec.get(id).expect("caller checked");
-        let matches = |actual: Option<&DriverState>, required: &BasicState| {
+        dep: &Deployment,
+        inst: &ResourceInstance,
+        guard: &Guard,
+        dependents: &[Vec<usize>],
+    ) -> bool {
+        let matches = |id: &InstanceId, required: &BasicState| {
+            let actual = dep.states.get(id);
             if actual == Some(&DriverState::Basic(*required)) {
                 return true;
             }
-            self.relaxed_guards
+            self.teardown
                 && *required == BasicState::Inactive
                 && actual == Some(&DriverState::Basic(BasicState::Uninstalled))
         };
+        let me = dep.spec.position(inst.id()).expect("inst is in the spec");
         guard.preds().iter().all(|p| match p {
-            StatePred::Upstream(s) => inst.links().all(|l| matches(dep.states.get(l), s)),
-            StatePred::Downstream(s) => dep
-                .spec
-                .dependents_of(id)
-                .all(|d| matches(dep.states.get(d.id()), s)),
+            StatePred::Upstream(s) => inst.links().all(|l| matches(l, s)),
+            StatePred::Downstream(s) => dependents[me]
+                .iter()
+                .all(|&d| matches(dep.spec.instances()[d].id(), s)),
         })
     }
 
@@ -959,23 +960,21 @@ impl<'a> DeploymentEngine<'a> {
         Ok(dep.monitor.tick(&self.sim)?)
     }
 
-    pub(crate) fn provision_machines(
-        &self,
-        spec: &InstallSpec,
-    ) -> Result<BTreeMap<InstanceId, HostId>, DeployError> {
-        let mut machines = BTreeMap::new();
-        for inst in spec.iter() {
-            if inst.inside_link().is_some() {
-                continue;
+    /// Provisions a machine for every machine instance of the spec that
+    /// has none yet (all of them on a fresh deployment; on resume, the
+    /// ones the journal does not name).
+    pub(crate) fn provision_machines(&self, dep: &mut Deployment) {
+        for inst in dep.spec.iter().filter(|i| i.inside_link().is_none()) {
+            if !dep.machines.contains_key(inst.id()) {
+                let host = self.provision_one(inst);
+                dep.machines.insert(inst.id().clone(), host);
             }
-            machines.insert(inst.id().clone(), self.provision_one(inst));
         }
-        Ok(machines)
     }
 
     /// Provisions one machine instance and journals the mapping (also
     /// used by the reconciler to replace lost hosts).
-    pub(crate) fn provision_one(&self, inst: &engage_model::ResourceInstance) -> HostId {
+    pub(crate) fn provision_one(&self, inst: &ResourceInstance) -> HostId {
         let os = os_for_key(inst.key()).unwrap_or(Os::Ubuntu1010);
         let hostname = inst
             .config()
@@ -1006,35 +1005,32 @@ pub fn os_for_key(key: &engage_model::ResourceKey) -> Option<Os> {
         .find(|os| os.resource_key() == key.to_string())
 }
 
-/// BFS over a driver spec: returns the `(action, next state)` steps of the
-/// shortest path from `from` to `to`.
-pub(crate) fn find_path(
-    driver: &engage_model::DriverSpec,
+/// BFS over a driver spec: the transitions of the shortest path from
+/// `from` to `to`.
+pub(crate) fn find_path<'d>(
+    driver: &'d DriverSpec,
     from: &DriverState,
     to: &DriverState,
-) -> Option<Vec<(String, DriverState)>> {
+) -> Option<Vec<&'d Transition>> {
     use std::collections::{HashMap, VecDeque};
-    let mut prev: HashMap<DriverState, (DriverState, String)> = HashMap::new();
-    let mut queue = VecDeque::new();
-    queue.push_back(from.clone());
-    let mut seen: std::collections::HashSet<DriverState> = [from.clone()].into();
+    // The transition each state was first reached by.
+    let mut reached: HashMap<&DriverState, &'d Transition> = HashMap::new();
+    let mut queue = VecDeque::from([from]);
     while let Some(state) = queue.pop_front() {
-        if &state == to {
-            // Reconstruct.
+        if state == to {
             let mut path = Vec::new();
             let mut cur = state;
-            while &cur != from {
-                let (p, action) = prev[&cur].clone();
-                path.push((action, cur));
-                cur = p;
+            while cur != from {
+                path.push(reached[cur]);
+                cur = reached[cur].from();
             }
             path.reverse();
             return Some(path);
         }
-        for t in driver.transitions_from(&state) {
-            if seen.insert(t.to().clone()) {
-                prev.insert(t.to().clone(), (state.clone(), t.action().to_owned()));
-                queue.push_back(t.to().clone());
+        for t in driver.transitions().iter().filter(|t| t.from() == state) {
+            if t.to() != from && !reached.contains_key(t.to()) {
+                reached.insert(t.to(), t);
+                queue.push_back(t.to());
             }
         }
     }
@@ -1044,7 +1040,7 @@ pub(crate) fn find_path(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engage_model::{DriverSpec, ResourceInstance, Value};
+    use engage_model::Value;
     use engage_sim::DownloadSource;
 
     /// A small universe with service drivers, plus its full spec:
@@ -1179,17 +1175,8 @@ mod tests {
         let (u, spec) = fixture();
         let e = engine(&u);
         // Manually drive the app before its dependencies are active.
-        let machines = e.provision_machines(&spec).unwrap();
-        let mut dep = Deployment {
-            spec: spec.clone(),
-            states: spec
-                .iter()
-                .map(|i| (i.id().clone(), DriverState::Basic(BasicState::Uninstalled)))
-                .collect(),
-            machines,
-            timeline: Vec::new(),
-            monitor: Monitor::new(),
-        };
+        let mut dep = Deployment::fresh(&spec);
+        e.provision_machines(&mut dep);
         let err = e
             .drive_to(&mut dep, &"app".into(), BasicState::Active)
             .unwrap_err();
@@ -1297,6 +1284,32 @@ mod tests {
     }
 
     #[test]
+    fn resumed_machine_map_matches_the_uninterrupted_run() {
+        let (u, mut spec) = fixture();
+        spec.push(ResourceInstance::new("spare", "Ubuntu 10.10"))
+            .unwrap();
+        let journal = crate::DeployJournal::in_memory();
+        let e = engine(&u).with_journal(journal.clone()).with_kill_point(3);
+        e.deploy(&spec).unwrap_err();
+        // As if the crash came before `spare`'s machine was journaled:
+        // one machine is restored record by record, the other
+        // provisioned after the replay.
+        let records: Vec<JournalRecord> = journal
+            .records()
+            .into_iter()
+            .filter(|r| !matches!(r, JournalRecord::Provisioned { instance, .. } if instance.as_str() == "spare"))
+            .collect();
+        assert_eq!(records.len() + 1, journal.records().len());
+        let resumed = engine(&u)
+            .resume(&spec, &records, ResumeMode::Replay)
+            .unwrap();
+        let uninterrupted = engine(&u).deploy(&spec).unwrap();
+        assert_eq!(resumed.machines(), uninterrupted.machines());
+        assert_eq!(resumed.machines().len(), 2);
+        assert_eq!(resumed.states, uninterrupted.states);
+    }
+
+    #[test]
     fn auto_rollback_leaves_hosts_clean_on_permanent_failure() {
         use engage_sim::{FaultKind, FaultOp};
         let (u, spec) = fixture();
@@ -1321,7 +1334,7 @@ mod tests {
             &DriverState::Basic(BasicState::Active),
         )
         .unwrap();
-        let actions: Vec<&str> = p.iter().map(|(a, _)| a.as_str()).collect();
+        let actions: Vec<&str> = p.iter().map(|t| t.action()).collect();
         assert_eq!(actions, vec!["install", "start"]);
         assert!(find_path(
             &DriverSpec::new(),

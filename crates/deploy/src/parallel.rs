@@ -13,15 +13,12 @@
 //! counters released with O(1) decrements, so the engine scales to tens
 //! of thousands of hosts; the "slaves" are the pool's workers.
 
-use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
-use engage_model::{BasicState, DriverState, InstallSpec, InstanceId};
-use engage_sim::Monitor;
+use engage_model::InstallSpec;
 
 use crate::engine::{Deployment, DeploymentEngine};
 use crate::error::{DeployError, DeployFailure};
-use crate::schedule::{build_dag, execute_wavefront};
 
 /// Outcome of a parallel deployment: the deployment plus the *host*
 /// wall-clock the workers took (the simulated install durations live in
@@ -69,22 +66,9 @@ impl DeploymentEngine<'_> {
         &self,
         spec: &InstallSpec,
     ) -> Result<ParallelOutcome, Box<DeployFailure>> {
-        let machines = self.provision_machines(spec).map_err(|error| {
-            Box::new(DeployFailure {
-                error,
-                completed: Vec::new(),
-                states: BTreeMap::new(),
-                rolled_back: None,
-            })
-        })?;
-        let start_states: BTreeMap<InstanceId, DriverState> = spec
-            .iter()
-            .map(|i| (i.id().clone(), DriverState::Basic(BasicState::Uninstalled)))
-            .collect();
-        let workers = self
-            .workers()
-            .unwrap_or_else(|| machines.len().clamp(1, 8))
-            .max(1);
+        let mut deployment = Deployment::fresh(spec);
+        self.provision_machines(&mut deployment);
+        let workers = self.pool_size(deployment.machines.len());
 
         let started = Instant::now();
         let parallel_span = self.obs().span_with(
@@ -94,35 +78,15 @@ impl DeploymentEngine<'_> {
                 ("slaves", &workers.to_string()),
             ],
         );
-        let dag = match build_dag(self.universe(), spec, &start_states, BasicState::Active) {
-            Ok(dag) => dag,
-            Err(error) => {
-                // A static compile error — unreachable target, or a
-                // guard cycle / never-entered state that would wedge the
-                // deployment. Nothing ran.
-                drop(parallel_span);
-                let deployment = Deployment {
-                    spec: spec.clone(),
-                    states: start_states,
-                    machines,
-                    timeline: Vec::new(),
-                    monitor: Monitor::new(),
-                };
-                return Err(self.recover(deployment, error));
-            }
-        };
-        let run = execute_wavefront(self, spec, &machines, &start_states, &dag, workers);
+        let run = self.converge(&mut deployment, &[]);
         drop(parallel_span);
         let wall = started.elapsed();
 
-        let mut deployment = Deployment {
-            spec: spec.clone(),
-            states: run.states,
-            machines,
-            timeline: run.timeline,
-            monitor: Monitor::new(),
-        };
-        if let Some(error) = run.error {
+        // A static compile error (unreachable target, or a guard cycle /
+        // never-entered state that would wedge the deployment: nothing
+        // ran) and a failed run recover alike, from whatever `deployment`
+        // now holds.
+        if let Err(error) | Ok((_, Some(error))) = run {
             return Err(self.recover(deployment, error));
         }
         self.register_services(&mut deployment);
@@ -137,7 +101,7 @@ impl DeploymentEngine<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engage_model::{ResourceInstance, Universe, Value};
+    use engage_model::{BasicState, ResourceInstance, Universe, Value};
     use engage_sim::{DownloadSource, Sim};
 
     fn universe() -> Universe {

@@ -40,16 +40,13 @@ use std::fmt;
 use std::time::Duration;
 
 use engage_config::{ConfigEngine, ConfigSession};
-use engage_model::{
-    topological_order, BasicState, DriverState, InstanceId, PartialInstallSpec, ResourceInstance,
-};
+use engage_model::{BasicState, DriverState, InstanceId, PartialInstallSpec, ResourceInstance};
 use engage_sim::{DriftEvent, HostId};
 
 use crate::action::service_name;
-use crate::engine::{find_path, Deployment, DeploymentEngine};
+use crate::engine::{find_path, ordered, Deployment, DeploymentEngine};
 use crate::error::DeployError;
 use crate::journal::JournalRecord;
-use crate::schedule::{build_dag, execute_wavefront};
 
 /// Where one instance stands relative to the desired specification.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -416,20 +413,7 @@ impl<'a> ReconcileLoop<'a> {
         }
 
         // ---- adopt the new plan ----
-        let states: BTreeMap<InstanceId, DriverState> = new_spec
-            .iter()
-            .map(|i| {
-                let s = self
-                    .dep
-                    .states
-                    .get(i.id())
-                    .cloned()
-                    .unwrap_or(DriverState::Basic(BasicState::Uninstalled));
-                (i.id().clone(), s)
-            })
-            .collect();
-        self.dep.spec = new_spec;
-        self.dep.states = states;
+        self.dep.rebase(new_spec);
 
         // ---- replace lost hosts ----
         let mut replaced = Vec::new();
@@ -479,11 +463,7 @@ impl<'a> ReconcileLoop<'a> {
         }
 
         // ---- budget + anti-flap selection ----
-        let order = topological_order(&self.dep.spec).ok_or(DeployError::Model(
-            engage_model::ModelError::SpecError {
-                detail: "instance dependency graph has a cycle".into(),
-            },
-        ))?;
+        let order = ordered(&self.dep.spec)?;
         let mut selected: Vec<InstanceId> = Vec::new();
         let mut deferred: Vec<InstanceId> = Vec::new();
         let mut budget_spent = 0usize;
@@ -509,47 +489,13 @@ impl<'a> ReconcileLoop<'a> {
             selected.push(id.clone());
         }
 
-        // ---- compile only the delta into the wavefront DAG ----
-        // Deferred instances are masked as already-active so they (and
-        // the guard edges pointing at them) contribute zero DAG nodes;
-        // their true states are restored after the run.
-        let mut repair_states = self.dep.states.clone();
-        for id in &deferred {
-            repair_states.insert(id.clone(), DriverState::Basic(BasicState::Active));
-        }
-        let dag = build_dag(
-            self.engine.universe(),
-            &self.dep.spec,
-            &repair_states,
-            BasicState::Active,
-        )?;
-        let actions = dag.len();
+        // ---- compile and run only the delta on the wavefront pool ----
+        // Deferred instances are held out of the run.
+        let (actions, failure) = self.engine.converge(&mut self.dep, &deferred)?;
         obs.gauge("reconcile.delta_size").set(actions as i64);
         obs.counter("reconcile.actions").add(actions as u64);
         self.stats.actions += actions as u64;
-        let error = if actions == 0 {
-            None
-        } else {
-            let workers = self
-                .engine
-                .workers()
-                .unwrap_or_else(|| self.dep.machines.len().clamp(1, 8));
-            let run = execute_wavefront(
-                &self.engine,
-                &self.dep.spec,
-                &self.dep.machines,
-                &repair_states,
-                &dag,
-                workers,
-            );
-            self.dep.timeline.extend(run.timeline);
-            let mut states = run.states;
-            for id in &deferred {
-                states.insert(id.clone(), self.dep.states[id].clone());
-            }
-            self.dep.states = states;
-            run.error.map(|e| e.to_string())
-        };
+        let error = failure.map(|e| e.to_string());
 
         // ---- anti-flap bookkeeping ----
         let mut repaired = Vec::new();
@@ -617,24 +563,19 @@ impl<'a> ReconcileLoop<'a> {
     /// their services and drive them to `uninstalled` (with teardown
     /// guards relaxed, like rollback) where their host still lives.
     fn teardown_orphans(&mut self, orphaned: &[InstanceId], dead_hosts: &BTreeSet<HostId>) {
-        let quiet = self.engine.teardown_clone();
-        let Some(order) = topological_order(&self.dep.spec) else {
-            return;
-        };
-        for id in order.iter().rev() {
-            if !orphaned.contains(id) {
-                continue;
-            }
-            let Some(host) = self.dep.host_of(id) else {
-                continue;
-            };
-            if let Some(inst) = self.dep.spec.get(id) {
+        for id in orphaned {
+            if let (Some(host), Some(inst)) = (self.dep.host_of(id), self.dep.spec.get(id)) {
                 self.dep.monitor.unwatch(host, &service_name(inst.key()));
             }
-            if !dead_hosts.contains(&host) {
-                let _ = quiet.drive_to(&mut self.dep, id, BasicState::Uninstalled);
-            }
         }
+        let on_live_host = |dep: &Deployment, id: &InstanceId| {
+            orphaned.contains(id) && dep.host_of(id).is_some_and(|h| !dead_hosts.contains(&h))
+        };
+        let _ = self.engine.teardown_clone().sweep(
+            &mut self.dep,
+            BasicState::Uninstalled,
+            on_live_host,
+        );
     }
 }
 

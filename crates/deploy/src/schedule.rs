@@ -34,29 +34,24 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use engage_model::{
-    BasicState, DriverState, Guard, InstallSpec, InstanceId, ResourceInstance, StatePred, Universe,
+    BasicState, DriverState, InstallSpec, InstanceId, StatePred, Transition, Universe,
 };
 use engage_sim::HostId;
 use engage_util::sync::{channel, Mutex};
 
-use crate::action::ActionCtx;
-use crate::engine::{find_path, DeploymentEngine, TimelineEntry};
+use crate::engine::{find_path, Deployment, DeploymentEngine, TimelineEntry};
 use crate::error::DeployError;
 
 /// The sentinel a worker interprets as "shut down".
 const STOP: u32 = u32::MAX;
 
-/// One transition in the DAG: a driver action of one instance.
+/// One transition in the DAG: a driver transition of one instance.
 #[derive(Debug)]
 pub(crate) struct DagNode {
     /// Index of the instance in spec iteration order.
     inst: u32,
-    /// The action name.
-    action: String,
-    /// Driver state before the action.
-    from: DriverState,
-    /// Driver state after the action.
-    to: DriverState,
+    /// The driver transition (action, guard, states before and after).
+    transition: Transition,
 }
 
 /// The explicit transition DAG of a deployment.
@@ -108,26 +103,11 @@ pub(crate) fn build_dag(
     states: &BTreeMap<InstanceId, DriverState>,
     target: BasicState,
 ) -> Result<TransitionDag, DeployError> {
-    let insts: Vec<&ResourceInstance> = spec.iter().collect();
-    let index: HashMap<&InstanceId, u32> = insts
-        .iter()
-        .enumerate()
-        .map(|(i, inst)| (inst.id(), i as u32))
-        .collect();
-    // Reverse-dependency lists in one pass; `InstallSpec::dependents_of`
-    // per instance would make the build quadratic at 10k hosts.
-    let mut reverse: Vec<Vec<u32>> = vec![Vec::new(); insts.len()];
-    for (j, inst) in insts.iter().enumerate() {
-        for link in inst.links() {
-            if let Some(&i) = index.get(link) {
-                reverse[i as usize].push(j as u32);
-            }
-        }
-    }
+    let insts = spec.instances();
+    let reverse = spec.dependents_table();
 
     let target_state = DriverState::Basic(target);
     let mut nodes: Vec<DagNode> = Vec::new();
-    let mut guards: Vec<Guard> = Vec::new();
     let mut inst_nodes: Vec<Vec<u32>> = vec![Vec::new(); insts.len()];
     // Per instance: which node *enters* each state along its path (the
     // guard-edge anchors), and where the path starts.
@@ -138,36 +118,25 @@ pub(crate) fn build_dag(
             .get(inst.id())
             .cloned()
             .unwrap_or(DriverState::Basic(BasicState::Uninstalled));
-        starts.push(current.clone());
-        if current == target_state {
-            continue;
+        if current != target_state {
+            let driver = universe.effective_driver(inst.key())?;
+            let path =
+                find_path(&driver, &current, &target_state).ok_or_else(|| DeployError::NoPath {
+                    instance: inst.id().clone(),
+                    from: current.to_string(),
+                    to: target_state.to_string(),
+                })?;
+            for t in path {
+                let id = nodes.len() as u32;
+                inst_nodes[i].push(id);
+                enters[i].insert(t.to().clone(), id);
+                nodes.push(DagNode {
+                    inst: i as u32,
+                    transition: t.clone(),
+                });
+            }
         }
-        let driver = universe.effective_driver(inst.key())?;
-        let path =
-            find_path(&driver, &current, &target_state).ok_or_else(|| DeployError::NoPath {
-                instance: inst.id().clone(),
-                from: current.to_string(),
-                to: target_state.to_string(),
-            })?;
-        let mut from = current;
-        for (action, to) in path {
-            let guard = driver
-                .transition(&from, &action)
-                .expect("path transitions exist")
-                .guard()
-                .clone();
-            let id = nodes.len() as u32;
-            nodes.push(DagNode {
-                inst: i as u32,
-                action,
-                from: from.clone(),
-                to: to.clone(),
-            });
-            guards.push(guard);
-            inst_nodes[i].push(id);
-            enters[i].insert(to.clone(), id);
-            from = to;
-        }
+        starts.push(current);
     }
 
     let n = nodes.len();
@@ -179,26 +148,26 @@ pub(crate) fn build_dag(
             add_edge(&mut succs, &mut indegree, pair[0], pair[1]);
         }
     }
+    // The verdict on a transition whose guard can never hold.
+    let wedged = |node: &DagNode| DeployError::GuardFailed {
+        instance: insts[node.inst as usize].id().clone(),
+        action: node.transition.action().to_owned(),
+        guard: node.transition.guard().to_string(),
+    };
     // Guard edges.
-    for (id, guard) in guards.iter().enumerate() {
-        let node = &nodes[id];
-        let inst = insts[node.inst as usize];
-        let unsatisfiable = || DeployError::GuardFailed {
-            instance: inst.id().clone(),
-            action: node.action.clone(),
-            guard: guard.to_string(),
-        };
-        for pred in guard.preds() {
-            let (required, deps): (&BasicState, Vec<u32>) = match pred {
+    for (id, node) in nodes.iter().enumerate() {
+        let inst = &insts[node.inst as usize];
+        for pred in node.transition.guard().preds() {
+            let (required, deps): (&BasicState, Vec<usize>) = match pred {
                 StatePred::Upstream(s) => {
                     // A link outside the spec can never satisfy the
                     // guard — same verdict the sequential engine reaches
                     // by evaluating it at run time.
                     let mut linked = Vec::new();
                     for link in inst.links() {
-                        match index.get(link) {
-                            Some(&i) => linked.push(i),
-                            None => return Err(unsatisfiable()),
+                        match spec.position(link) {
+                            Some(i) => linked.push(i),
+                            None => return Err(wedged(node)),
                         }
                     }
                     (s, linked)
@@ -207,12 +176,12 @@ pub(crate) fn build_dag(
             };
             let required = DriverState::Basic(*required);
             for dep in deps {
-                if let Some(&src) = enters[dep as usize].get(&required) {
+                if let Some(&src) = enters[dep].get(&required) {
                     add_edge(&mut succs, &mut indegree, src, id as u32);
-                } else if starts[dep as usize] != required {
+                } else if starts[dep] != required {
                     // The dependency neither starts in nor ever enters
                     // the required state: statically wedged.
-                    return Err(unsatisfiable());
+                    return Err(wedged(node));
                 }
             }
         }
@@ -238,12 +207,8 @@ pub(crate) fn build_dag(
     }
     if topo.len() != n {
         // A guard-edge cycle: no execution order can satisfy it.
-        let wedged = (0..n).find(|&i| indeg[i] > 0).expect("cycle has nodes");
-        return Err(DeployError::GuardFailed {
-            instance: insts[nodes[wedged].inst as usize].id().clone(),
-            action: nodes[wedged].action.clone(),
-            guard: guards[wedged].to_string(),
-        });
+        let stuck = (0..n).find(|&i| indeg[i] > 0).expect("cycle has nodes");
+        return Err(wedged(&nodes[stuck]));
     }
     let wavefronts = level.iter().copied().max().unwrap_or(0);
     // Critical-path priority: longest path from each node to a sink,
@@ -268,17 +233,50 @@ pub(crate) fn build_dag(
     })
 }
 
-/// What the wavefront pool produced: the merged timeline, the per-instance
-/// driver states reconstructed from the executed prefix of each driver
-/// path, and the first error (engine kills preferred).
-pub(crate) struct WavefrontRun {
-    pub(crate) timeline: Vec<TimelineEntry>,
-    pub(crate) states: BTreeMap<InstanceId, DriverState>,
-    pub(crate) error: Option<DeployError>,
+impl DeploymentEngine<'_> {
+    /// The one way onto the wavefront pool: compiles the transitions
+    /// that take `dep` from its current states to all-`active` into the
+    /// DAG and runs them, leaving the progress — complete or partial —
+    /// in `dep`. `held` instances are masked as already `active` for the
+    /// run, so they and the guard edges pointing at them contribute no
+    /// nodes; their true states are back afterwards. Returns the number
+    /// of transitions compiled and the run's first failure.
+    ///
+    /// # Errors
+    ///
+    /// What [`build_dag`] rejects statically; nothing has run then.
+    pub(crate) fn converge(
+        &self,
+        dep: &mut Deployment,
+        held: &[InstanceId],
+    ) -> Result<(usize, Option<DeployError>), DeployError> {
+        let active = DriverState::Basic(BasicState::Active);
+        let held: Vec<(InstanceId, DriverState)> = held
+            .iter()
+            .map(|id| {
+                let state = dep.states.insert(id.clone(), active.clone());
+                (id.clone(), state.expect("held instances are managed"))
+            })
+            .collect();
+        let run =
+            build_dag(self.universe(), &dep.spec, &dep.states, BasicState::Active).map(|dag| {
+                let workers = self.pool_size(dep.machines.len());
+                let error = match dag.len() {
+                    0 => None,
+                    _ => execute_wavefront(self, dep, &dag, workers),
+                };
+                (dag.len(), error)
+            });
+        dep.states.extend(held);
+        run
+    }
 }
 
 /// Executes a compiled transition DAG on `workers` work-stealing worker
-/// threads.
+/// threads, appending the committed transitions to `dep`'s timeline and
+/// advancing each driver's state along the executed prefix of its path
+/// (under failure, that is the partial deployment). Returns the first
+/// error, engine kills preferred.
 ///
 /// Each worker owns a deque: it pushes released successors to the back
 /// and pops from the back (depth-first along the critical path), while
@@ -286,14 +284,12 @@ pub(crate) struct WavefrontRun {
 /// the oldest, widest work). Ready nodes are also published through the
 /// vendored MPMC channel when a worker is known to be parked on it, so
 /// wake-ups cost one channel send instead of a condvar broadcast rescan.
-pub(crate) fn execute_wavefront(
+fn execute_wavefront(
     engine: &DeploymentEngine<'_>,
-    spec: &InstallSpec,
-    machines: &BTreeMap<InstanceId, HostId>,
-    start_states: &BTreeMap<InstanceId, DriverState>,
+    dep: &mut Deployment,
     dag: &TransitionDag,
     workers: usize,
-) -> WavefrontRun {
+) -> Option<DeployError> {
     let obs = engine.obs();
     let _span = obs.span_with(
         "deploy.wavefront",
@@ -305,22 +301,9 @@ pub(crate) fn execute_wavefront(
     );
     obs.counter("deploy.sched.wavefronts")
         .add(u64::from(dag.wavefronts()));
-    if dag.nodes.is_empty() {
-        return WavefrontRun {
-            timeline: Vec::new(),
-            states: start_states.clone(),
-            error: None,
-        };
-    }
 
-    let insts: Vec<&ResourceInstance> = spec.iter().collect();
-    let hosts: Vec<Option<HostId>> = insts
-        .iter()
-        .map(|inst| {
-            spec.machine_of(inst.id())
-                .and_then(|m| machines.get(&m).copied())
-        })
-        .collect();
+    let insts = dep.spec.instances();
+    let hosts: Vec<Option<HostId>> = insts.iter().map(|inst| dep.host_of(inst.id())).collect();
 
     let pending: Vec<AtomicU32> = dag.indegree.iter().map(|&d| AtomicU32::new(d)).collect();
     let executed: Vec<AtomicBool> = (0..dag.len()).map(|_| AtomicBool::new(false)).collect();
@@ -349,29 +332,11 @@ pub(crate) fn execute_wavefront(
 
     let run_node = |id: u32| -> Result<TimelineEntry, DeployError> {
         let node = &dag.nodes[id as usize];
-        if let Some(kill) = engine.kill_switch() {
-            kill.check()?;
-        }
-        let inst = insts[node.inst as usize];
+        let inst = &insts[node.inst as usize];
         let host = hosts[node.inst as usize].ok_or_else(|| DeployError::NoMachine {
             instance: inst.id().clone(),
         })?;
-        let start = engine.sim().now();
-        let ctx = ActionCtx {
-            sim: engine.sim(),
-            host,
-            instance: inst,
-        };
-        engine.run_action(&ctx, inst.id(), &node.action)?;
-        let end = engine.sim().now();
-        engine.record_transition(inst.id(), &node.action, &node.from, &node.to);
-        engine.commit_transition(inst.id(), &node.action, &node.from, &node.to, start, end);
-        Ok(TimelineEntry {
-            instance: inst.id().clone(),
-            action: node.action.clone(),
-            start,
-            end,
-        })
+        engine.step(inst, host, &node.transition)
     };
 
     let mut timeline: Vec<TimelineEntry> = std::thread::scope(|scope| {
@@ -488,49 +453,40 @@ pub(crate) fn execute_wavefront(
         }
         merged
     });
-    timeline.sort_by_key(|t| (t.start, t.instance.clone()));
+    timeline.sort_by(|a, b| (a.start, &a.instance).cmp(&(b.start, &b.instance)));
+    dep.timeline.extend(timeline);
 
     obs.counter("deploy.sched.steals")
         .add(steals.load(Ordering::Relaxed));
     obs.gauge("deploy.sched.ready_peak")
         .set_max(ready_peak.load(Ordering::Relaxed) as i64);
 
-    // Reconstruct every driver's state from the furthest executed prefix
-    // of its path (under failure, that is the partial deployment).
-    let mut states = start_states.clone();
+    // Each driver ends where the executed prefix of its path left it.
     for (i, inst) in insts.iter().enumerate() {
-        let mut last = None;
-        for &nid in &dag.inst_nodes[i] {
-            if executed[nid as usize].load(Ordering::Acquire) {
-                last = Some(dag.nodes[nid as usize].to.clone());
-            } else {
-                break;
-            }
-        }
-        if let Some(state) = last {
-            states.insert(inst.id().clone(), state);
+        let last = dag.inst_nodes[i]
+            .iter()
+            .take_while(|&&nid| executed[nid as usize].load(Ordering::Acquire))
+            .last();
+        if let Some(&nid) = last {
+            let entered = dag.nodes[nid as usize].transition.to();
+            dep.states.insert(inst.id().clone(), entered.clone());
         }
     }
 
     let mut errs = errors.into_inner();
-    let error = match errs
+    match errs
         .iter()
         .position(|e| matches!(e, DeployError::EngineKilled { .. }))
     {
         Some(i) => Some(errs.swap_remove(i)),
         None => (!errs.is_empty()).then(|| errs.swap_remove(0)),
-    };
-    WavefrontRun {
-        timeline,
-        states,
-        error,
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use engage_model::{DriverSpec, ResourceType, Transition, Value};
+    use engage_model::{DriverSpec, Guard, ResourceInstance, ResourceType, Value};
 
     fn universe() -> Universe {
         engage_dsl::parse_universe(
@@ -598,7 +554,7 @@ mod tests {
         let app_start = dag
             .nodes
             .iter()
-            .position(|n| n.inst == 2 && n.action == "start")
+            .position(|n| n.inst == 2 && n.transition.action() == "start")
             .unwrap();
         assert!(dag.indegree[app_start] >= 2, "{:?}", dag.indegree);
         // Roots: only server.install (db/app installs wait on nothing?

@@ -7,12 +7,12 @@
 //! installed components are uninstalled and the old version restored from
 //! the backup."
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
-use engage_model::{topological_order, BasicState, InstallSpec, InstanceId};
+use engage_model::{BasicState, InstallSpec, InstanceId};
 use engage_sim::Snapshot;
 
-use crate::engine::{Deployment, DeploymentEngine};
+use crate::engine::{ordered, Deployment, DeploymentEngine};
 use crate::error::DeployError;
 
 /// What the diff between the old and new specifications decided for each
@@ -142,11 +142,11 @@ impl DeploymentEngine<'_> {
         }
         let old_dep = dep.clone();
 
+        // Worst case is the incremental upgrade with everything affected.
         let attempt = match strategy {
-            UpgradeStrategy::WorstCase => {
-                self.try_upgrade(dep, new_spec).map(|()| dep.spec().len())
-            }
-            UpgradeStrategy::Incremental => self.try_upgrade_incremental(dep, new_spec),
+            UpgradeStrategy::WorstCase => self.try_upgrade(dep, new_spec, &plan, None),
+            UpgradeStrategy::Incremental => affected_by(&plan, dep.spec(), new_spec)
+                .and_then(|affected| self.try_upgrade(dep, new_spec, &plan, Some(&affected))),
         };
         match attempt {
             Ok(touched) => Ok(UpgradeReport {
@@ -179,168 +179,83 @@ impl DeploymentEngine<'_> {
         }
     }
 
-    /// The incremental strategy: compute the changed set and its
-    /// transitive dependents (in both the old and the new spec), stop only
-    /// those (reverse order), uninstall removed/replaced instances, and
-    /// reactivate only what was touched. Returns the touched-instance
-    /// count.
-    fn try_upgrade_incremental(
+    /// The one upgrade body: stop the `affected` instances (`None`:
+    /// all of them) in reverse dependency order, uninstall what the plan
+    /// removes or replaces, swap in the new spec, and bring the affected
+    /// instances back up in dependency order. Returns how many instances
+    /// were bounced. On failure `dep` is left mid-upgrade; `upgrade_with`
+    /// restores it.
+    fn try_upgrade(
         &self,
         dep: &mut Deployment,
         new_spec: &InstallSpec,
+        plan: &[UpgradePlanEntry],
+        affected: Option<&BTreeSet<InstanceId>>,
     ) -> Result<usize, DeployError> {
-        let plan = plan_upgrade(dep.spec(), new_spec);
-        let changed: std::collections::BTreeSet<InstanceId> = plan
-            .iter()
-            .filter_map(|p| match p {
-                UpgradePlanEntry::Keep(_) => None,
-                UpgradePlanEntry::Remove(id)
-                | UpgradePlanEntry::Replace(id)
-                | UpgradePlanEntry::Add(id) => Some(id.clone()),
-            })
-            .collect();
-        // Transitive dependents in either spec must bounce so stop/start
-        // guards hold and they reconnect to the new versions.
-        let mut affected = changed.clone();
-        for spec in [dep.spec(), new_spec] {
-            let Some(order) = topological_order(spec) else {
-                return Err(DeployError::Model(engage_model::ModelError::SpecError {
-                    detail: "spec has a dependency cycle".into(),
-                }));
-            };
-            // Walk downstream: process in topological order; an instance
-            // linking to an affected instance becomes affected.
-            for id in &order {
-                if let Some(inst) = spec.get(id) {
-                    if inst.links().any(|l| affected.contains(l)) {
-                        affected.insert(id.clone());
-                    }
-                }
-            }
-        }
-
-        // Stop affected old instances in reverse dependency order.
-        let old_order = topological_order(dep.spec()).expect("checked above");
-        for id in old_order.iter().rev() {
-            if affected.contains(id) {
-                self.drive_to(dep, id, BasicState::Inactive)?;
-            }
-        }
-        // Uninstall removed/replaced.
-        let to_remove: std::collections::BTreeSet<&InstanceId> = plan
+        let bounced = |_: &Deployment, id: &InstanceId| affected.is_none_or(|a| a.contains(id));
+        let removed: BTreeSet<&InstanceId> = plan
             .iter()
             .filter_map(|p| match p {
                 UpgradePlanEntry::Remove(id) | UpgradePlanEntry::Replace(id) => Some(id),
                 _ => None,
             })
             .collect();
-        for id in old_order.iter().rev() {
-            if to_remove.contains(id) {
-                self.drive_to(dep, id, BasicState::Uninstalled)?;
-            }
-        }
+        self.sweep(dep, BasicState::Inactive, bounced)?;
+        let doomed = |_: &Deployment, id: &InstanceId| removed.contains(id);
+        self.sweep(dep, BasicState::Uninstalled, doomed)?;
 
-        // Swap in the new spec, keeping untouched instances' states.
-        let mut new_dep = Deployment {
-            spec: new_spec.clone(),
-            states: new_spec
-                .iter()
-                .map(|i| {
-                    let state = dep
-                        .state(i.id())
-                        .filter(|_| !to_remove.contains(i.id()))
-                        .cloned()
-                        .unwrap_or(engage_model::DriverState::Basic(BasicState::Uninstalled));
-                    (i.id().clone(), state)
-                })
-                .collect(),
-            machines: dep.machines().clone(),
-            timeline: dep.timeline().to_vec(),
-            monitor: dep.monitor().clone(),
-        };
-        for inst in new_spec.iter() {
-            if inst.inside_link().is_none() && !new_dep.machines().contains_key(inst.id()) {
-                return Err(DeployError::NoMachine {
-                    instance: inst.id().clone(),
-                });
-            }
+        dep.rebase(new_spec.clone());
+        // The upgrade provisions nothing: a machine the old stack did not
+        // have cannot be deployed onto.
+        if let Some(machine) = new_spec
+            .iter()
+            .find(|i| i.inside_link().is_none() && !dep.machines().contains_key(i.id()))
+        {
+            return Err(DeployError::NoMachine {
+                instance: machine.id().clone(),
+            });
         }
-        // Reactivate only the affected instances, dependency order.
-        let new_order = topological_order(new_spec).ok_or(DeployError::Model(
-            engage_model::ModelError::SpecError {
-                detail: "new spec has a dependency cycle".into(),
-            },
-        ))?;
-        for id in &new_order {
-            if affected.contains(id) {
-                self.drive_to(&mut new_dep, id, BasicState::Active)?;
-            }
-        }
-        if !new_dep.is_deployed() {
+        self.sweep(dep, BasicState::Active, bounced)?;
+        if !dep.is_deployed() {
             return Err(DeployError::ActionFailed {
                 instance: "upgrade".into(),
                 action: "incremental".into(),
                 detail: "an untouched instance was not active after the upgrade".into(),
             });
         }
-        *dep = new_dep;
-        Ok(affected.len())
+        Ok(affected.map_or(dep.spec().len(), BTreeSet::len))
     }
+}
 
-    fn try_upgrade(&self, dep: &mut Deployment, new_spec: &InstallSpec) -> Result<(), DeployError> {
-        // Stop the old stack in reverse dependency order.
-        self.stop_all(dep)?;
-        // Uninstall removed and replaced components (reverse order).
-        let plan = plan_upgrade(dep.spec(), new_spec);
-        let order = topological_order(dep.spec()).ok_or(DeployError::Model(
-            engage_model::ModelError::SpecError {
-                detail: "old spec has a dependency cycle".into(),
-            },
-        ))?;
-        let to_remove: std::collections::BTreeSet<&InstanceId> = plan
-            .iter()
-            .filter_map(|p| match p {
-                UpgradePlanEntry::Remove(id) | UpgradePlanEntry::Replace(id) => Some(id),
-                _ => None,
-            })
-            .collect();
-        for id in order.iter().rev() {
-            if to_remove.contains(id) {
-                self.drive_to(dep, id, BasicState::Uninstalled)?;
+/// What an incremental upgrade must bounce: the instances the plan adds,
+/// removes or replaces, plus their transitive dependents in either spec —
+/// those must stop and restart so stop/start guards hold and they
+/// reconnect to the new versions.
+fn affected_by(
+    plan: &[UpgradePlanEntry],
+    old: &InstallSpec,
+    new: &InstallSpec,
+) -> Result<BTreeSet<InstanceId>, DeployError> {
+    let mut affected: BTreeSet<InstanceId> = plan
+        .iter()
+        .filter_map(|p| match p {
+            UpgradePlanEntry::Keep(_) => None,
+            UpgradePlanEntry::Remove(id)
+            | UpgradePlanEntry::Replace(id)
+            | UpgradePlanEntry::Add(id) => Some(id.clone()),
+        })
+        .collect();
+    for spec in [old, new] {
+        // In dependency order, so one pass closes the set: an instance
+        // linking to an affected instance becomes affected.
+        for id in ordered(spec)? {
+            let inst = spec.get(&id).expect("order comes from spec");
+            if inst.links().any(|l| affected.contains(l)) {
+                affected.insert(id);
             }
         }
-
-        // Swap in the new spec; carry over driver states for kept
-        // instances, fresh `uninstalled` for added/replaced ones.
-        let mut new_dep = Deployment {
-            spec: new_spec.clone(),
-            states: new_spec
-                .iter()
-                .map(|i| {
-                    let state = dep
-                        .state(i.id())
-                        .filter(|_| !to_remove.contains(i.id()))
-                        .cloned()
-                        .unwrap_or(engage_model::DriverState::Basic(BasicState::Uninstalled));
-                    (i.id().clone(), state)
-                })
-                .collect(),
-            machines: dep.machines().clone(),
-            timeline: dep.timeline().to_vec(),
-            monitor: dep.monitor().clone(),
-        };
-        // Machines for new machine-instances not present before.
-        for inst in new_spec.iter() {
-            if inst.inside_link().is_none() && !new_dep.machines().contains_key(inst.id()) {
-                return Err(DeployError::NoMachine {
-                    instance: inst.id().clone(),
-                });
-            }
-        }
-        self.activate_all(&mut new_dep)?;
-        *dep = new_dep;
-        Ok(())
     }
+    Ok(affected)
 }
 
 #[cfg(test)]

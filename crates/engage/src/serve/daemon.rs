@@ -10,9 +10,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use engage_config::{diagnose, ConfigEngine, ConfigError, ConfigSession, SolverMode};
-use engage_deploy::{DeploymentEngine, DriverRegistry, ReconcileLoop, ReconcileOptions};
+use engage_deploy::{
+    Deployment, DeploymentEngine, DriverRegistry, ReconcileLoop, ReconcileOptions,
+};
 use engage_dsl::Json;
-use engage_model::{PartialInstallSpec, Universe};
+use engage_model::{PartialInstallSpec, ResourceInstance, Universe, UniverseIndex};
 use engage_sat::ExactlyOneEncoding;
 use engage_sim::{DownloadSource, FaultPlan, Sim};
 use engage_util::hash::fnv1a64;
@@ -322,22 +324,7 @@ impl ServerState {
             ),
         ];
         if deploy {
-            // Every deploy gets a fresh simulated data center; the
-            // library universe brings its packages and drivers along.
-            let (sim, registry) = if req.universe.is_none() {
-                (
-                    Sim::with_packages(
-                        engage_library::package_universe(),
-                        DownloadSource::local_cache(),
-                    ),
-                    engage_library::driver_registry(),
-                )
-            } else {
-                (
-                    Sim::new(DownloadSource::local_cache()),
-                    DriverRegistry::new(),
-                )
-            };
+            let (sim, registry) = fresh_data_center(req);
             let engine = DeploymentEngine::new(sim, universe).with_registry(registry);
             match engine.deploy(&outcome.spec) {
                 Ok(dep) => {
@@ -346,20 +333,7 @@ impl ServerState {
                         "machines".to_owned(),
                         Json::Int(dep.machines().len() as i64),
                     ));
-                    // Final driver state per instance, for end-state
-                    // differential checks against the one-shot path.
-                    let states = outcome
-                        .spec
-                        .iter()
-                        .map(|inst| {
-                            let state = dep
-                                .state(inst.id())
-                                .map(|s| s.to_string())
-                                .unwrap_or_else(|| "unknown".into());
-                            (inst.id().to_string(), Json::Str(state))
-                        })
-                        .collect();
-                    body.push(("states".to_owned(), Json::Object(states)));
+                    body.push(("states".to_owned(), states_json(&dep)));
                 }
                 Err(e) => {
                     self.obs.counter("serve.errors").incr();
@@ -402,14 +376,15 @@ impl ServerState {
                 );
             }
         };
-        let (universe, session) = {
+        let (universe, index, session) = {
             let mut entry = checkout.state.lock();
             (
                 entry.universe.clone(),
+                Arc::clone(&entry.index),
                 std::mem::replace(&mut entry.reconcile_session, ConfigSession::new()),
             )
         };
-        let (result, session) = self.run_reconcile(&universe, req, partial, session);
+        let (result, session) = self.run_reconcile(&universe, index, req, partial, session);
         // Concurrent reconciles for one tenant both took a session; the
         // last restore wins, which only costs the next round its warmth.
         checkout.state.lock().reconcile_session = session;
@@ -428,6 +403,7 @@ impl ServerState {
     fn run_reconcile(
         &self,
         universe: &Universe,
+        index: Arc<UniverseIndex>,
         req: &Request,
         partial: PartialInstallSpec,
         mut session: ConfigSession,
@@ -435,7 +411,8 @@ impl ServerState {
         Result<Vec<(String, Json)>, (ErrorKind, String)>,
         ConfigSession,
     ) {
-        let config = ConfigEngine::new(universe).with_solver_mode(SolverMode::Incremental);
+        let config =
+            ConfigEngine::new_with_index(universe, index).with_solver_mode(SolverMode::Incremental);
         let outcome = match config.reconfigure(&mut session, &partial) {
             Ok(o) => o,
             Err(e @ ConfigError::Unsatisfiable { .. }) => {
@@ -443,20 +420,7 @@ impl ServerState {
             }
             Err(e) => return (Err((ErrorKind::Config, e.to_string())), session),
         };
-        let (sim, registry) = if req.universe.is_none() {
-            (
-                Sim::with_packages(
-                    engage_library::package_universe(),
-                    DownloadSource::local_cache(),
-                ),
-                engage_library::driver_registry(),
-            )
-        } else {
-            (
-                Sim::new(DownloadSource::local_cache()),
-                DriverRegistry::new(),
-            )
-        };
+        let (sim, registry) = fresh_data_center(req);
         // Seed the chaos RNG so crash storms replay per (seed, ticks).
         sim.set_fault_plan(FaultPlan::new(req.seed.unwrap_or(0)));
         let engine = DeploymentEngine::new(sim.clone(), universe).with_registry(registry);
@@ -490,17 +454,6 @@ impl ServerState {
         if let Some(message) = failure {
             return (Err((ErrorKind::Deploy, message)), session);
         }
-        let states = dep
-            .spec()
-            .iter()
-            .map(|inst| {
-                let state = dep
-                    .state(inst.id())
-                    .map(|s| s.to_string())
-                    .unwrap_or_else(|| "unknown".into());
-                (inst.id().to_string(), Json::Str(state))
-            })
-            .collect();
         let body = vec![
             ("spec_len".to_owned(), Json::Int(dep.spec().len() as i64)),
             ("rounds".to_owned(), Json::Int(stats.rounds as i64)),
@@ -522,7 +475,7 @@ impl ServerState {
                 "converged".to_owned(),
                 Json::Bool(converged && dep.is_deployed()),
             ),
-            ("states".to_owned(), Json::Object(states)),
+            ("states".to_owned(), states_json(&dep)),
         ];
         (Ok(body), session)
     }
@@ -548,6 +501,37 @@ impl ServerState {
             ],
         )
     }
+}
+
+/// The fresh simulated data center every deploy gets: the library
+/// universe brings its packages and drivers along, a custom universe
+/// runs on the generic ones.
+fn fresh_data_center(req: &Request) -> (Sim, DriverRegistry) {
+    if req.universe.is_none() {
+        (
+            Sim::with_packages(
+                engage_library::package_universe(),
+                DownloadSource::local_cache(),
+            ),
+            engage_library::driver_registry(),
+        )
+    } else {
+        (
+            Sim::new(DownloadSource::local_cache()),
+            DriverRegistry::new(),
+        )
+    }
+}
+
+/// Final driver state per instance, for end-state differential checks
+/// against the one-shot path.
+fn states_json(dep: &Deployment) -> Json {
+    let state_of = |inst: &ResourceInstance| {
+        let state = dep.state(inst.id()).map(ToString::to_string);
+        let state = state.unwrap_or_else(|| "unknown".into());
+        (inst.id().to_string(), Json::Str(state))
+    };
+    Json::Object(dep.spec().iter().map(state_of).collect())
 }
 
 /// What one bounded line read produced.

@@ -465,14 +465,11 @@ impl<'a> Checker<'a> {
 /// separately by [`check_install_spec`]).
 pub fn topological_order(spec: &InstallSpec) -> Option<Vec<InstanceId>> {
     let n = spec.len();
+    // Edge up -> me: `me` depends on `up`.
+    let dependents = spec.dependents_table();
     let mut indegree = vec![0usize; n];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (me, inst) in spec.iter().enumerate() {
-        for up in inst.links().filter_map(|link| spec.position(link)) {
-            // Edge up -> me: `me` depends on `up`.
-            dependents[up].push(me);
-            indegree[me] += 1;
-        }
+    for &me in dependents.iter().flatten() {
+        indegree[me] += 1;
     }
     // Kahn's algorithm, preferring original order for determinism.
     let mut order = Vec::with_capacity(n);

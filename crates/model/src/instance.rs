@@ -240,13 +240,30 @@ impl InstallSpec {
     }
 
     /// The instances in order, as a slice.
-    pub(crate) fn instances(&self) -> &[ResourceInstance] {
+    pub fn instances(&self) -> &[ResourceInstance] {
         &self.instances
     }
 
     /// Position of the instance `id` in spec order (O(1)).
-    pub(crate) fn position(&self, id: &InstanceId) -> Option<usize> {
+    pub fn position(&self, id: &InstanceId) -> Option<usize> {
         self.index.get(id).copied()
+    }
+
+    /// Every instance's direct *downstream* dependents in one pass: entry
+    /// `p` lists the positions of the instances linking to the instance
+    /// at position `p` (once per link; dangling links are skipped).
+    /// [`InstallSpec::dependents_of`] scans the whole spec per call, so
+    /// anything that asks for every instance's dependents — ordering the
+    /// spec, compiling it, evaluating `↓s` guards along a walk — builds
+    /// this table instead.
+    pub fn dependents_table(&self) -> Vec<Vec<usize>> {
+        let mut table = vec![Vec::new(); self.instances.len()];
+        for (me, inst) in self.instances.iter().enumerate() {
+            for up in inst.links().filter_map(|link| self.position(link)) {
+                table[up].push(me);
+            }
+        }
+        table
     }
 
     /// The machine an instance runs on: "one can walk the inside

@@ -56,24 +56,6 @@ fi
 grep -q '"experiment":"multihost"' "$obs_tmp/BENCH_multihost.json"
 grep -q '"counters":{' "$obs_tmp/BENCH_multihost.json"
 
-# GraphGen smoke test: the indexed path must stay oracle-identical and
-# the experiment must report per-size medians. --smoke keeps sizes small
-# (the binary itself asserts naive/indexed hypergraph equality per size;
-# the 10x headline bar is only enforced in full-size runs).
-cargo run -q --release --offline -p engage-bench --bin exp_graphgen -- \
-    --smoke --metrics "$obs_tmp/BENCH_graphgen.json" > /dev/null
-grep -q '"experiment":"graphgen"' "$obs_tmp/BENCH_graphgen.json"
-grep -q '"bench.graphgen.m2.indexed_median_us"' "$obs_tmp/BENCH_graphgen.json"
-
-# Flat-pipeline smoke test: the handle-keyed constraint generator and
-# the dense propagator must stay byte-identical to their legacy oracles
-# (the binary asserts CNF and spec equality on the smoke rung; the 5x
-# speedup bar and the 100k ladder run in full, non --smoke, runs only).
-cargo run -q --release --offline -p engage-bench --bin exp_scaling -- \
-    --smoke --metrics "$obs_tmp/BENCH_scaling.json" > /dev/null
-grep -q '"experiment":"scaling"' "$obs_tmp/BENCH_scaling.json"
-grep -q '"bench.scaling.smoke.nodes"' "$obs_tmp/BENCH_scaling.json"
-
 # Flat-pipeline differential property sweep: all five testgen families
 # (SAT + planted-UNSAT, both exactly-one encodings) — handle-keyed CNF
 # byte-identical and model-identical to the legacy generator, indexed
@@ -123,6 +105,15 @@ grep -q 'permanent-fault deployments ended with clean hosts' "$obs_tmp/faults.tx
 # compaction must equal resume from the full history, plus the journal,
 # chaos-convergence, and rollback integration tests.
 cargo test -q --offline --release -p engage --test robustness
+
+# Lifecycle sweep at CI depth: every testgen family × all 8 committed
+# seeds through deploy → stop → start → upgrade there and back (both
+# strategies) → uninstall, plus auto-rollback of permanently failing
+# deploys — each leg's committed transition sequence and end estate are
+# pinned as golden digests captured before the stack walks were folded
+# onto one primitive (see docs/decisions/0003-one-stack-walk.md).
+ENGAGE_LIFECYCLE_SWEEP_SEEDS=8 \
+    cargo test -q --offline --release -p engage --test lifecycle_sweep
 
 # Self-healing reconciler sweep at CI depth: drift detection must match
 # injected fault sets exactly, drift-free stacks must cost zero-action
