@@ -18,6 +18,11 @@
 //!
 //! Run with: `cargo run --release -p engage-bench --bin exp_scenarios
 //! [--smoke] [--metrics [FILE]] [--trace FILE]`
+//!
+//! `--emit-unsat DIR` instead writes the pipeline ledger's `plan_unsat`
+//! input at four times its size (`DbTiers` machines=400 with the planted
+//! `xcl-a`/`xcl-b` conflict) as `DIR/universe.ers` and `DIR/spec.json`,
+//! for driving the `engage` CLI on it, and exits.
 
 use std::time::Instant;
 
@@ -70,8 +75,31 @@ fn ladder(family: Family) -> Vec<(&'static str, Knobs)> {
     }
 }
 
+/// `--emit-unsat DIR`: the UNSAT rung as files the CLI can load.
+fn emit_unsat(dir: &std::path::Path) {
+    let knobs = Knobs {
+        machines: 400,
+        services: 0,
+        depth: 3,
+        width: 3,
+        unsat: true,
+    };
+    let s = scenario_with(Family::DbTiers, SEED, knobs);
+    let write = |name: &str, text: String| {
+        let path = dir.join(name);
+        std::fs::write(&path, text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    };
+    write("universe.ers", engage_dsl::print_universe(&s.universe));
+    write("spec.json", engage_dsl::render_partial_spec(&s.partial));
+}
+
 fn main() {
-    let smoke = std::env::args().any(|a| a == "--smoke");
+    let args: Vec<String> = std::env::args().collect();
+    if let Some(i) = args.iter().position(|a| a == "--emit-unsat") {
+        let dir = args.get(i + 1).expect("--emit-unsat needs a directory");
+        return emit_unsat(dir.as_ref());
+    }
+    let smoke = args.iter().any(|a| a == "--smoke");
     let reporter = Reporter::from_args("scenarios");
     let obs = reporter.obs();
     let rungs = if smoke { 2 } else { 3 };

@@ -76,6 +76,12 @@ impl Constraints {
         &self.cnf
     }
 
+    /// Gives up the formula, clauses and all (the diagnosis moves them
+    /// into its solver rather than copying them).
+    pub(crate) fn into_cnf(self) -> Cnf {
+        self.cnf
+    }
+
     /// The proposition variable for a node.
     pub fn var(&self, id: &InstanceId) -> Option<Var> {
         self.vars.lookup(id).map(Var)
@@ -206,8 +212,9 @@ fn aux_var_count(encoding: ExactlyOneEncoding, targets: usize) -> u32 {
 }
 
 /// Clauses one hyperedge emits under `encoding` (capacity sizing for the
-/// clause store; mirrors [`emit_implied_exactly_one`] exactly).
-fn clause_count(encoding: ExactlyOneEncoding, targets: usize) -> usize {
+/// clause store, and how the diagnosis finds an edge's clauses in the
+/// stream; mirrors [`emit_implied_exactly_one`] exactly).
+pub(crate) fn clause_count(encoding: ExactlyOneEncoding, targets: usize) -> usize {
     match (encoding, targets) {
         (_, 0) => 1,
         (_, 1) => 1,

@@ -245,10 +245,10 @@ pub struct ConfigEngine<'a> {
     /// Query index over `universe`, built once at engine construction and
     /// shared by every configure/reconfigure through this engine (clones
     /// share it too). GraphGen runs against this, not the raw universe.
-    index: Arc<UniverseIndex>,
-    encoding: ExactlyOneEncoding,
+    pub(crate) index: Arc<UniverseIndex>,
+    pub(crate) encoding: ExactlyOneEncoding,
     verify: bool,
-    obs: Obs,
+    pub(crate) obs: Obs,
     solver_mode: SolverMode,
 }
 

@@ -59,7 +59,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use engage::{load_jsonl, DeployFailure, DeployJournal, Engage, ResumeMode, RetryPolicy};
-use engage_config::{diagnose, generate, graph_gen, ConfigEngine, ConfigError, SolverMode};
+use engage_config::{generate, graph_gen, ConfigEngine, ConfigError, SolverMode};
 use engage_model::{PartialInstallSpec, Universe};
 use engage_sat::ExactlyOneEncoding;
 use engage_sim::FaultPlan;
@@ -449,24 +449,21 @@ fn run(args: &[String]) -> Result<String, String> {
         "plan" => {
             let u = load_universe(&opts)?;
             let partial = load_spec(&opts)?;
-            let outcome = ConfigEngine::new(&u)
+            let engine = ConfigEngine::new(&u)
                 .with_solver_mode(opts.solver.unwrap_or(SolverMode::Serial))
-                .with_obs(obs.clone())
-                .configure(&partial)
-                .map_err(|e| match e {
-                    // The bare verdict is not actionable: extract and
-                    // render a minimal unsatisfiable core, exactly as
-                    // `engage diagnose` would. The diagnosis does not
-                    // depend on the solver mode, so all modes report
-                    // the same conflict.
-                    ConfigError::Unsatisfiable { .. } => {
-                        match diagnose(&u, &partial, ExactlyOneEncoding::Pairwise) {
-                            Ok(Some((diag, g))) => format!("{e}\n{}", diag.render(&g)),
-                            _ => e.to_string(),
-                        }
-                    }
-                    other => other.to_string(),
-                })?;
+                .with_obs(obs.clone());
+            let outcome = engine.configure(&partial).map_err(|e| match e {
+                // The bare verdict is not actionable: extract and
+                // render a minimal unsatisfiable core, exactly as
+                // `engage diagnose` would. The diagnosis does not
+                // depend on the solver mode, so all modes report
+                // the same conflict.
+                ConfigError::Unsatisfiable { .. } => match engine.diagnose(&partial) {
+                    Ok(Some((diag, g))) => format!("{e}\n{}", diag.render(&g)),
+                    _ => e.to_string(),
+                },
+                other => other.to_string(),
+            })?;
             emit(&opts, engage_dsl::render_install_spec(&outcome.spec))
         }
         "graph" => {
@@ -494,7 +491,8 @@ fn run(args: &[String]) -> Result<String, String> {
         "diagnose" => {
             let u = load_universe(&opts)?;
             let partial = load_spec(&opts)?;
-            match diagnose(&u, &partial, ExactlyOneEncoding::Pairwise).map_err(|e| e.to_string())? {
+            let engine = ConfigEngine::new(&u).with_obs(obs.clone());
+            match engine.diagnose(&partial).map_err(|e| e.to_string())? {
                 None => Ok("satisfiable: a full installation specification exists\n".into()),
                 Some((diag, g)) => Ok(format!("unsatisfiable; {}", diag.render(&g))),
             }

@@ -306,10 +306,7 @@ impl Engage {
     ///
     /// Ill-formed input or unsatisfiable constraints.
     pub fn plan(&self, partial: &PartialInstallSpec) -> Result<ConfigOutcome, EngageError> {
-        let engine = ConfigEngine::new(&self.universe)
-            .with_encoding(self.encoding)
-            .with_solver_mode(self.solver_mode)
-            .with_obs(self.obs.clone());
+        let engine = self.config_engine().with_solver_mode(self.solver_mode);
         if self.solver_mode == SolverMode::Incremental {
             let mut session = self.session.lock();
             Ok(engine.reconfigure(&mut session, partial)?)
@@ -403,15 +400,17 @@ impl Engage {
     }
 
     /// When `partial` has no full installation specification, explains why:
-    /// returns a rendered minimal-conflict diagnosis (deletion-based MUS
-    /// over the constraint groups). Returns `Ok(None)` when the spec is
+    /// returns a rendered minimal-conflict diagnosis (assumption-core-guided
+    /// MUS over the constraint groups). Returns `Ok(None)` when the spec is
     /// satisfiable.
     ///
     /// # Errors
     ///
     /// Model-level failures from GraphGen.
     pub fn diagnose(&self, partial: &PartialInstallSpec) -> Result<Option<String>, EngageError> {
-        match engage_config::diagnose(&self.universe, partial, self.encoding)
+        match self
+            .config_engine()
+            .diagnose(partial)
             .map_err(ConfigError::Model)?
         {
             None => Ok(None),
@@ -540,11 +539,18 @@ impl Engage {
         partial: &PartialInstallSpec,
         deployment: Deployment,
     ) -> ReconcileLoop<'_> {
-        let config = ConfigEngine::new(&self.universe)
-            .with_encoding(self.encoding)
-            .with_solver_mode(SolverMode::Incremental)
-            .with_obs(self.obs.clone());
+        let config = self
+            .config_engine()
+            .with_solver_mode(SolverMode::Incremental);
         ReconcileLoop::new(self.engine(), config, partial.clone(), deployment)
+    }
+
+    /// A configuration engine with this system's encoding and obs sink
+    /// (serial until the caller picks a mode).
+    fn config_engine(&self) -> ConfigEngine<'_> {
+        ConfigEngine::new(&self.universe)
+            .with_encoding(self.encoding)
+            .with_obs(self.obs.clone())
     }
 
     fn engine(&self) -> DeploymentEngine<'_> {

@@ -9,13 +9,12 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use engage_config::{diagnose, ConfigEngine, ConfigError, ConfigSession, SolverMode};
+use engage_config::{ConfigEngine, ConfigError, ConfigSession, SolverMode};
 use engage_deploy::{
     Deployment, DeploymentEngine, DriverRegistry, ReconcileLoop, ReconcileOptions,
 };
 use engage_dsl::Json;
 use engage_model::{PartialInstallSpec, ResourceInstance, Universe, UniverseIndex};
-use engage_sat::ExactlyOneEncoding;
 use engage_sim::{DownloadSource, FaultPlan, Sim};
 use engage_util::hash::fnv1a64;
 use engage_util::obs::Obs;
@@ -296,7 +295,7 @@ impl ServerState {
                 self.obs.counter("serve.errors").incr();
                 // Same minimal-conflict diagnosis the CLI's `plan`
                 // prints, byte for byte.
-                let message = match diagnose(universe, &partial, ExactlyOneEncoding::Pairwise) {
+                let message = match engine.diagnose(&partial) {
                     Ok(Some((diag, g))) => format!("{e}\n{}", diag.render(&g)),
                     _ => e.to_string(),
                 };

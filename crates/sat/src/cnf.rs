@@ -167,6 +167,12 @@ impl Cnf {
         &self.clauses
     }
 
+    /// Gives up the clause store (the inverse of [`Cnf::from_parts`]), for
+    /// consumers that move the clauses on instead of copying them.
+    pub fn into_clauses(self) -> Vec<Clause> {
+        self.clauses
+    }
+
     /// Parses DIMACS CNF text.
     ///
     /// # Errors

@@ -200,6 +200,9 @@ pub struct Solver {
     /// incrementally so the per-decision DB-size check is O(1) instead
     /// of a scan over the whole clause database.
     num_learnts: usize,
+    /// The assumptions the last UNSAT-under-assumptions answer rests on
+    /// (see [`Solver::failed_assumptions`]); cleared by every search.
+    failed: Vec<Lit>,
     config: SolverConfig,
     rng: StdRng,
 }
@@ -242,6 +245,7 @@ impl Solver {
             live: LiveCounters::default(),
             seen: Vec::new(),
             num_learnts: 0,
+            failed: Vec::new(),
             rng: StdRng::seed_from_u64(config.seed),
             config,
         }
@@ -390,6 +394,20 @@ impl Solver {
             .expect("search without a stop flag cannot be canceled")
     }
 
+    /// The *failed assumptions* of the last search: when it answered
+    /// `Unsat` because of its assumptions, a subset of them that is
+    /// already unsatisfiable together with the clauses (MiniSat's final
+    /// conflict, as the assumption literals themselves rather than their
+    /// negations). Not minimal, but typically far smaller than the
+    /// assumption list — the starting point of a core-guided MUS search.
+    ///
+    /// Empty when the last search was satisfiable or canceled, and when
+    /// the clauses are unsatisfiable on their own. Cleared at the start
+    /// of every search.
+    pub fn failed_assumptions(&self) -> &[Lit] {
+        &self.failed
+    }
+
     /// Like [`Solver::solve_with_assumptions`], but aborts as soon as
     /// `stop` is observed `true` (checked once per propagation round, so
     /// per conflict and per decision). Returns `None` when canceled; the
@@ -418,6 +436,7 @@ impl Solver {
                 "assumption {a} references an unallocated variable"
             );
         }
+        self.failed.clear();
         let result = self.search_inner(assumptions, stop);
         // Single-exit cleanup: return to the root level regardless of
         // which exit path fired, and check the invariants a reusable
@@ -516,6 +535,7 @@ impl Solver {
                             LBool::False => {
                                 // Conflicts with the current (level ≤ now)
                                 // state: unsatisfiable under assumptions.
+                                self.analyze_final(a);
                                 return Some(SatResult::Unsat);
                             }
                             LBool::Undef => {
@@ -640,8 +660,8 @@ impl Solver {
 
         loop {
             self.bump_clause(cref);
-            let lits = self.clauses[cref].lits.clone();
-            for &q in lits.iter() {
+            for k in 0..self.clauses[cref].lits.len() {
+                let q = self.clauses[cref].lits[k];
                 // When following a reason clause, the implied literal p
                 // itself is in the clause; skip it.
                 if p == Some(q) {
@@ -719,6 +739,42 @@ impl Solver {
             clause.swap(1, max_i);
         }
         (clause, back_level)
+    }
+
+    /// Final-conflict analysis (MiniSat's `analyzeFinal`): `failing` is an
+    /// assumption found false while the trail holds nothing but earlier
+    /// assumptions and what they imply. Walks the trail back from the top,
+    /// expanding reason clauses, and records in `self.failed` the
+    /// assumptions `¬failing` was derived from, plus `failing` itself.
+    /// Leaves every `seen` flag clear.
+    fn analyze_final(&mut self, failing: Lit) {
+        self.failed.push(failing);
+        let Some(&first_assumption) = self.trail_lim.first() else {
+            return; // false at the root level: the clauses alone refute it
+        };
+        self.seen[failing.var().index()] = true;
+        for i in (first_assumption..self.trail.len()).rev() {
+            let l = self.trail[i];
+            let v = l.var().index();
+            if !self.seen[v] {
+                continue;
+            }
+            self.seen[v] = false;
+            match self.reason[v] {
+                // A pseudo-decision: one of the assumptions.
+                None => self.failed.push(l),
+                Some(cref) => {
+                    for k in 0..self.clauses[cref].lits.len() {
+                        let q = self.clauses[cref].lits[k].var().index();
+                        if q != v && self.level[q] > 0 {
+                            self.seen[q] = true;
+                        }
+                    }
+                }
+            }
+        }
+        // `¬failing` sat at the root level: the walk never reached it.
+        self.seen[failing.var().index()] = false;
     }
 
     fn learn(&mut self, clause: Clause) {
@@ -1085,6 +1141,84 @@ mod tests {
         let rb = s.solve_with_assumptions(&[Var(1).positive()]);
         assert!(rb.model().unwrap().value(Var(1)));
         assert!(!rb.model().unwrap().value(Var(0)));
+    }
+
+    /// `a → b → c → d`: the chain every core test below refutes.
+    fn chain() -> Solver {
+        solver_with(
+            6,
+            &[
+                lits(&[(0, false), (1, true)]),
+                lits(&[(1, false), (2, true)]),
+                lits(&[(2, false), (3, true)]),
+            ],
+        )
+    }
+
+    #[test]
+    fn failed_assumptions_are_a_subset_naming_the_conflict() {
+        // Assume a, two bystanders, and ¬d: the refutation rests on a and
+        // ¬d only, through the reason clauses of b, c and d.
+        let mut s = chain();
+        let assumptions = [
+            Var(4).positive(),
+            Var(0).positive(),
+            Var(5).negative(),
+            Var(3).negative(),
+        ];
+        assert_eq!(s.solve_with_assumptions(&assumptions), SatResult::Unsat);
+        let mut core = s.failed_assumptions().to_vec();
+        assert!(core.iter().all(|l| assumptions.contains(l)), "{core:?}");
+        core.sort_unstable();
+        assert_eq!(core, vec![Var(0).positive(), Var(3).negative()]);
+        assert!(s.seen.iter().all(|&f| !f), "seen flags left set");
+    }
+
+    #[test]
+    fn failed_assumptions_of_a_contradictory_pair() {
+        let mut s = chain();
+        let pair = [Var(4).positive(), Var(1).positive(), Var(1).negative()];
+        assert_eq!(s.solve_with_assumptions(&pair), SatResult::Unsat);
+        let mut core = s.failed_assumptions().to_vec();
+        core.sort_unstable();
+        assert_eq!(core, vec![Var(1).positive(), Var(1).negative()]);
+    }
+
+    #[test]
+    fn failed_assumption_refuted_at_the_root_stands_alone() {
+        let mut s = chain();
+        s.add_clause(lits(&[(0, true)])); // forces a, b, c, d at level 0
+        let assumptions = [Var(4).positive(), Var(3).negative()];
+        assert_eq!(s.solve_with_assumptions(&assumptions), SatResult::Unsat);
+        assert_eq!(s.failed_assumptions(), [Var(3).negative()]);
+        assert!(s.seen.iter().all(|&f| !f), "seen flags left set");
+    }
+
+    #[test]
+    fn failed_assumptions_empty_when_the_formula_alone_is_unsat() {
+        let mut s = solver_with(2, &[lits(&[(0, true)]), lits(&[(0, false)])]);
+        assert_eq!(
+            s.solve_with_assumptions(&[Var(1).positive()]),
+            SatResult::Unsat
+        );
+        assert!(s.failed_assumptions().is_empty());
+    }
+
+    #[test]
+    fn failed_assumptions_are_cleared_and_the_solver_stays_usable() {
+        let mut s = chain();
+        let refuted = [Var(0).positive(), Var(3).negative()];
+        assert_eq!(s.solve_with_assumptions(&refuted), SatResult::Unsat);
+        assert_eq!(s.failed_assumptions().len(), 2);
+        // A later SAT call clears the core ...
+        let r = s.solve_with_assumptions(&[Var(0).positive()]);
+        assert!(r.model().is_some_and(|m| m.value(Var(3))));
+        assert!(s.failed_assumptions().is_empty());
+        // ... and the same refutation is found again on the same solver.
+        assert_eq!(s.solve_with_assumptions(&refuted), SatResult::Unsat);
+        assert_eq!(s.failed_assumptions().len(), 2);
+        assert!(s.seen.iter().all(|&f| !f), "seen flags left set");
+        assert!(s.solve().is_sat());
     }
 
     #[test]

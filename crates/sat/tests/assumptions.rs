@@ -129,3 +129,62 @@ fn assumption_refuted_at_root_level_exits_clean() {
     let r = s.solve_with_assumptions(&[b.positive()]);
     assert!(r.model().is_some_and(|m| m.value(b)));
 }
+
+mod core_property {
+    use engage_sat::{Lit, SatResult, Solver, Var};
+    use engage_util::prop::collection::vec;
+    use engage_util::prop::prelude::*;
+
+    const VARS: u32 = 12;
+
+    fn lit() -> impl Strategy<Value = Lit> {
+        (0..VARS, any::<bool>()).prop_map(|(v, sign)| Lit::new(Var(v), sign))
+    }
+
+    fn solver_for(clauses: &[Vec<Lit>]) -> Solver {
+        let mut s = Solver::new();
+        for _ in 0..VARS {
+            s.new_var();
+        }
+        for c in clauses {
+            s.add_clause(c.clone());
+        }
+        s
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(400))]
+
+        /// Whenever a call under assumptions answers UNSAT, the failed
+        /// assumptions are drawn from the assumptions and, committed as
+        /// unit clauses on a *fresh* solver, are unsatisfiable with the
+        /// formula; a SAT answer leaves none. The second call on the
+        /// reused solver checks the core of one search never leaks into
+        /// the next.
+        #[test]
+        fn failed_assumptions_refute_the_formula_on_a_fresh_solver(
+            clauses in vec(vec(lit(), 3), 0..60),
+            first in vec(lit(), 0..8),
+            second in vec(lit(), 0..8)
+        ) {
+            let mut s = solver_for(&clauses);
+            for assumptions in [&first, &second] {
+                let result = s.solve_with_assumptions(assumptions);
+                let core = s.failed_assumptions().to_vec();
+                if result.is_sat() {
+                    prop_assert!(core.is_empty(), "core {:?} after a SAT answer", core);
+                    continue;
+                }
+                prop_assert!(
+                    core.iter().all(|l| assumptions.contains(l)),
+                    "core {:?} not within {:?}", core, assumptions
+                );
+                let mut fresh = solver_for(&clauses);
+                for &l in &core {
+                    fresh.add_clause(vec![l]);
+                }
+                prop_assert_eq!(fresh.solve(), SatResult::Unsat, "core {:?}", core);
+            }
+        }
+    }
+}

@@ -10,10 +10,10 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use engage_config::{ConfigEngine, ConfigError, ConfigSession, SolverMode};
+use engage_config::{ConfigEngine, ConfigError, ConfigSession, ConstraintGroup, SolverMode};
 use engage_deploy::{service_name, Deployment, DeploymentEngine, RetryPolicy};
 use engage_model::{DriverState, InstallSpec, InstanceId};
-use engage_sat::ExactlyOneEncoding;
+use engage_sat::{Cnf, ExactlyOneEncoding, Lit, Solver, Var};
 use engage_sim::{DownloadSource, FaultPlan, Sim};
 
 use crate::Scenario;
@@ -448,9 +448,71 @@ fn drop_last_dependent_free(spec: &InstallSpec) -> InstallSpec {
     out
 }
 
+/// The certificate a diagnosis must carry, checked on a semantic
+/// re-encoding that shares nothing with the engine's generator (pairwise,
+/// variables numbered as ids appear, a fresh solver per probe): the
+/// groups are unsatisfiable together, satisfiable with any one dropped,
+/// and name both planted `Xcl` pins.
+fn check_mus_certificate(groups: &[ConstraintGroup]) -> Result<(), String> {
+    let satisfiable_without = |skip: Option<usize>| -> bool {
+        let mut vars: BTreeMap<&InstanceId, u32> = BTreeMap::new();
+        let mut var = |id| {
+            let next = vars.len() as u32;
+            Var(*vars.entry(id).or_insert(next))
+        };
+        let mut clauses: Vec<Vec<Lit>> = Vec::new();
+        for (_, group) in groups.iter().enumerate().filter(|&(i, _)| Some(i) != skip) {
+            match group {
+                ConstraintGroup::SpecInstance(id) => clauses.push(vec![var(id).positive()]),
+                ConstraintGroup::Dependency {
+                    source, targets, ..
+                } => {
+                    let off = var(source).negative();
+                    let ts: Vec<Lit> = targets.iter().map(|t| var(t).positive()).collect();
+                    clauses.push(std::iter::once(off).chain(ts.iter().copied()).collect());
+                    for (i, &a) in ts.iter().enumerate() {
+                        for &b in &ts[i + 1..] {
+                            clauses.push(vec![off, !a, !b]);
+                        }
+                    }
+                }
+            }
+        }
+        Solver::from_cnf(&Cnf::from_parts(0, clauses))
+            .solve()
+            .is_sat()
+    };
+    let listing = || {
+        let lines: Vec<String> = groups.iter().map(|g| format!("  - {g}")).collect();
+        lines.join("\n")
+    };
+    if satisfiable_without(None) {
+        return Err(format!(
+            "diagnosed groups are satisfiable together:\n{}",
+            listing()
+        ));
+    }
+    for (i, group) in groups.iter().enumerate() {
+        if !satisfiable_without(Some(i)) {
+            return Err(format!(
+                "not minimal, still unsatisfiable without \"{group}\":\n{}",
+                listing()
+            ));
+        }
+    }
+    for pin in ["xcl-a", "xcl-b"] {
+        let pinned = ConstraintGroup::SpecInstance(pin.into());
+        if !groups.contains(&pinned) {
+            return Err(format!("planted pin `{pin}` not named:\n{}", listing()));
+        }
+    }
+    Ok(())
+}
+
 /// The UNSAT leg: every solver mode must reject both partials with the
-/// unsatisfiable verdict, MUS diagnosis must produce a core, and model
-/// enumeration must find nothing.
+/// unsatisfiable verdict, MUS diagnosis under both encodings must carry
+/// its certificate ([`check_mus_certificate`]), and model enumeration
+/// must find nothing.
 fn check_unsat(scenario: &Scenario) -> Result<SweepStats, Divergence> {
     for mode in solver_modes() {
         let engine = ConfigEngine::new(&scenario.universe).with_solver_mode(mode);
@@ -478,20 +540,20 @@ fn check_unsat(scenario: &Scenario) -> Result<SweepStats, Divergence> {
             }
         }
     }
-    match engage_config::diagnose(
-        &scenario.universe,
-        &scenario.partial,
-        ExactlyOneEncoding::Pairwise,
-    ) {
-        Ok(Some(_)) => {}
-        Ok(None) => {
+    for encoding in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
+        let cell = format!("plan/diagnose/{encoding}");
+        let diagnosis = ConfigEngine::new(&scenario.universe)
+            .with_encoding(encoding)
+            .diagnose(&scenario.partial)
+            .map_err(|e| diverged(scenario, &cell, e.to_string()))?;
+        let Some((diagnosis, _)) = diagnosis else {
             return Err(diverged(
                 scenario,
-                "plan/diagnose",
+                &cell,
                 "diagnosis found no conflict on an UNSAT scenario".to_owned(),
             ));
-        }
-        Err(e) => return Err(diverged(scenario, "plan/diagnose", e.to_string())),
+        };
+        check_mus_certificate(diagnosis.groups()).map_err(|e| diverged(scenario, &cell, e))?;
     }
     let counted = ConfigEngine::new(&scenario.universe)
         .count_configurations(&scenario.partial, 5000)
@@ -507,4 +569,48 @@ fn check_unsat(scenario: &Scenario) -> Result<SweepStats, Divergence> {
         configurations: Some(0),
         ..SweepStats::default()
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use engage_model::DepKind;
+
+    fn spec(id: &str) -> ConstraintGroup {
+        ConstraintGroup::SpecInstance(id.into())
+    }
+
+    fn needs_one_of(source: &str, targets: &[&str]) -> ConstraintGroup {
+        ConstraintGroup::Dependency {
+            source: source.into(),
+            kind: DepKind::Peer,
+            targets: targets.iter().map(|&t| t.into()).collect(),
+        }
+    }
+
+    /// The certificate check's own power: it accepts the planted MUS and
+    /// names what is wrong with a satisfiable set, a padded set and a set
+    /// that misses a pin.
+    #[test]
+    fn mus_certificate_rejects_what_is_not_a_mus() {
+        let mus = vec![
+            spec("xcl-a"),
+            spec("xcl-b"),
+            spec("user"),
+            needs_one_of("user", &["xcl-a", "xcl-b"]),
+        ];
+        assert_eq!(check_mus_certificate(&mus), Ok(()));
+
+        let err = check_mus_certificate(&mus[..3]).unwrap_err();
+        assert!(err.contains("satisfiable together"), "{err}");
+
+        let mut padded = mus.clone();
+        padded.push(spec("m0"));
+        let err = check_mus_certificate(&padded).unwrap_err();
+        assert!(err.contains("without \"`m0` must be deployed"), "{err}");
+
+        let elsewhere = vec![spec("user"), needs_one_of("user", &[])];
+        let err = check_mus_certificate(&elsewhere).unwrap_err();
+        assert!(err.contains("planted pin `xcl-a` not named"), "{err}");
+    }
 }

@@ -77,18 +77,41 @@ ENGAGE_STATIC_CHECK_SWEEP_SEEDS=8 \
 cargo test -q --offline --release -p engage --test graphgen_properties
 
 # Solver-mode smoke test: planning the OpenMRS example under a portfolio
-# race must succeed, report the race in --metrics, and produce the same
-# plan as the serial default.
-plan_portfolio=$(cargo run -q --release --offline --bin engage -- \
-    plan --spec examples/openmrs_figure2.json --solver portfolio:4 --metrics)
-plan_serial=$(cargo run -q --release --offline --bin engage -- \
-    plan --spec examples/openmrs_figure2.json)
-echo "$plan_portfolio" | grep -q 'counter sat.portfolio.races = 1'
-echo "$plan_portfolio" | grep -q 'counter sat.portfolio.workers = 4'
-if [ "$(echo "$plan_portfolio" | sed '/== metrics ==/,$d')" != "$plan_serial" ]; then
-    echo "error: portfolio:4 plan differs from the serial plan" >&2
+# race must succeed and report the race in --metrics. Which of the
+# example's two models (JDK or JRE) the race returns is the winner's to
+# choose, so the plan is held to what every mode guarantees rather than
+# to the serial plan's bytes: it passes the static re-check and has as
+# many instances as the serial plan.
+cargo run -q --release --offline --bin engage -- \
+    plan --spec examples/openmrs_figure2.json --solver portfolio:4 --metrics \
+    > "$obs_tmp/plan_portfolio.txt"
+grep -q 'counter sat.portfolio.races = 1' "$obs_tmp/plan_portfolio.txt"
+grep -q 'counter sat.portfolio.workers = 4' "$obs_tmp/plan_portfolio.txt"
+sed '/== metrics ==/,$d' "$obs_tmp/plan_portfolio.txt" > "$obs_tmp/plan_portfolio.json"
+cargo run -q --release --offline --bin engage -- \
+    plan --spec examples/openmrs_figure2.json --out "$obs_tmp/plan_serial.json" > /dev/null
+checked_portfolio=$(cargo run -q --release --offline --bin engage -- \
+    checkspec --spec "$obs_tmp/plan_portfolio.json")
+checked_serial=$(cargo run -q --release --offline --bin engage -- \
+    checkspec --spec "$obs_tmp/plan_serial.json")
+echo "$checked_serial" | grep -q '^ok: [0-9]* resource instances'
+if [ "$checked_portfolio" != "$checked_serial" ]; then
+    echo "error: portfolio:4 plan and serial plan check differently:" >&2
+    echo "  portfolio:4: $checked_portfolio" >&2
+    echo "  serial:      $checked_serial" >&2
     exit 1
 fi
+
+# UNSAT-diagnosis smoke test: the pipeline ledger's plan_unsat input at
+# four times its size (7 600 constraint groups) must be explained through
+# the CLI, naming both planted pins.
+cargo run -q --release --offline -p engage-bench --bin exp_scenarios -- \
+    --emit-unsat "$obs_tmp"
+cargo run -q --release --offline --bin engage -- diagnose --library none \
+    --spec "$obs_tmp/spec.json" "$obs_tmp/universe.ers" > "$obs_tmp/diagnosis.txt"
+grep -q '^unsatisfiable; ' "$obs_tmp/diagnosis.txt"
+grep -q '`xcl-a` must be deployed' "$obs_tmp/diagnosis.txt"
+grep -q '`xcl-b` must be deployed' "$obs_tmp/diagnosis.txt"
 
 # Fault-tolerance smoke test: the fixed-seed chaos sweep must show the
 # retry policy holding >=95% convergence at a 20% transient rate (the

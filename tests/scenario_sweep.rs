@@ -12,13 +12,15 @@
 //! seed)`. See `docs/testing.md`.
 
 use engage::{DeployJournal, Engage, ResumeMode};
+use engage_config::ConfigEngine;
 use engage_deploy::Deployment;
 use engage_model::InstallSpec;
 use engage_sim::Sim;
 use engage_testgen::{
-    check_scenario, check_scenario_perturbed, scenario, scenario_strategy, unsat_scenario, Family,
-    Perturbation, Scenario,
+    check_scenario, check_scenario_perturbed, scenario, scenario_strategy, scenario_with,
+    unsat_scenario, Family, Knobs, Perturbation, Scenario,
 };
+use engage_util::obs::Obs;
 use engage_util::prop::prelude::*;
 use engage_util::rand::{Rng, SeedableRng, StdRng};
 
@@ -55,6 +57,42 @@ fn unsat_sweep_over_all_families() {
             let stats = check_scenario(&s).unwrap_or_else(|d| panic!("{d}"));
             assert_eq!(stats.configurations, Some(0), "{}", s.name());
         }
+    }
+}
+
+#[test]
+fn diagnosis_cost_is_bounded_by_the_core() {
+    // The ledger's `plan_unsat` input and its 4x rung: explaining the
+    // conflict takes one refutation plus one probe per core group, however
+    // many groups the spec has — a count of solves, not a wall-clock guard.
+    for machines in [100, 400] {
+        let knobs = Knobs {
+            machines,
+            services: 0,
+            depth: 3,
+            width: 3,
+            unsat: true,
+        };
+        let s = scenario_with(Family::DbTiers, 1, knobs);
+        let obs = Obs::new();
+        let engine = ConfigEngine::new(&s.universe).with_obs(obs.clone());
+        let (diagnosis, _) = engine
+            .diagnose(&s.partial)
+            .unwrap()
+            .expect("planted conflict");
+        assert_eq!(diagnosis.groups().len(), 4, "{}", s.name());
+        let m = obs.metrics();
+        let groups = m.gauge("config.diagnose.groups");
+        let core = m.gauge("config.diagnose.core_groups");
+        let solves = m.counter("config.diagnose.solves");
+        assert!(groups > 18 * machines as i64, "{groups} groups");
+        // The bound below means something only while the core is a sliver
+        // of the groups the old loop probed one by one.
+        assert!((4..=groups / 10).contains(&core), "core of {core} groups");
+        assert!(
+            solves <= core as u64 + 3,
+            "machines={machines}: {solves} solves for a core of {core} (of {groups} groups)"
+        );
     }
 }
 
