@@ -205,31 +205,6 @@ pub fn random_3cnf(vars: u32, clauses: usize, seed: u64) -> engage_sat::Cnf {
     cnf
 }
 
-/// A polarity-biased planted random 3-CNF: clauses are rejection-sampled
-/// until the all-true assignment satisfies them (every clause keeps at
-/// least one positive literal), so the formula is satisfiable by
-/// construction. A solver whose phase heuristic initializes to `true`
-/// walks straight into the planted solution without a single conflict,
-/// while the default false-first phase has to search — the kind of
-/// configuration-diversity win a portfolio exploits even on one core.
-pub fn planted_3cnf(vars: u32, clauses: usize, seed: u64) -> engage_sat::Cnf {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut cnf = engage_sat::Cnf::new();
-    let vs: Vec<engage_sat::Var> = (0..vars).map(|_| cnf.fresh_var()).collect();
-    for _ in 0..clauses {
-        let mut clause = Vec::with_capacity(3);
-        while clause.is_empty() || clause.iter().all(|l: &engage_sat::Lit| !l.is_positive()) {
-            clause.clear();
-            for _ in 0..3 {
-                let v = vs[rng.gen_range(0..vs.len())];
-                clause.push(engage_sat::Lit::new(v, rng.gen_bool(0.5)));
-            }
-        }
-        cnf.add_clause(clause);
-    }
-    cnf
-}
-
 /// A pigeonhole-principle CNF: `holes + 1` pigeons into `holes` holes
 /// (unsatisfiable; exponential for resolution-based solvers).
 pub fn pigeonhole(holes: u32) -> engage_sat::Cnf {

@@ -9,9 +9,7 @@ use engage_model::{
     check_install_spec_indexed, InstallSpec, InstanceId, ModelError, PartialInstallSpec,
     ResourceKey, Universe, UniverseIndex,
 };
-use engage_sat::{
-    ExactlyOneEncoding, IncrementalSession, PortfolioSolver, SatResult, Solver, SolverStats,
-};
+use engage_sat::{ExactlyOneEncoding, IncrementalSession, SatResult, Solver, SolverStats};
 use engage_util::obs::Obs;
 
 use crate::constraints::{generate, generate_structural, Constraints};
@@ -25,12 +23,6 @@ pub enum SolverMode {
     /// MiniSat setup).
     #[default]
     Serial,
-    /// Race `workers` diversified CDCL solvers; first winner cancels
-    /// the rest. Verdict is deterministic, stats are not.
-    Portfolio {
-        /// Number of racing workers (clamped to at least 1).
-        workers: usize,
-    },
     /// Keep a solver alive across [`ConfigEngine::reconfigure`] calls:
     /// spec instances become assumptions, learnt clauses carry over
     /// whenever the structural constraints are unchanged.
@@ -41,37 +33,7 @@ impl fmt::Display for SolverMode {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             SolverMode::Serial => write!(f, "serial"),
-            SolverMode::Portfolio { workers } => write!(f, "portfolio:{workers}"),
             SolverMode::Incremental => write!(f, "incremental"),
-        }
-    }
-}
-
-impl std::str::FromStr for SolverMode {
-    type Err = String;
-
-    /// Parses `serial`, `incremental`, `portfolio` (4 workers), or
-    /// `portfolio:N`.
-    fn from_str(s: &str) -> Result<Self, String> {
-        match s {
-            "serial" => Ok(SolverMode::Serial),
-            "incremental" => Ok(SolverMode::Incremental),
-            "portfolio" => Ok(SolverMode::Portfolio { workers: 4 }),
-            _ => {
-                if let Some(n) = s.strip_prefix("portfolio:") {
-                    let workers: usize = n
-                        .parse()
-                        .map_err(|_| format!("bad portfolio worker count `{n}`"))?;
-                    if workers == 0 {
-                        return Err("portfolio needs at least 1 worker".into());
-                    }
-                    Ok(SolverMode::Portfolio { workers })
-                } else {
-                    Err(format!(
-                        "unknown solver mode `{s}` (expected serial, portfolio[:N], incremental)"
-                    ))
-                }
-            }
         }
     }
 }
@@ -83,8 +45,12 @@ impl std::str::FromStr for SolverMode {
 /// links — is unchanged (config-value edits keep the shape). Cheap to
 /// create; a fresh session simply makes the first solve a rebuild.
 ///
-/// A session caches state derived from one universe and encoding; it
-/// revalidates both on every use and rebuilds on mismatch.
+/// A session caches state derived from one universe index and encoding;
+/// it revalidates both on every use and rebuilds on mismatch. The
+/// universe is recognised by the *identity* of the engine's
+/// `Arc<UniverseIndex>`, so engines meant to share a session must share
+/// their index ([`ConfigEngine::new_with_index`], or clones of one
+/// engine).
 #[derive(Debug, Clone, Default)]
 pub struct ConfigSession {
     sat: IncrementalSession,
@@ -106,7 +72,9 @@ fn spec_shape(partial: &PartialInstallSpec) -> SpecShape {
 #[derive(Debug, Clone)]
 struct CachedStructure {
     shape: SpecShape,
-    universe_types: usize,
+    /// The index the graph was generated against; holding the `Arc`
+    /// keeps its address from being reused by another universe's index.
+    index: Arc<UniverseIndex>,
     encoding: ExactlyOneEncoding,
     graph: HyperGraph,
     constraints: Constraints,
@@ -143,7 +111,7 @@ impl ConfigSession {
     ) -> Option<(HyperGraph, Constraints, Vec<engage_sat::Lit>)> {
         let c = self.structure.as_ref()?;
         if c.shape != spec_shape(partial)
-            || c.universe_types != engine.universe.len()
+            || !Arc::ptr_eq(&c.index, &engine.index)
             || c.encoding != engine.encoding
         {
             return None;
@@ -209,9 +177,7 @@ pub struct ConfigOutcome {
     constraints: Constraints,
     /// CNF size: (variables, clauses).
     pub cnf_size: (u32, usize),
-    /// SAT-solver statistics. Serial/incremental stats are
-    /// deterministic; under [`SolverMode::Portfolio`] these are the
-    /// race winner's and vary run to run.
+    /// SAT-solver statistics (deterministic in both modes).
     pub solver_stats: SolverStats,
     /// Whether an incremental session's live solver (and its learnt
     /// clauses) was reused instead of rebuilt. Always `false` outside
@@ -257,14 +223,7 @@ impl<'a> ConfigEngine<'a> {
     /// Builds the [`UniverseIndex`] eagerly — one pass over the universe —
     /// so repeated configure calls pay only O(1)–O(answer) query costs.
     pub fn new(universe: &'a Universe) -> Self {
-        ConfigEngine {
-            universe,
-            index: Arc::new(UniverseIndex::new(universe)),
-            encoding: ExactlyOneEncoding::Pairwise,
-            verify: true,
-            obs: Obs::disabled(),
-            solver_mode: SolverMode::Serial,
-        }
+        Self::new_with_index(universe, Arc::new(UniverseIndex::new(universe)))
     }
 
     /// Creates an engine around an index built earlier for the same
@@ -370,8 +329,8 @@ impl<'a> ConfigEngine<'a> {
     /// solver — learnt clauses, activities, phases — is reused whenever
     /// the structural constraints (the hypergraph shape) are unchanged,
     /// which is the common case for small edits to a partial spec: the
-    /// spec instances enter as assumptions, not clauses. Other modes
-    /// ignore the session and behave exactly like `configure`.
+    /// spec instances enter as assumptions, not clauses. Serial mode
+    /// ignores the session and behaves exactly like `configure`.
     ///
     /// # Errors
     ///
@@ -393,8 +352,8 @@ impl<'a> ConfigEngine<'a> {
     /// unsatisfiable (e.g. a pinned instance conflicts with a repair),
     /// the solve is retried *without* pins rather than failing — a
     /// wedged pin set must never block recovery (the
-    /// `config.pins.relaxed` counter records the fallback). Modes other
-    /// than incremental ignore pins entirely.
+    /// `config.pins.relaxed` counter records the fallback). Serial
+    /// mode ignores pins entirely.
     ///
     /// # Errors
     ///
@@ -446,7 +405,7 @@ impl<'a> ConfigEngine<'a> {
                     .set(graph.edges().len() as i64);
                 self.report_index_stats();
                 // Incremental mode splits off the spec units as assumption
-                // literals; the other modes solve the full formula.
+                // literals; serial mode solves the full formula.
                 let (constraints, spec_lits) = {
                     let _s = self.obs.span("config.constraint_gen");
                     match self.solver_mode {
@@ -454,14 +413,14 @@ impl<'a> ConfigEngine<'a> {
                             let (c, lits) = generate_structural(&graph, self.encoding);
                             (c, Some(lits))
                         }
-                        _ => (generate(&graph, self.encoding), None),
+                        SolverMode::Serial => (generate(&graph, self.encoding), None),
                     }
                 };
                 if incremental {
                     if let (Some(s), Some(lits)) = (session.as_deref_mut(), spec_lits.as_ref()) {
                         s.structure = Some(CachedStructure {
                             shape: spec_shape(partial),
-                            universe_types: self.universe.len(),
+                            index: Arc::clone(&self.index),
                             encoding: self.encoding,
                             graph: graph.clone(),
                             constraints: constraints.clone(),
@@ -575,12 +534,6 @@ impl<'a> ConfigEngine<'a> {
                 solver.set_obs(&self.obs);
                 let result = solver.solve();
                 (result, solver.stats(), false)
-            }
-            SolverMode::Portfolio { workers } => {
-                let mut portfolio = PortfolioSolver::new(workers);
-                portfolio.set_obs(&self.obs);
-                let outcome = portfolio.solve(constraints.cnf());
-                (outcome.result, outcome.stats, false)
             }
             SolverMode::Incremental => {
                 let lits = spec_lits.expect("incremental mode generates spec literals");
@@ -731,40 +684,97 @@ mod tests {
 
     #[test]
     fn conflicting_spec_is_unsatisfiable() {
-        // Force unsatisfiability at the Boolean level: two spec instances
-        // that each demand a different exclusive satisfier of the same
-        // dependency... simplest: a dependency whose only candidate
-        // conflicts with an exactly-one group. Use two env deps on the same
-        // abstract with a single shared concrete instance but incompatible
-        // machines.
+        // A conflict at the Boolean level (what testgen's `unsat` knob
+        // plants): tomcat's environment dependency on Java is an
+        // exactly-one over {jdk, jre}, and the spec pins both.
         let u = openmrs_universe();
-        let engine = ConfigEngine::new(&u);
-        // Partial spec listing openmrs inside tomcat, but tomcat inside a
-        // *different* machine than the JDK... machines are created per
-        // spec; instead directly test: spec with tomcat on server1 and
-        // openmrs inside tomcat but env-Java resolved on server2 cannot be
-        // expressed. Fall back: verify satisfiable baseline to keep this
-        // case honest.
-        assert!(engine.configure(&figure_2()).is_ok());
+        let partial: PartialInstallSpec = [
+            PartialInstance::new("server", "Mac-OSX 10.6"),
+            PartialInstance::new("jdk", "JDK 1.6").inside("server"),
+            PartialInstance::new("jre", "JRE 1.6").inside("server"),
+            PartialInstance::new("tomcat", "Tomcat 6.0.18").inside("server"),
+        ]
+        .into_iter()
+        .collect();
+        for mode in [SolverMode::Serial, SolverMode::Incremental] {
+            let err = ConfigEngine::new(&u)
+                .with_solver_mode(mode)
+                .configure(&partial)
+                .unwrap_err();
+            let ConfigError::Unsatisfiable { constraints } = err else {
+                panic!("{mode}: expected Unsatisfiable, got {err:?}");
+            };
+            for line in [
+                "jdk    (from install spec)",
+                "jre    (from install spec)",
+                "tomcat -> X{jdk, jre}    (env dep)",
+            ] {
+                assert!(
+                    constraints.lines().any(|l| l == line),
+                    "{mode}: `{line}` missing from\n{constraints}"
+                );
+            }
+        }
     }
 
     #[test]
     fn solver_modes_agree_on_openmrs() {
         let u = openmrs_universe();
         let serial = ConfigEngine::new(&u).configure(&figure_2()).unwrap();
-        for mode in [
-            SolverMode::Portfolio { workers: 1 },
-            SolverMode::Portfolio { workers: 4 },
-            SolverMode::Incremental,
-        ] {
-            let out = ConfigEngine::new(&u)
-                .with_solver_mode(mode)
-                .configure(&figure_2())
-                .unwrap();
-            assert_eq!(out.spec.len(), serial.spec.len(), "{mode}");
-            assert_eq!(out.cnf_size, serial.cnf_size, "{mode}");
-            assert!(!out.reused_solver, "{mode}: no session to reuse");
-        }
+        let out = ConfigEngine::new(&u)
+            .with_solver_mode(SolverMode::Incremental)
+            .configure(&figure_2())
+            .unwrap();
+        assert_eq!(out.spec.len(), serial.spec.len());
+        assert_eq!(out.cnf_size, serial.cnf_size);
+        assert!(!out.reused_solver, "no session to reuse");
+    }
+
+    /// Four types; `App 1` needs the database named by `app_env`.
+    fn app_universe(app_env: &str) -> Universe {
+        engage_dsl::parse_universe(&format!(
+            r#"
+        resource "Machine 1" {{}}
+        resource "DbA 1" {{ inside "Machine 1"; }}
+        resource "DbB 1" {{ inside "Machine 1"; }}
+        resource "App 1" {{ inside "Machine 1"; env "{app_env}"; }}"#
+        ))
+        .unwrap()
+    }
+
+    #[test]
+    fn session_rebuilds_for_a_different_universe_of_the_same_size() {
+        // Same type count, same spec shape, different dependency: the
+        // session must not serve universe A's hypergraph to universe B.
+        let (a, b) = (app_universe("DbA 1"), app_universe("DbB 1"));
+        assert_eq!(a.len(), b.len());
+        let partial: PartialInstallSpec = [
+            PartialInstance::new("m", "Machine 1"),
+            PartialInstance::new("app", "App 1").inside("m"),
+        ]
+        .into_iter()
+        .collect();
+        let keys = |out: &ConfigOutcome| -> BTreeSet<String> {
+            out.spec.iter().map(|i| i.key().to_string()).collect()
+        };
+        let mut session = ConfigSession::new();
+        let engine_a = ConfigEngine::new(&a).with_solver_mode(SolverMode::Incremental);
+        let first = engine_a.reconfigure(&mut session, &partial).unwrap();
+        assert!(keys(&first).contains("DbA 1"));
+        let engine_b = ConfigEngine::new(&b).with_solver_mode(SolverMode::Incremental);
+        let second = engine_b.reconfigure(&mut session, &partial).unwrap();
+        assert!(
+            !second.reused_structure,
+            "another universe: GraphGen reruns"
+        );
+        assert!(keys(&second).contains("DbB 1"), "{:?}", keys(&second));
+        // Engines sharing one index (the daemon's per-request wrappers)
+        // still hit the cache.
+        let again = ConfigEngine::new_with_index(&b, Arc::clone(engine_b.index()))
+            .with_solver_mode(SolverMode::Incremental)
+            .reconfigure(&mut session, &partial)
+            .unwrap();
+        assert!(again.reused_structure && again.reused_solver);
     }
 
     #[test]
@@ -889,26 +899,6 @@ mod tests {
             .reconfigure_pinned(&mut session, &figure_2(), &chosen)
             .unwrap();
         assert_eq!(out.spec.len(), first.spec.len());
-    }
-
-    #[test]
-    fn solver_mode_parses_and_displays() {
-        use std::str::FromStr;
-        for (text, mode) in [
-            ("serial", SolverMode::Serial),
-            ("incremental", SolverMode::Incremental),
-            ("portfolio", SolverMode::Portfolio { workers: 4 }),
-            ("portfolio:8", SolverMode::Portfolio { workers: 8 }),
-        ] {
-            assert_eq!(SolverMode::from_str(text).unwrap(), mode);
-        }
-        assert_eq!(
-            SolverMode::Portfolio { workers: 2 }.to_string(),
-            "portfolio:2"
-        );
-        assert!(SolverMode::from_str("portfolio:0").is_err());
-        assert!(SolverMode::from_str("portfolio:x").is_err());
-        assert!(SolverMode::from_str("dpll").is_err());
     }
 
     #[test]

@@ -21,9 +21,10 @@
 //! `-o FILE` writes the output instead of printing;
 //! `--trace FILE.jsonl` streams the span tree, driver transitions, and
 //! final metrics of the run as JSON Lines; `--metrics` appends a
-//! counter/gauge summary to the command output;
-//! `--solver serial|portfolio[:N]|incremental` selects the SAT solving
-//! strategy used by `plan` and `deploy` (see docs/solver-modes.md).
+//! counter/gauge summary to the command output. One-shot commands
+//! (`plan`, `deploy`) solve serially; the long-lived ones (`serve`,
+//! `reconcile`) keep an incremental solver session (see
+//! docs/solver-modes.md).
 //!
 //! Robustness options for `deploy` (see docs/robustness.md):
 //! `--retries N` retries transient driver-action failures up to `N`
@@ -51,8 +52,7 @@
 //! Unix-domain socket; `--workers N` sizes the worker pool, `--queue N`
 //! the bounded work queue (full → typed `busy` responses), `--sessions
 //! N` the per-tenant session pool (LRU), `--max-line-bytes N` the
-//! request-line bound; `--solver` defaults to `incremental` so repeated
-//! same-shape plans hit each tenant's warm session.
+//! request-line bound.
 
 use std::fmt::Write as _;
 use std::process::ExitCode;
@@ -88,9 +88,6 @@ struct Options {
     cloud: bool,
     trace: Option<String>,
     metrics: bool,
-    /// `None` = the command's default (serial, except `serve`:
-    /// incremental).
-    solver: Option<SolverMode>,
     retries: u32,
     retry_seed: Option<u64>,
     journal: Option<String>,
@@ -118,7 +115,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
         cloud: false,
         trace: None,
         metrics: false,
-        solver: None,
         retries: 1,
         retry_seed: None,
         journal: None,
@@ -176,13 +172,6 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
             "--metrics" => {
                 opts.metrics = true;
                 i += 1;
-            }
-            "--solver" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or("--solver needs a mode (serial|portfolio[:N]|incremental)")?;
-                opts.solver = Some(value.parse()?);
-                i += 2;
             }
             "--retries" => {
                 let value = args.get(i + 1).ok_or("--retries needs an attempt count")?;
@@ -449,15 +438,11 @@ fn run(args: &[String]) -> Result<String, String> {
         "plan" => {
             let u = load_universe(&opts)?;
             let partial = load_spec(&opts)?;
-            let engine = ConfigEngine::new(&u)
-                .with_solver_mode(opts.solver.unwrap_or(SolverMode::Serial))
-                .with_obs(obs.clone());
+            let engine = ConfigEngine::new(&u).with_obs(obs.clone());
             let outcome = engine.configure(&partial).map_err(|e| match e {
                 // The bare verdict is not actionable: extract and
                 // render a minimal unsatisfiable core, exactly as
-                // `engage diagnose` would. The diagnosis does not
-                // depend on the solver mode, so all modes report
-                // the same conflict.
+                // `engage diagnose` would.
                 ConfigError::Unsatisfiable { .. } => match engine.diagnose(&partial) {
                     Ok(Some((diag, g))) => format!("{e}\n{}", diag.render(&g)),
                     _ => e.to_string(),
@@ -509,7 +494,6 @@ fn run(args: &[String]) -> Result<String, String> {
             let mut system = Engage::new(u)
                 .with_packages(engage_library::package_universe())
                 .with_registry(engage_library::driver_registry())
-                .with_solver_mode(opts.solver.unwrap_or(SolverMode::Serial))
                 .with_obs(obs.clone());
             if opts.cloud {
                 system = system.with_cloud_provisioning();
@@ -628,7 +612,7 @@ fn run_reconcile(opts: &Options, obs: &Obs) -> Result<String, String> {
     let mut system = Engage::new(u)
         .with_packages(engage_library::package_universe())
         .with_registry(engage_library::driver_registry())
-        .with_solver_mode(opts.solver.unwrap_or(SolverMode::Incremental))
+        .with_solver_mode(SolverMode::Incremental)
         .with_obs(obs.clone());
     if opts.cloud {
         system = system.with_cloud_provisioning();
@@ -744,10 +728,7 @@ fn run_serve(opts: &Options, obs: &Obs) -> Result<String, String> {
     } else {
         Obs::new()
     };
-    let mut cfg = engage::serve::ServeConfig {
-        solver: opts.solver.unwrap_or(engage::SolverMode::Incremental),
-        ..engage::serve::ServeConfig::default()
-    };
+    let mut cfg = engage::serve::ServeConfig::default();
     if let Some(workers) = opts.workers {
         cfg.workers = workers;
     }

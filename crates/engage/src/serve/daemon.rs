@@ -34,9 +34,6 @@ pub struct ServeConfig {
     pub session_cap: usize,
     /// Longest accepted request line, in bytes (excluding the newline).
     pub max_line_bytes: usize,
-    /// Solver mode for every plan; incremental by default so repeated
-    /// same-shape plans reuse each tenant's warm session.
-    pub solver: SolverMode,
 }
 
 impl Default for ServeConfig {
@@ -46,7 +43,6 @@ impl Default for ServeConfig {
             queue_cap: 64,
             session_cap: 32,
             max_line_bytes: protocol::DEFAULT_MAX_LINE_BYTES,
-            solver: SolverMode::Incremental,
         }
     }
 }
@@ -287,8 +283,10 @@ impl ServerState {
             session,
             ..
         } = &mut *entry;
+        // Incremental, so repeated same-shape plans reuse the tenant's
+        // warm session.
         let engine = ConfigEngine::new_with_index(universe, Arc::clone(index))
-            .with_solver_mode(self.cfg.solver);
+            .with_solver_mode(SolverMode::Incremental);
         let outcome = match engine.reconfigure(session, &partial) {
             Ok(o) => o,
             Err(e @ ConfigError::Unsatisfiable { .. }) => {

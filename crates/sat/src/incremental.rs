@@ -17,7 +17,7 @@
 //! rebuilds from scratch.
 
 use crate::cnf::Cnf;
-use crate::solver::{SatResult, Solver, SolverConfig, SolverStats};
+use crate::solver::{SatResult, Solver, SolverStats};
 use crate::types::Lit;
 use engage_util::obs::{Counter, Obs};
 
@@ -42,7 +42,6 @@ use engage_util::obs::{Counter, Obs};
 pub struct IncrementalSession {
     solver: Option<Solver>,
     base: Option<Cnf>,
-    config: SolverConfig,
     reuses: Counter,
     rebuilds: Counter,
     reused_clauses: Counter,
@@ -62,17 +61,9 @@ pub struct SessionSolve {
 }
 
 impl IncrementalSession {
-    /// Empty session with the default solver configuration.
+    /// Empty session; the first solve builds its solver.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Empty session whose solvers use `config`.
-    pub fn with_config(config: SolverConfig) -> Self {
-        IncrementalSession {
-            config,
-            ..Self::default()
-        }
     }
 
     /// Emits `sat.incremental.reuses`, `sat.incremental.rebuilds`, and
@@ -99,7 +90,7 @@ impl IncrementalSession {
             self.reused_clauses.add(n as u64);
             n
         } else {
-            self.solver = Some(Solver::from_cnf_with(base, self.config.clone()));
+            self.solver = Some(Solver::from_cnf(base));
             self.base = Some(base.clone());
             self.rebuilds.incr();
             0

@@ -29,7 +29,6 @@ mod cnf;
 mod dpll;
 mod enumerate;
 mod incremental;
-mod portfolio;
 mod solver;
 mod types;
 
@@ -37,6 +36,5 @@ pub use cnf::{verify_model, Cnf, ExactlyOneEncoding};
 pub use dpll::dpll_solve;
 pub use enumerate::{brute_force_models, collect_models, count_models, for_each_model};
 pub use incremental::{IncrementalSession, SessionSolve};
-pub use portfolio::{PortfolioOutcome, PortfolioSolver};
-pub use solver::{luby, PhaseInit, SatResult, Solver, SolverConfig, SolverStats};
+pub use solver::{luby, SatResult, Solver, SolverStats};
 pub use types::{Clause, LBool, Lit, Model, Var};

@@ -5,12 +5,9 @@
 //! VSIDS variable activities with exponential decay, phase saving, Luby
 //! restarts, and activity-based learnt-clause database reduction.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-
 use crate::cnf::Cnf;
 use crate::types::{Clause, LBool, Lit, Model, Var};
 use engage_util::obs::{Counter, Obs};
-use engage_util::rand::{Rng, SeedableRng, StdRng};
 
 /// Result of a satisfiability query.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -19,82 +16,6 @@ pub enum SatResult {
     Sat(Model),
     /// Unsatisfiable.
     Unsat,
-}
-
-/// How a worker initializes the saved phase of fresh variables — the
-/// polarity heuristic knob of the portfolio.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PhaseInit {
-    /// Branch false first (MiniSat's default; ours too).
-    #[default]
-    False,
-    /// Branch true first.
-    True,
-    /// Seeded random initial phase per variable.
-    Random,
-}
-
-/// Search-strategy knobs, used by [`crate::PortfolioSolver`] to
-/// diversify its workers. [`SolverConfig::default`] reproduces the
-/// solver's historical behavior exactly.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SolverConfig {
-    /// Seed for phase randomization and random decisions.
-    pub seed: u64,
-    /// Luby restart unit (conflicts before the first restart).
-    pub restart_base: u64,
-    /// Initial saved phase of fresh variables.
-    pub phase_init: PhaseInit,
-    /// Percentage (0–100) of decisions that pick a random unassigned
-    /// variable instead of the top-activity one.
-    pub random_decision_pct: u8,
-    /// Backjump distance above which a conflict backtracks
-    /// *chronologically* (one level) instead of jumping to the asserting
-    /// level, keeping the long trail suffix a far backjump would discard
-    /// (Nadel & Ryvchin, SAT'18). Small instances never reach the gap,
-    /// so their search is identical to pure backjumping. `u32::MAX`
-    /// disables chronological backtracking entirely.
-    pub chrono_backtrack_gap: u32,
-}
-
-impl Default for SolverConfig {
-    fn default() -> Self {
-        SolverConfig {
-            seed: 0,
-            restart_base: 100,
-            phase_init: PhaseInit::False,
-            random_decision_pct: 0,
-            chrono_backtrack_gap: 100,
-        }
-    }
-}
-
-impl SolverConfig {
-    /// The portfolio schedule: worker 0 is the default configuration
-    /// (so a 1-worker portfolio behaves exactly like a serial solve);
-    /// later workers vary the restart scale, polarity heuristic, and
-    /// decision randomization so their strengths complement each other.
-    pub fn diversified(worker: usize) -> Self {
-        if worker == 0 {
-            return SolverConfig::default();
-        }
-        let restart_scales = [100u64, 50, 300, 25, 150, 700, 60, 200];
-        SolverConfig {
-            seed: 0x9E3779B97F4A7C15u64.wrapping_mul(worker as u64 + 1),
-            restart_base: restart_scales[worker % restart_scales.len()],
-            phase_init: match worker % 3 {
-                0 => PhaseInit::Random,
-                1 => PhaseInit::True,
-                _ => PhaseInit::Random,
-            },
-            random_decision_pct: match worker % 4 {
-                1 => 0,
-                2 => 2,
-                _ => 5,
-            },
-            chrono_backtrack_gap: 100,
-        }
-    }
 }
 
 impl SatResult {
@@ -203,8 +124,10 @@ pub struct Solver {
     /// The assumptions the last UNSAT-under-assumptions answer rests on
     /// (see [`Solver::failed_assumptions`]); cleared by every search.
     failed: Vec<Lit>,
-    config: SolverConfig,
-    rng: StdRng,
+    /// Backjump distance above which a conflict backtracks
+    /// *chronologically*; always [`CHRONO_BACKTRACK_GAP`] outside this
+    /// module's tests.
+    chrono_backtrack_gap: u32,
 }
 
 impl Default for Solver {
@@ -215,17 +138,18 @@ impl Default for Solver {
 
 const VAR_DECAY: f64 = 0.95;
 const CLA_DECAY: f64 = 0.999;
+/// Luby restart unit (conflicts before the first restart).
+const RESTART_BASE: u64 = 100;
+/// Backjump distance above which a conflict backtracks *chronologically*
+/// (one level) instead of jumping to the asserting level, keeping the
+/// long trail suffix a far backjump would discard (Nadel & Ryvchin,
+/// SAT'18). Small instances never reach the gap, so their search is
+/// identical to pure backjumping.
+const CHRONO_BACKTRACK_GAP: u32 = 100;
 
 impl Solver {
-    /// Empty solver with the default configuration.
+    /// Empty solver.
     pub fn new() -> Self {
-        Self::with_config(SolverConfig::default())
-    }
-
-    /// Empty solver with explicit search-strategy knobs. The config is
-    /// fixed for the solver's lifetime: [`PhaseInit`] applies to
-    /// variables allocated *after* construction.
-    pub fn with_config(config: SolverConfig) -> Self {
         Solver {
             clauses: Vec::new(),
             watches: Vec::new(),
@@ -246,8 +170,7 @@ impl Solver {
             seen: Vec::new(),
             num_learnts: 0,
             failed: Vec::new(),
-            rng: StdRng::seed_from_u64(config.seed),
-            config,
+            chrono_backtrack_gap: CHRONO_BACKTRACK_GAP,
         }
     }
 
@@ -271,12 +194,7 @@ impl Solver {
 
     /// Builds a solver preloaded with a formula.
     pub fn from_cnf(cnf: &Cnf) -> Self {
-        Self::from_cnf_with(cnf, SolverConfig::default())
-    }
-
-    /// Builds a configured solver preloaded with a formula.
-    pub fn from_cnf_with(cnf: &Cnf, config: SolverConfig) -> Self {
-        let mut s = Solver::with_config(config);
+        let mut s = Solver::new();
         while s.num_vars() < cnf.num_vars() as usize {
             s.new_var();
         }
@@ -289,16 +207,12 @@ impl Solver {
     /// Allocates a fresh variable.
     pub fn new_var(&mut self) -> Var {
         let v = Var(self.assigns.len() as u32);
-        let initial_phase = match self.config.phase_init {
-            PhaseInit::False => false,
-            PhaseInit::True => true,
-            PhaseInit::Random => self.rng.gen_bool(0.5),
-        };
         self.assigns.push(LBool::Undef);
         self.level.push(0);
         self.reason.push(None);
         self.activity.push(0.0);
-        self.phase.push(initial_phase);
+        // Branch false first (MiniSat's default).
+        self.phase.push(false);
         self.seen.push(false);
         self.watches.push(Vec::new());
         self.watches.push(Vec::new());
@@ -314,11 +228,6 @@ impl Solver {
     /// Search statistics so far.
     pub fn stats(&self) -> SolverStats {
         self.stats
-    }
-
-    /// The search-strategy configuration this solver was built with.
-    pub fn config(&self) -> &SolverConfig {
-        &self.config
     }
 
     /// Learnt clauses currently in the database (survivors of
@@ -390,8 +299,7 @@ impl Solver {
     ///
     /// Panics if an assumption references an unallocated variable.
     pub fn solve_with_assumptions(&mut self, assumptions: &[Lit]) -> SatResult {
-        self.search(assumptions, None)
-            .expect("search without a stop flag cannot be canceled")
+        self.search(assumptions)
     }
 
     /// The *failed assumptions* of the last search: when it answered
@@ -401,35 +309,18 @@ impl Solver {
     /// negations). Not minimal, but typically far smaller than the
     /// assumption list — the starting point of a core-guided MUS search.
     ///
-    /// Empty when the last search was satisfiable or canceled, and when
+    /// Empty when the last search was satisfiable, and when
     /// the clauses are unsatisfiable on their own. Cleared at the start
     /// of every search.
     pub fn failed_assumptions(&self) -> &[Lit] {
         &self.failed
     }
 
-    /// Like [`Solver::solve_with_assumptions`], but aborts as soon as
-    /// `stop` is observed `true` (checked once per propagation round, so
-    /// per conflict and per decision). Returns `None` when canceled; the
-    /// solver is left at the root level and remains usable — learnt
-    /// clauses from the aborted search are kept.
-    ///
-    /// This is the worker interface of [`crate::PortfolioSolver`]: the
-    /// first worker to finish sets the shared flag and the rest exit
-    /// promptly without a result.
-    pub fn solve_cancellable(
-        &mut self,
-        assumptions: &[Lit],
-        stop: &AtomicBool,
-    ) -> Option<SatResult> {
-        self.search(assumptions, Some(stop))
-    }
-
     /// The single entry point for every solve variant. All exits —
-    /// SAT, UNSAT, assumption conflict, cancellation — funnel through
+    /// SAT, UNSAT, assumption conflict — funnel through
     /// the cleanup below, so no search can leave assumption levels,
     /// stale queue positions, or seen-flags behind on the solver.
-    fn search(&mut self, assumptions: &[Lit], stop: Option<&AtomicBool>) -> Option<SatResult> {
+    fn search(&mut self, assumptions: &[Lit]) -> SatResult {
         for a in assumptions {
             assert!(
                 a.var().index() < self.num_vars(),
@@ -437,7 +328,7 @@ impl Solver {
             );
         }
         self.failed.clear();
-        let result = self.search_inner(assumptions, stop);
+        let result = self.search_inner(assumptions);
         // Single-exit cleanup: return to the root level regardless of
         // which exit path fired, and check the invariants a reusable
         // solver must satisfy.
@@ -455,28 +346,19 @@ impl Solver {
         result
     }
 
-    fn search_inner(
-        &mut self,
-        assumptions: &[Lit],
-        stop: Option<&AtomicBool>,
-    ) -> Option<SatResult> {
+    fn search_inner(&mut self, assumptions: &[Lit]) -> SatResult {
         if self.unsat {
-            return Some(SatResult::Unsat);
+            return SatResult::Unsat;
         }
         if self.propagate().is_some() {
             self.unsat = true;
-            return Some(SatResult::Unsat);
+            return SatResult::Unsat;
         }
         let mut conflicts_since_restart: u64 = 0;
         let mut restart_idx: u64 = 0;
-        let mut restart_budget = self.config.restart_base * luby(restart_idx);
+        let mut restart_budget = RESTART_BASE * luby(restart_idx);
         let mut max_learnts = (self.clauses.len() / 3).max(1000);
         loop {
-            if let Some(flag) = stop {
-                if flag.load(Ordering::Relaxed) {
-                    return None;
-                }
-            }
             match self.propagate() {
                 Some(confl) => {
                     self.stats.conflicts += 1;
@@ -484,7 +366,7 @@ impl Solver {
                     conflicts_since_restart += 1;
                     if self.decision_level() == 0 {
                         self.unsat = true;
-                        return Some(SatResult::Unsat);
+                        return SatResult::Unsat;
                     }
                     let (learnt, back_level) = self.analyze(confl);
                     // Chronological backtracking (Nadel & Ryvchin, SAT'18):
@@ -495,8 +377,7 @@ impl Solver {
                     // `learn` immediately propagates it there. Unit learnt
                     // clauses must still go to level 0.
                     let cur = self.decision_level();
-                    let target = if learnt.len() > 1
-                        && cur - back_level > self.config.chrono_backtrack_gap
+                    let target = if learnt.len() > 1 && cur - back_level > self.chrono_backtrack_gap
                     {
                         self.stats.chrono_backtracks += 1;
                         self.live.chrono_backtracks.incr();
@@ -515,7 +396,7 @@ impl Solver {
                         self.live.restarts.incr();
                         conflicts_since_restart = 0;
                         restart_idx += 1;
-                        restart_budget = self.config.restart_base * luby(restart_idx);
+                        restart_budget = RESTART_BASE * luby(restart_idx);
                         self.backtrack_to(0);
                         continue;
                     }
@@ -536,7 +417,7 @@ impl Solver {
                                 // Conflicts with the current (level ≤ now)
                                 // state: unsatisfiable under assumptions.
                                 self.analyze_final(a);
-                                return Some(SatResult::Unsat);
+                                return SatResult::Unsat;
                             }
                             LBool::Undef => {
                                 self.trail_lim.push(self.trail.len());
@@ -550,7 +431,7 @@ impl Solver {
                             let model = Model::new(
                                 self.assigns.iter().map(|&a| a == LBool::True).collect(),
                             );
-                            return Some(SatResult::Sat(model));
+                            return SatResult::Sat(model);
                         }
                         Some(v) => {
                             self.stats.decisions += 1;
@@ -822,23 +703,6 @@ impl Solver {
     }
 
     fn pick_branch_var(&mut self) -> Option<Var> {
-        // Occasional random decisions (portfolio diversification knob):
-        // the heap keeps its entry for the chosen variable, which later
-        // pops skip as assigned.
-        if self.config.random_decision_pct > 0
-            && self.num_vars() > 0
-            && self.rng.gen_range(0u32..100) < u32::from(self.config.random_decision_pct)
-        {
-            let n = self.num_vars();
-            let start = self.rng.gen_range(0..n);
-            for off in 0..n {
-                let v = Var(((start + off) % n) as u32);
-                if self.assigns[v.index()] == LBool::Undef {
-                    return Some(v);
-                }
-            }
-            return None;
-        }
         while let Some((act_bits, v)) = self.heap.pop() {
             if self.assigns[v.index()] != LBool::Undef {
                 continue;
@@ -953,6 +817,7 @@ pub fn luby(mut i: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engage_util::rand::{Rng, SeedableRng, StdRng};
 
     fn lits(pairs: &[(u32, bool)]) -> Clause {
         pairs.iter().map(|&(v, s)| Lit::new(Var(v), s)).collect()
@@ -1259,22 +1124,10 @@ mod tests {
         let mut chrono_total = 0u64;
         for seed in 0..20u64 {
             let cs = random_3cnf(seed, 40, 170);
-            let mut reference = Solver::with_config(SolverConfig {
-                chrono_backtrack_gap: u32::MAX,
-                ..SolverConfig::default()
-            });
-            let mut chrono = Solver::with_config(SolverConfig {
-                chrono_backtrack_gap: 0,
-                ..SolverConfig::default()
-            });
-            for s in [&mut reference, &mut chrono] {
-                for _ in 0..40 {
-                    s.new_var();
-                }
-                for c in &cs {
-                    s.add_clause(c.clone());
-                }
-            }
+            let mut reference = solver_with(40, &cs);
+            reference.chrono_backtrack_gap = u32::MAX;
+            let mut chrono = solver_with(40, &cs);
+            chrono.chrono_backtrack_gap = 0;
             let (rr, rc) = (reference.solve(), chrono.solve());
             assert_eq!(rr.is_sat(), rc.is_sat(), "verdict mismatch on seed {seed}");
             if let SatResult::Sat(m) = &rc {

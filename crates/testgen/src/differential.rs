@@ -19,12 +19,8 @@ use engage_sim::{DownloadSource, FaultPlan, Sim};
 use crate::Scenario;
 
 /// The solver modes every scenario is configured under.
-pub fn solver_modes() -> [SolverMode; 3] {
-    [
-        SolverMode::Serial,
-        SolverMode::Portfolio { workers: 4 },
-        SolverMode::Incremental,
-    ]
+pub fn solver_modes() -> [SolverMode; 2] {
+    [SolverMode::Serial, SolverMode::Incremental]
 }
 
 /// The fault environments every deployment cell runs under.
@@ -239,7 +235,7 @@ fn check_solver_modes(scenario: &Scenario) -> Result<(InstallSpec, InstallSpec),
     for mode in solver_modes() {
         let engine = ConfigEngine::new(&scenario.universe).with_solver_mode(mode);
         // `reconfigure` so the incremental session is warm for the
-        // second leg; other modes ignore the session entirely.
+        // second leg; serial mode ignores the session entirely.
         let mut session = ConfigSession::new();
         let outcome = engine
             .reconfigure(&mut session, &scenario.partial)

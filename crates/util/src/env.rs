@@ -1,8 +1,8 @@
 //! Environment-variable knobs shared by the test sweeps.
 //!
 //! Every seeded sweep in the workspace sizes itself from one
-//! environment variable (`ENGAGE_SAT_SWEEP_SEEDS`,
-//! `ENGAGE_SCHED_SWEEP_SEEDS`, `ENGAGE_SCENARIO_SWEEP_SEEDS`, ...) with
+//! environment variable (`ENGAGE_SCHED_SWEEP_SEEDS`,
+//! `ENGAGE_SCENARIO_SWEEP_SEEDS`, `ENGAGE_SERVE_SWEEP_SEEDS`, ...) with
 //! the same contract: unset, empty, or unparseable means the quick
 //! local default; CI exports a larger count for the full run.
 

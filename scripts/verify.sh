@@ -10,11 +10,16 @@ cd "$(dirname "$0")/.."
 cargo build --release --offline
 cargo test -q --offline
 
-# Solver-mode differential sweep at CI depth: 64 seeded instances across
-# serial, portfolio:{1,2,4,8}, and incremental must agree everywhere
-# (the default in-tree sweep uses 16 seeds; see docs/solver-modes.md).
-ENGAGE_SAT_SWEEP_SEEDS=64 \
-    cargo test -q --offline --release -p engage --test sat_portfolio_differential
+# Pipeline-ledger checks (the benchmark package is a workspace of its
+# own, so the workspace build and test above never reach it): its unit
+# tests, then a --smoke run of all eight workloads — the deploy and
+# deploy_io rungs assert is_deployed and timeline length against
+# testgen's construction-time oracles. Run first among the sweeps: the
+# package is frozen, so a public-API change that breaks it should fail
+# in the first minutes.
+ledger=crates/bench/src/bin/exp_pipeline/Cargo.toml
+cargo test -q --release --offline --manifest-path "$ledger"
+cargo run --release --offline --quiet --manifest-path "$ledger" -- --smoke > /dev/null
 
 # Style and lint gates (both offline; clippy warnings are errors).
 cargo fmt --check
@@ -76,32 +81,6 @@ ENGAGE_STATIC_CHECK_SWEEP_SEEDS=8 \
 # depth.
 cargo test -q --offline --release -p engage --test graphgen_properties
 
-# Solver-mode smoke test: planning the OpenMRS example under a portfolio
-# race must succeed and report the race in --metrics. Which of the
-# example's two models (JDK or JRE) the race returns is the winner's to
-# choose, so the plan is held to what every mode guarantees rather than
-# to the serial plan's bytes: it passes the static re-check and has as
-# many instances as the serial plan.
-cargo run -q --release --offline --bin engage -- \
-    plan --spec examples/openmrs_figure2.json --solver portfolio:4 --metrics \
-    > "$obs_tmp/plan_portfolio.txt"
-grep -q 'counter sat.portfolio.races = 1' "$obs_tmp/plan_portfolio.txt"
-grep -q 'counter sat.portfolio.workers = 4' "$obs_tmp/plan_portfolio.txt"
-sed '/== metrics ==/,$d' "$obs_tmp/plan_portfolio.txt" > "$obs_tmp/plan_portfolio.json"
-cargo run -q --release --offline --bin engage -- \
-    plan --spec examples/openmrs_figure2.json --out "$obs_tmp/plan_serial.json" > /dev/null
-checked_portfolio=$(cargo run -q --release --offline --bin engage -- \
-    checkspec --spec "$obs_tmp/plan_portfolio.json")
-checked_serial=$(cargo run -q --release --offline --bin engage -- \
-    checkspec --spec "$obs_tmp/plan_serial.json")
-echo "$checked_serial" | grep -q '^ok: [0-9]* resource instances'
-if [ "$checked_portfolio" != "$checked_serial" ]; then
-    echo "error: portfolio:4 plan and serial plan check differently:" >&2
-    echo "  portfolio:4: $checked_portfolio" >&2
-    echo "  serial:      $checked_serial" >&2
-    exit 1
-fi
-
 # UNSAT-diagnosis smoke test: the pipeline ledger's plan_unsat input at
 # four times its size (7 600 constraint groups) must be explained through
 # the CLI, naming both planted pins.
@@ -154,15 +133,6 @@ grep -q '"experiment":"reconcile"' "$obs_tmp/BENCH_reconcile.json"
 grep -q '"bench.reconcile.r30.mttr_ms"' "$obs_tmp/BENCH_reconcile.json"
 grep -q 'host loss: replaced' "$obs_tmp/reconcile.txt"
 
-# Pipeline-ledger checks (the benchmark package is a workspace of its
-# own, so the workspace build and test above never reach it): its unit
-# tests, then a --smoke run of all eight workloads — the deploy and
-# deploy_io rungs assert is_deployed and timeline length against
-# testgen's construction-time oracles.
-ledger=crates/bench/src/bin/exp_pipeline/Cargo.toml
-cargo test -q --release --offline --manifest-path "$ledger"
-cargo run --release --offline --quiet --manifest-path "$ledger" -- --smoke > /dev/null
-
 # Scheduler-equivalence sweep at CI depth: wavefront == sequential over
 # random topologies, worker counts {1,2,4,8}, and fault plans.
 ENGAGE_SCHED_SWEEP_SEEDS=8 \
@@ -202,4 +172,4 @@ ENGAGE_SERVE_SWEEP_SEEDS=8 \
 cargo test -q --offline --release -p engage --test serve_concurrency
 cargo test -q --offline --release -p engage --test serve_cli
 
-echo "verify: OK (build + tests + fmt + clippy green, lockfile hermetic, obs + solver + faults smoke passed)"
+echo "verify: OK (build + tests + fmt + clippy green, lockfile hermetic, ledger + obs + diagnose + faults + reconcile + scenarios + serve smoke passed)"

@@ -248,57 +248,20 @@ fn unknown_flags_and_commands_error() {
 }
 
 #[test]
-fn solver_modes_plan_the_same_spec() {
+fn solver_flag_is_rejected_by_every_command() {
+    // The solver is not a knob: one-shot commands solve serially, the
+    // long-lived ones keep an incremental session.
     let spec = write_temp("fig2h.json", FIGURE_2);
     let path = spec.to_str().unwrap();
-    let serial = engage_cmd(&["plan", "--library", "base", "--spec", path]);
-    assert!(serial.status.success(), "{}", stderr(&serial));
-    for mode in ["serial", "portfolio:2", "portfolio", "incremental"] {
-        let out = engage_cmd(&[
-            "plan",
-            "--library",
-            "base",
-            "--spec",
-            path,
-            "--solver",
-            mode,
-        ]);
-        assert!(out.status.success(), "--solver {mode}: {}", stderr(&out));
-        assert_eq!(stdout(&out), stdout(&serial), "--solver {mode} diverged");
+    for command in ["plan", "deploy", "serve", "reconcile"] {
+        let out = engage_cmd(&[command, "--spec", path, "--solver", "serial"]);
+        assert!(!out.status.success(), "{command} accepted --solver");
+        assert!(
+            stderr(&out).contains("unknown flag `--solver`"),
+            "{command}: {}",
+            stderr(&out)
+        );
     }
-}
-
-#[test]
-fn solver_mode_flag_rejects_bad_values() {
-    let spec = write_temp("fig2i.json", FIGURE_2);
-    let path = spec.to_str().unwrap();
-    for bad in ["turbo", "portfolio:0", "portfolio:x", ""] {
-        let out = engage_cmd(&["plan", "--spec", path, "--solver", bad]);
-        assert!(!out.status.success(), "--solver {bad:?} should fail");
-    }
-    // Missing value is also an error.
-    let out = engage_cmd(&["plan", "--spec", path, "--solver"]);
-    assert!(!out.status.success());
-}
-
-#[test]
-fn deploy_accepts_solver_flag() {
-    let spec = write_temp("fig2j.json", FIGURE_2);
-    let out = engage_cmd(&[
-        "deploy",
-        "--library",
-        "base",
-        "--spec",
-        spec.to_str().unwrap(),
-        "--solver",
-        "portfolio:4",
-    ]);
-    assert!(out.status.success(), "{}", stderr(&out));
-    assert!(
-        stdout(&out).contains("status openmrs: active"),
-        "{}",
-        stdout(&out)
-    );
 }
 
 #[test]
@@ -493,10 +456,10 @@ const CONFLICT_SPEC: &str = r#"[
 ]"#;
 
 #[test]
-fn plan_reports_a_diagnosable_conflict_identically_across_solver_modes() {
+fn plan_reports_a_diagnosable_conflict() {
     let ers = write_temp("conflict.ers", CONFLICT_ERS);
     let spec = write_temp("conflict.json", CONFLICT_SPEC);
-    let serial = engage_cmd(&[
+    let out = engage_cmd(&[
         "plan",
         "--library",
         "none",
@@ -504,8 +467,8 @@ fn plan_reports_a_diagnosable_conflict_identically_across_solver_modes() {
         "--spec",
         spec.to_str().unwrap(),
     ]);
-    assert!(!serial.status.success(), "conflict planned successfully");
-    let diagnosis = stderr(&serial);
+    assert!(!out.status.success(), "conflict planned successfully");
+    let diagnosis = stderr(&out);
     // The verdict plus a rendered minimal unsatisfiable core.
     assert!(
         diagnosis.contains("constraints unsatisfiable"),
@@ -515,26 +478,8 @@ fn plan_reports_a_diagnosable_conflict_identically_across_solver_modes() {
         diagnosis.contains("cannot be satisfied together"),
         "{diagnosis}"
     );
-    // Every solver mode reports the identical diagnosis.
-    for mode in ["portfolio:4", "incremental"] {
-        let out = engage_cmd(&[
-            "plan",
-            "--library",
-            "none",
-            ers.to_str().unwrap(),
-            "--spec",
-            spec.to_str().unwrap(),
-            "--solver",
-            mode,
-        ]);
-        assert!(
-            !out.status.success(),
-            "--solver {mode} planned the conflict"
-        );
-        assert_eq!(
-            stderr(&out),
-            diagnosis,
-            "--solver {mode} diagnosis diverged"
-        );
+    // ... naming both pinned alternatives.
+    for pin in ["`a`", "`b`"] {
+        assert!(diagnosis.contains(pin), "{pin} missing: {diagnosis}");
     }
 }

@@ -1,10 +1,11 @@
 //! Differential tests for the SAT stack: the CDCL solver, the DPLL
-//! baseline, and brute force must agree; models must satisfy their
+//! baseline, and brute force must agree; an incremental session must
+//! agree with a fresh solver per call; models must satisfy their
 //! formulas; DIMACS must round-trip solver verdicts.
 
 use engage_sat::{
-    brute_force_models, count_models, dpll_solve, verify_model, Cnf, ExactlyOneEncoding, Lit,
-    SatResult, Solver, Var,
+    brute_force_models, count_models, dpll_solve, verify_model, Cnf, ExactlyOneEncoding,
+    IncrementalSession, Lit, SatResult, Solver, Var,
 };
 use engage_util::obs::Obs;
 use engage_util::rand::{Rng, SeedableRng, StdRng};
@@ -250,6 +251,70 @@ fn live_counters_accumulate_across_solves_on_one_obs() {
         total += solver.stats().decisions;
     }
     assert_eq!(obs.metrics().counter("sat.decisions"), total);
+}
+
+#[test]
+fn incremental_session_agrees_with_serial_on_seeded_sweep() {
+    for seed in 0..64u64 {
+        let mut rng = StdRng::seed_from_u64(0xD1FF ^ (seed.wrapping_mul(0x9E3779B97F4A7C15)));
+        let vars = rng.gen_range(8..=16u32);
+        // Densities straddle the ~4.27 3-SAT threshold so the sweep mixes
+        // SAT and UNSAT instances.
+        let clauses = (vars as usize * rng.gen_range(30..=55u32) as usize) / 10;
+        let cnf = seeded_cnf(&mut rng, vars, clauses, 3);
+
+        let serial = Solver::from_cnf(&cnf).solve();
+        let inc = IncrementalSession::new().solve(&cnf, &[]).result;
+        assert_eq!(inc.is_sat(), serial.is_sat(), "seed {seed}");
+        for (who, result) in [("serial", &serial), ("incremental", &inc)] {
+            if let SatResult::Sat(m) = result {
+                if let Err(e) = verify_model(&cnf, m) {
+                    panic!("{who} model invalid (seed {seed}): {e}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn incremental_session_agrees_under_changing_assumptions() {
+    // Flip assumption sets over one session; a fresh solver per call is
+    // the oracle. Learned clauses carried across calls must never change
+    // a verdict.
+    let mut rng = StdRng::seed_from_u64(0xA55);
+    let cnf = seeded_cnf(&mut rng, 14, 50, 3);
+    let vs: Vec<Var> = (0..14).map(Var).collect();
+    let mut session = IncrementalSession::new();
+    for round in 0..12 {
+        let a = vs[rng.gen_range(0..vs.len())];
+        let b = vs[rng.gen_range(0..vs.len())];
+        let assumptions = vec![
+            Lit::new(a, rng.gen_bool(0.5)),
+            Lit::new(b, rng.gen_bool(0.5)),
+        ];
+        let inc = session.solve(&cnf, &assumptions);
+        let oracle = Solver::from_cnf(&cnf).solve_with_assumptions(&assumptions);
+        assert_eq!(
+            inc.result.is_sat(),
+            oracle.is_sat(),
+            "round {round}, assumptions {assumptions:?}"
+        );
+        if let SatResult::Sat(m) = &inc.result {
+            if let Err(e) = verify_model(&cnf, m) {
+                panic!("round {round}: {e}");
+            }
+            for lit in &assumptions {
+                assert_eq!(
+                    m.value(lit.var()),
+                    lit.is_positive(),
+                    "round {round}: assumption {lit:?} not honored"
+                );
+            }
+        }
+        if round > 0 {
+            assert!(inc.reused, "round {round} should reuse the session solver");
+        }
+    }
 }
 
 /// Local pigeonhole builder (kept here to avoid a dev-dependency cycle

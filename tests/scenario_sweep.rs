@@ -1,7 +1,7 @@
 //! Whole-pipeline differential sweep over generated scenarios: per seed
 //! and topology family, `engage_testgen` runs
 //! configure→plan→deploy→reconfigure through the full cross-product of
-//! solver modes (serial / portfolio:4 / incremental) × schedulers
+//! solver modes (serial / incremental) × schedulers
 //! (sequential / wavefront) × fault settings (none /
 //! transient-chaos) and every cell must agree with the
 //! construction-time oracle and with every other cell.
