@@ -9,7 +9,7 @@ use std::time::Duration;
 
 use engage_model::{
     topological_order, BasicState, DriverSpec, DriverState, Guard, InstallSpec, InstanceId,
-    ModelError, ResourceInstance, StatePred, Transition, Universe,
+    ModelError, ResourceInstance, ResourceKey, StatePred, Transition, Universe,
 };
 use engage_sim::{HostId, Monitor, Os, Sim};
 use engage_util::obs::Obs;
@@ -535,14 +535,19 @@ impl<'a> DeploymentEngine<'a> {
     /// the sequential, parallel, and resume paths.
     pub(crate) fn register_services(&self, dep: &mut Deployment) {
         for inst in dep.spec.iter() {
-            let Some(host) = dep.host_of(inst.id()) else {
-                continue;
-            };
-            let name = service_name(inst.key());
-            if self.sim.service_running(host, &name) {
-                let port = self.sim.service_state(host, &name).and_then(|s| s.port);
-                dep.monitor.watch(host, name, port);
+            if let Some(host) = dep.host_of(inst.id()) {
+                self.watch_if_running(&mut dep.monitor, host, inst.key());
             }
+        }
+    }
+
+    /// Watches the service of a `key`-typed instance on `host`, with the
+    /// port it listens on, if it is running there.
+    pub(crate) fn watch_if_running(&self, monitor: &mut Monitor, host: HostId, key: &ResourceKey) {
+        let name = service_name(key);
+        if self.sim.service_running(host, &name) {
+            let port = self.sim.service_state(host, &name).and_then(|s| s.port);
+            monitor.watch(host, name, port);
         }
     }
 

@@ -16,8 +16,11 @@
 //!    [`Degraded`](InstanceHealth::Degraded) (its service is down but the
 //!    host lives), [`Lost`](InstanceHealth::Lost) (its host died), or
 //!    [`Orphaned`](InstanceHealth::Orphaned) (re-planning dropped it from
-//!    the desired spec). An empty drift set over a fully `active` stack is
-//!    a **zero-action round**: no re-plan, no SAT query, no transitions.
+//!    the desired spec) — by one lookup per drift event on the loop's
+//!    per-plan estate index, so a round costs what drifted, not estate ×
+//!    drift. An empty drift set over a fully `active` stack is a
+//!    **zero-action round**: no re-plan, no SAT query, no transitions,
+//!    nothing per instance.
 //! 3. **Re-plan** — the desired partial spec is re-solved through the
 //!    cached incremental [`ConfigSession`], with every still-healthy
 //!    placement pinned as a solver assumption
@@ -42,6 +45,7 @@ use std::time::Duration;
 use engage_config::{ConfigEngine, ConfigSession};
 use engage_model::{BasicState, DriverState, InstanceId, PartialInstallSpec, ResourceInstance};
 use engage_sim::{DriftEvent, HostId};
+use engage_util::obs::Obs;
 
 use crate::action::service_name;
 use crate::engine::{find_path, ordered, Deployment, DeploymentEngine};
@@ -107,8 +111,10 @@ pub struct ReconcileRound {
     pub round: u64,
     /// Drift the monitor reported at the start of the round.
     pub drift: Vec<DriftEvent>,
-    /// Per-instance classification (desired-spec instances, plus
-    /// orphans that were just dropped).
+    /// Classification of every instance that is *not*
+    /// [`Converged`](InstanceHealth::Converged) — degraded, lost, or just
+    /// orphaned. Sparse: a managed instance absent from the map is
+    /// converged, and a drift-free round reports an empty map.
     pub health: BTreeMap<InstanceId, InstanceHealth>,
     /// Driver transitions compiled into this round's delta DAG.
     pub actions: usize,
@@ -167,6 +173,78 @@ struct FlapEntry {
     skip_until: u64,
 }
 
+/// One placed instance: `(host, service number, spec position)`.
+type Placed = (HostId, u32, usize);
+
+/// What the loop knows about the plan it runs, keyed by the spec's own
+/// dense positions, so a round looks its drift up instead of walking the
+/// spec once per event. Built when a plan is adopted and rebuilt only
+/// when a re-plan changes the spec or a host is replaced (the
+/// `reconcile.index_rebuilds` counter) — never per tick or per event.
+#[derive(Debug)]
+struct EstateIndex {
+    /// Each instance's host.
+    hosts: Vec<Option<HostId>>,
+    /// The distinct service names, numbered.
+    services: BTreeMap<String, u32>,
+    /// Sorted: the instances of one host, and of one service on it, are
+    /// one contiguous run.
+    placed: Vec<Placed>,
+    /// Positions in id order (the order healthy placements are pinned in).
+    by_id: Vec<usize>,
+    /// Positions in dependency order, or the cycle error selection reports.
+    order: Result<Vec<usize>, DeployError>,
+}
+
+impl EstateIndex {
+    fn new(dep: &Deployment, obs: &Obs) -> Self {
+        obs.counter("reconcile.index_rebuilds").incr();
+        let insts = dep.spec.instances();
+        let hosts: Vec<Option<HostId>> = insts.iter().map(|i| dep.host_of(i.id())).collect();
+        let mut services = BTreeMap::new();
+        let mut placed = Vec::with_capacity(insts.len());
+        for (pos, inst) in insts.iter().enumerate() {
+            if let Some(host) = hosts[pos] {
+                let next = services.len() as u32;
+                let service = *services.entry(service_name(inst.key())).or_insert(next);
+                placed.push((host, service, pos));
+            }
+        }
+        placed.sort_unstable();
+        let mut by_id: Vec<usize> = (0..insts.len()).collect();
+        by_id.sort_unstable_by_key(|&pos| insts[pos].id());
+        let position = |id: &InstanceId| dep.spec.position(id).expect("order comes from spec");
+        let order = ordered(&dep.spec).map(|ids| ids.iter().map(position).collect());
+        EstateIndex {
+            hosts,
+            services,
+            placed,
+            by_id,
+            order,
+        }
+    }
+
+    /// The contiguous run of `placed` whose `key` is `want`.
+    fn run<K: Ord>(&self, want: K, key: impl Fn(&Placed) -> K) -> &[Placed] {
+        let from = self.placed.partition_point(|e| key(e) < want);
+        let len = self.placed[from..].partition_point(|e| key(e) == want);
+        &self.placed[from..from + len]
+    }
+
+    /// The instances placed on `host`.
+    fn on_host(&self, host: HostId) -> &[Placed] {
+        self.run(host, |e| e.0)
+    }
+
+    /// The instances running `service` on `host`.
+    fn running(&self, host: HostId, service: &str) -> &[Placed] {
+        match self.services.get(service) {
+            Some(&s) => self.run((host, s), |e| (e.0, e.1)),
+            None => &[],
+        }
+    }
+}
+
 /// The tick-driven reconciliation engine. Owns the deployment it manages,
 /// the deployment engine it repairs through, and the configuration
 /// engine + cached session it re-plans through. The caller drives time
@@ -181,6 +259,7 @@ pub struct ReconcileLoop<'a> {
     session: ConfigSession,
     partial: PartialInstallSpec,
     dep: Deployment,
+    index: EstateIndex,
     options: ReconcileOptions,
     round: u64,
     flap: BTreeMap<InstanceId, FlapEntry>,
@@ -199,12 +278,14 @@ impl<'a> ReconcileLoop<'a> {
         partial: PartialInstallSpec,
         dep: Deployment,
     ) -> Self {
+        let index = EstateIndex::new(&dep, engine.obs());
         ReconcileLoop {
             engine,
             config,
             session: ConfigSession::new(),
             partial,
             dep,
+            index,
             options: ReconcileOptions::default(),
             round: 0,
             flap: BTreeMap::new(),
@@ -295,10 +376,13 @@ impl<'a> ReconcileLoop<'a> {
     /// extend the desired spec at all, and DAG compilation errors
     /// ([`DeployError::NoPath`], statically wedged guards).
     pub fn tick(&mut self) -> Result<ReconcileRound, DeployError> {
+        use InstanceHealth::{Converged, Degraded, Lost, Orphaned};
         self.round += 1;
         let round = self.round;
         let obs = self.engine.obs().clone();
-        let _span = obs.span_with("reconcile.tick", &[("round", &round.to_string())]);
+        let _span = obs
+            .is_enabled()
+            .then(|| obs.span_with("reconcile.tick", &[("round", &round.to_string())]));
         obs.counter("reconcile.rounds").incr();
         self.stats.rounds += 1;
 
@@ -306,6 +390,8 @@ impl<'a> ReconcileLoop<'a> {
         let drift = self.dep.monitor.scan(self.engine.sim());
         obs.counter("reconcile.drift_events")
             .add(drift.len() as u64);
+        obs.gauge("reconcile.scanned")
+            .set(self.dep.monitor.watches().len() as i64);
         let dead: Vec<(InstanceId, HostId)> = self
             .dep
             .machines
@@ -314,56 +400,15 @@ impl<'a> ReconcileLoop<'a> {
             .map(|(m, h)| (m.clone(), *h))
             .collect();
 
-        // ---- classify ----
-        let mut health: BTreeMap<InstanceId, InstanceHealth> = self
-            .dep
-            .spec
-            .iter()
-            .map(|i| (i.id().clone(), InstanceHealth::Converged))
-            .collect();
-        let dead_hosts: BTreeSet<HostId> = dead.iter().map(|(_, h)| *h).collect();
-        let lost: Vec<InstanceId> = self
-            .dep
-            .spec
-            .iter()
-            .filter(|i| {
-                self.dep
-                    .host_of(i.id())
-                    .is_some_and(|h| dead_hosts.contains(&h))
-            })
-            .map(|i| i.id().clone())
-            .collect();
-        for id in lost {
-            health.insert(id, InstanceHealth::Lost);
-        }
-        for ev in &drift {
-            let DriftEvent::ServiceDown { host, service } = ev else {
-                continue; // HostLost is covered by the machine-map walk.
-            };
-            let downed: Vec<InstanceId> = self
-                .dep
-                .spec
-                .iter()
-                .filter(|i| {
-                    self.dep.host_of(i.id()) == Some(*host)
-                        && service_name(i.key()) == *service
-                        && health.get(i.id()) == Some(&InstanceHealth::Converged)
-                })
-                .map(|i| i.id().clone())
-                .collect();
-            for id in downed {
-                health.insert(id, InstanceHealth::Degraded);
-            }
-        }
-
         // ---- zero-action round ----
         if drift.is_empty() && dead.is_empty() && self.dep.is_deployed() {
             obs.counter("reconcile.zero_action_rounds").incr();
+            obs.gauge("reconcile.drifted").set(0);
             self.stats.zero_action_rounds += 1;
             return Ok(ReconcileRound {
                 round,
                 drift,
-                health,
+                health: BTreeMap::new(),
                 actions: 0,
                 repaired: Vec::new(),
                 deferred: Vec::new(),
@@ -381,54 +426,76 @@ impl<'a> ReconcileLoop<'a> {
         }
         self.outage_rounds += 1;
 
-        // ---- re-plan, pinning still-healthy placements ----
-        let pins: Vec<InstanceId> = health
-            .iter()
-            .filter(|(_, h)| matches!(h, InstanceHealth::Converged))
-            .map(|(id, _)| id.clone())
-            .collect();
-        let outcome = self
-            .config
-            .reconfigure_pinned(&mut self.session, &self.partial, &pins)
-            .map_err(|e| DeployError::ReplanFailed {
-                detail: e.to_string(),
-            })?;
-        let new_spec = outcome.spec;
-
-        // ---- orphans: managed instances the new plan dropped ----
-        let orphaned: Vec<InstanceId> = self
-            .dep
-            .spec
-            .iter()
-            .filter(|i| new_spec.get(i.id()).is_none())
-            .map(|i| i.id().clone())
-            .collect();
-        if !orphaned.is_empty() {
-            obs.counter("reconcile.orphans_removed")
-                .add(orphaned.len() as u64);
-            for id in &orphaned {
-                health.insert(id.clone(), InstanceHealth::Orphaned);
+        // ---- classify: one lookup per dead host and per down service ----
+        let mut health = vec![Converged; self.dep.spec.len()];
+        {
+            let _s = obs.span("reconcile.classify");
+            for (_, host) in &dead {
+                for &(_, _, pos) in self.index.on_host(*host) {
+                    health[pos] = Lost;
+                }
             }
-            self.teardown_orphans(&orphaned, &dead_hosts);
+            for ev in &drift {
+                let DriftEvent::ServiceDown { host, service } = ev else {
+                    continue; // HostLost is covered by the machine-map walk.
+                };
+                for &(_, _, pos) in self.index.running(*host, service) {
+                    if health[pos] == Converged {
+                        health[pos] = Degraded;
+                    }
+                }
+            }
         }
 
-        // ---- adopt the new plan ----
-        self.dep.rebase(new_spec);
+        // ---- re-plan, pinning still-healthy placements ----
+        let new_spec = {
+            let _s = obs.span("reconcile.replan");
+            let insts = self.dep.spec.instances();
+            let pins: Vec<InstanceId> = (self.index.by_id.iter())
+                .filter(|&&pos| health[pos] == Converged)
+                .map(|&pos| insts[pos].id().clone())
+                .collect();
+            self.config
+                .reconfigure_pinned(&mut self.session, &self.partial, &pins)
+                .map_err(|e| DeployError::ReplanFailed {
+                    detail: e.to_string(),
+                })?
+                .spec
+        };
+
+        let adopt = obs.span("reconcile.adopt");
+        // ---- adopt the new plan, when the re-plan moved anything ----
+        let mut orphaned: Vec<InstanceId> = Vec::new();
+        let spec_changed = new_spec != self.dep.spec;
+        if spec_changed {
+            // Orphans: managed instances the new plan dropped.
+            orphaned = (self.dep.spec.iter())
+                .filter(|i| new_spec.get(i.id()).is_none())
+                .map(|i| i.id().clone())
+                .collect();
+            if !orphaned.is_empty() {
+                obs.counter("reconcile.orphans_removed")
+                    .add(orphaned.len() as u64);
+                let dead_hosts: BTreeSet<HostId> = dead.iter().map(|(_, h)| *h).collect();
+                self.teardown_orphans(&orphaned, &dead_hosts);
+                self.flap.retain(|id, _| new_spec.get(id).is_some());
+            }
+            // Carry the classification over to the new plan's positions.
+            health = (new_spec.iter())
+                .map(|i| {
+                    self.dep
+                        .spec
+                        .position(i.id())
+                        .map_or(Converged, |p| health[p])
+                })
+                .collect();
+            self.dep.rebase(new_spec);
+        }
 
         // ---- replace lost hosts ----
         let mut replaced = Vec::new();
         for (machine, old) in &dead {
-            let stale: Vec<String> = self
-                .dep
-                .monitor
-                .watches()
-                .iter()
-                .filter(|w| w.host == *old)
-                .map(|w| w.service.clone())
-                .collect();
-            for service in stale {
-                self.dep.monitor.unwatch(*old, &service);
-            }
+            self.dep.monitor.unwatch_host(*old);
             let Some(inst) = self.dep.spec.get(machine) else {
                 // The machine itself was orphaned by the re-plan.
                 self.dep.machines.remove(machine);
@@ -439,35 +506,50 @@ impl<'a> ReconcileLoop<'a> {
             obs.counter("reconcile.replaced_hosts").incr();
             replaced.push((machine.clone(), *old, fresh));
         }
+        if spec_changed || !dead.is_empty() {
+            self.index = EstateIndex::new(&self.dep, &obs);
+        }
 
         // ---- adopt observed states (journaled for crash-resume) ----
-        let ids: Vec<InstanceId> = self.dep.spec.iter().map(|i| i.id().clone()).collect();
-        for id in &ids {
-            let observed = match health.get(id) {
+        let insts = self.dep.spec.instances();
+        let mut report = BTreeMap::new();
+        for (pos, &h) in health.iter().enumerate() {
+            let observed = match h {
                 // A lost instance restarts from scratch on its
                 // replacement host.
-                Some(InstanceHealth::Lost) => DriverState::Basic(BasicState::Uninstalled),
+                Lost => DriverState::Basic(BasicState::Uninstalled),
                 // A crashed service keeps its installed package.
-                Some(InstanceHealth::Degraded) => DriverState::Basic(BasicState::Inactive),
+                Degraded => DriverState::Basic(BasicState::Inactive),
                 _ => continue,
             };
-            if self.dep.states.get(id) != Some(&observed) {
+            let id = insts[pos].id();
+            report.insert(id.clone(), h);
+            let state = (self.dep.states.get_mut(id)).expect("every managed instance has a state");
+            if *state != observed {
                 if let Some(journal) = self.engine.journal() {
                     journal.append(JournalRecord::Observed {
                         instance: id.clone(),
                         state: observed.to_string(),
                     });
                 }
-                self.dep.states.insert(id.clone(), observed);
+                *state = observed;
             }
         }
+        report.extend(orphaned.iter().map(|id| (id.clone(), Orphaned)));
+        obs.gauge("reconcile.drifted").set(report.len() as i64);
+        drop(adopt);
 
+        let converge = obs.span("reconcile.converge");
         // ---- budget + anti-flap selection ----
-        let order = ordered(&self.dep.spec)?;
-        let mut selected: Vec<InstanceId> = Vec::new();
+        let order = match &self.index.order {
+            Ok(order) => order,
+            Err(cycle) => return Err(cycle.clone()),
+        };
+        let mut selected: Vec<usize> = Vec::new();
         let mut deferred: Vec<InstanceId> = Vec::new();
         let mut budget_spent = 0usize;
-        for id in &order {
+        for &pos in order {
+            let (inst, id) = (&insts[pos], insts[pos].id());
             if self.dep.states[id] == DriverState::Basic(BasicState::Active) {
                 continue;
             }
@@ -476,7 +558,6 @@ impl<'a> ReconcileLoop<'a> {
                 deferred.push(id.clone());
                 continue;
             }
-            let inst = self.dep.spec.get(id).expect("order comes from spec");
             let cost = self.transition_cost(inst, &self.dep.states[id]);
             if self.options.budget > 0
                 && !selected.is_empty()
@@ -486,7 +567,7 @@ impl<'a> ReconcileLoop<'a> {
                 continue;
             }
             budget_spent += cost;
-            selected.push(id.clone());
+            selected.push(pos);
         }
 
         // ---- compile and run only the delta on the wavefront pool ----
@@ -498,8 +579,9 @@ impl<'a> ReconcileLoop<'a> {
         let error = failure.map(|e| e.to_string());
 
         // ---- anti-flap bookkeeping ----
+        let insts = self.dep.spec.instances();
         let mut repaired = Vec::new();
-        for id in &selected {
+        for id in selected.iter().map(|&pos| insts[pos].id()) {
             if self.dep.states[id] == DriverState::Basic(BasicState::Active) {
                 repaired.push(id.clone());
                 self.flap.remove(id);
@@ -512,9 +594,27 @@ impl<'a> ReconcileLoop<'a> {
                 }
             }
         }
+        drop(converge);
 
         // ---- refresh watches, convergence, MTTR ----
-        self.engine.register_services(&mut self.dep);
+        let _refresh = obs.span("reconcile.refresh");
+        if spec_changed {
+            // An orphan may have shared its watch with an instance that
+            // stays: look at the whole estate again.
+            self.engine.register_services(&mut self.dep);
+        } else {
+            // Only what the round drove can have started a service; in
+            // spec order, so new watches land where a whole-estate
+            // registration would put them.
+            selected.sort_unstable();
+            for &pos in &selected {
+                if let Some(host) = self.index.hosts[pos] {
+                    let key = self.dep.spec.instances()[pos].key();
+                    self.engine
+                        .watch_if_running(&mut self.dep.monitor, host, key);
+                }
+            }
+        }
         let converged =
             self.dep.is_deployed() && self.dep.monitor.scan(self.engine.sim()).is_empty();
         if converged {
@@ -537,7 +637,7 @@ impl<'a> ReconcileLoop<'a> {
         Ok(ReconcileRound {
             round,
             drift,
-            health,
+            health: report,
             actions,
             repaired,
             deferred,
@@ -650,10 +750,7 @@ mod tests {
         assert!(!round.replanned, "no drift must mean no SAT query");
         assert!(round.converged);
         assert_eq!(obs.metrics().counter("reconcile.zero_action_rounds"), 1);
-        assert!(round
-            .health
-            .values()
-            .all(|h| *h == InstanceHealth::Converged));
+        assert!(round.health.is_empty(), "sparse: absent means converged");
     }
 
     #[test]
@@ -668,7 +765,8 @@ mod tests {
 
         let round = rl.tick().unwrap();
         assert_eq!(round.drift.len(), 1);
-        assert_eq!(round.health.get(&db), Some(&InstanceHealth::Degraded));
+        let only_db: BTreeMap<_, _> = [(db.clone(), InstanceHealth::Degraded)].into();
+        assert_eq!(round.health, only_db, "the converged are not listed");
         assert_eq!(round.repaired, vec![db.clone()]);
         // Minimal delta: one `start` transition, nothing else touched.
         assert_eq!(round.actions, 1);
@@ -699,6 +797,7 @@ mod tests {
         assert_eq!(m, machine);
         assert_eq!(old, old_host);
         assert_ne!(fresh, old_host);
+        assert_eq!(round.health.len(), 3, "{:?}", round.health);
         assert!(
             round.health.values().all(|h| *h == InstanceHealth::Lost),
             "{:?}",
@@ -793,5 +892,34 @@ mod tests {
             "flapping instance must converge once the fault clears"
         );
         assert!(sim.service_running(host, &svc));
+    }
+
+    #[test]
+    fn orphaning_a_flapping_instance_forgets_its_backoff() {
+        let u = universe();
+        let (rl, sim) = reconciler(&u, Obs::new());
+        let mut rl = rl.with_options(ReconcileOptions {
+            flap_threshold: 1,
+            ..ReconcileOptions::default()
+        });
+        let app = InstanceId::new("app");
+        let host = rl.deployment().host_of(&app).unwrap();
+        let svc = service_name(rl.deployment().spec().get(&app).unwrap().key());
+        sim.crash_service(host, &svc).unwrap();
+        sim.inject_fault(FaultOp::Start, &svc, 8, FaultKind::Permanent);
+        assert!(rl.tick().unwrap().repaired.is_empty());
+        assert!(rl.flap.contains_key(&app), "app is backing off");
+
+        // The operator drops `app` from the desired spec while it flaps.
+        rl.partial = partial()
+            .iter()
+            .filter(|i| *i.id() != app)
+            .cloned()
+            .collect();
+        let round = rl.tick().unwrap();
+        assert_eq!(round.orphaned, vec![app.clone()]);
+        assert_eq!(round.health.get(&app), Some(&InstanceHealth::Orphaned));
+        assert!(rl.deployment().spec().get(&app).is_none());
+        assert!(rl.flap.is_empty(), "{:?}", rl.flap);
     }
 }

@@ -4,7 +4,8 @@
 //! If the process associated with a service fails, it will be automatically
 //! restarted by monit using a set of runtime services provided by Engage."
 
-use std::collections::BTreeMap;
+use std::collections::hash_map::Entry;
+use std::collections::{BTreeMap, HashMap};
 use std::time::Duration;
 
 use crate::os::HostId;
@@ -61,7 +62,15 @@ pub struct RestartRecord {
 /// harness — per-host sharding is a registration detail).
 #[derive(Debug, Clone, Default)]
 pub struct Monitor {
+    /// The watch list, in registration order (what `scan`, `tick` and
+    /// `render_config` walk).
     watches: Vec<WatchEntry>,
+    /// The distinct service names, numbered: the keyed index below holds
+    /// a number per watch, not a second copy of its name.
+    names: HashMap<String, u32>,
+    /// `(host, service number)` → position in `watches`, so registering
+    /// N services is not N scans of the list.
+    slots: HashMap<(HostId, u32), u32>,
     restarts: Vec<RestartRecord>,
 }
 
@@ -78,25 +87,49 @@ impl Monitor {
     /// redeploy over a live monitor) cannot double restarts.
     pub fn watch(&mut self, host: HostId, service: impl Into<String>, port: Option<u16>) {
         let service = service.into();
-        if let Some(w) = self
-            .watches
-            .iter_mut()
-            .find(|w| w.host == host && w.service == service)
-        {
-            w.port = port;
-            return;
+        let name = match self.names.get(&service) {
+            Some(&name) => name,
+            None => {
+                let name = self.names.len() as u32;
+                self.names.insert(service.clone(), name);
+                name
+            }
+        };
+        match self.slots.entry((host, name)) {
+            Entry::Occupied(slot) => self.watches[*slot.get() as usize].port = port,
+            Entry::Vacant(slot) => {
+                slot.insert(self.watches.len() as u32);
+                self.watches.push(WatchEntry {
+                    host,
+                    service,
+                    port,
+                });
+            }
         }
-        self.watches.push(WatchEntry {
-            host,
-            service,
-            port,
-        });
     }
 
     /// Stops watching a service (used on shutdown/uninstall).
     pub fn unwatch(&mut self, host: HostId, service: &str) {
-        self.watches
-            .retain(|w| !(w.host == host && w.service == service));
+        let name = self.names.get(service);
+        if let Some(slot) = name.and_then(|&name| self.slots.remove(&(host, name))) {
+            self.watches.remove(slot as usize);
+            self.renumber();
+        }
+    }
+
+    /// Stops watching every service of `host` (the host is gone).
+    pub fn unwatch_host(&mut self, host: HostId) {
+        self.watches.retain(|w| w.host != host);
+        self.slots.retain(|&(of, _), _| of != host);
+        self.renumber();
+    }
+
+    /// Points every slot at its entry again after entries were removed.
+    fn renumber(&mut self) {
+        for (slot, w) in self.watches.iter().enumerate() {
+            let key = (w.host, self.names[&w.service]);
+            *self.slots.get_mut(&key).expect("every entry has a slot") = slot as u32;
+        }
     }
 
     /// The current watch list (the "monit configuration file").
@@ -230,6 +263,63 @@ mod tests {
         mon.watch(HostId(1), "web", Some(80));
         assert_eq!(mon.watches().len(), 2);
         assert_eq!(mon.watches()[0].port, Some(8080));
+    }
+
+    fn listing(mon: &Monitor) -> Vec<(u32, &str, Option<u16>)> {
+        mon.watches()
+            .iter()
+            .map(|w| (w.host.0, w.service.as_str(), w.port))
+            .collect()
+    }
+
+    #[test]
+    fn order_survives_watch_unwatch_watch() {
+        let mut mon = Monitor::new();
+        for (host, service) in [(0, "a"), (1, "a"), (0, "b"), (1, "c")] {
+            mon.watch(HostId(host), service, None);
+        }
+        mon.unwatch(HostId(1), "a");
+        mon.unwatch(HostId(1), "never-watched");
+        // The slots behind the removed entry moved down: a re-watch must
+        // still find them, and a new pair goes to the end.
+        mon.watch(HostId(0), "b", Some(1));
+        mon.watch(HostId(1), "c", Some(2));
+        mon.watch(HostId(1), "a", Some(3));
+        assert_eq!(
+            listing(&mon),
+            [
+                (0, "a", None),
+                (0, "b", Some(1)),
+                (1, "c", Some(2)),
+                (1, "a", Some(3))
+            ]
+        );
+    }
+
+    #[test]
+    fn unwatch_host_removes_exactly_that_hosts_entries() {
+        let mut mon = Monitor::new();
+        for (host, service) in [(0, "a"), (1, "a"), (0, "b"), (2, "a"), (1, "b")] {
+            mon.watch(HostId(host), service, None);
+        }
+        mon.unwatch_host(HostId(1));
+        mon.unwatch_host(HostId(7));
+        assert_eq!(
+            listing(&mon),
+            [(0, "a", None), (0, "b", None), (2, "a", None)]
+        );
+        // The survivors are still found in place; the host can come back.
+        mon.watch(HostId(2), "a", Some(9));
+        mon.watch(HostId(1), "a", None);
+        assert_eq!(
+            listing(&mon),
+            [
+                (0, "a", None),
+                (0, "b", None),
+                (2, "a", Some(9)),
+                (1, "a", None)
+            ]
+        );
     }
 
     #[test]

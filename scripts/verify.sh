@@ -21,6 +21,11 @@ ledger=crates/bench/src/bin/exp_pipeline/Cargo.toml
 cargo test -q --release --offline --manifest-path "$ledger"
 cargo run --release --offline --quiet --manifest-path "$ledger" -- --smoke > /dev/null
 
+# Paired-runner smoke: one 1 s parent/change pair of the cheapest
+# workload, so the script that backs every performance claim cannot rot
+# (the parent's build is kept under target/bench_pair between runs).
+scripts/bench_pair.sh reconcile_storm 1 1 > /dev/null
+
 # Style and lint gates (both offline; clippy warnings are errors).
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings

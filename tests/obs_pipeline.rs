@@ -134,6 +134,63 @@ fn gauges_report_graph_and_cnf_sizes() {
     assert!(m.gauge("config.cnf_clauses") > 0);
 }
 
+/// The reconcile round is no longer one opaque span: a drifted tick has
+/// its five stages as children, an idle tick has none, and repaired /
+/// scanned is readable from the gauges alone.
+#[test]
+fn reconcile_stages_nest_under_a_drifted_tick_only() {
+    let sink = Arc::new(MemorySink::new());
+    let obs = Obs::new().with_sink(sink.clone());
+    let engage = Engage::new(engage_library::base_universe())
+        .with_packages(engage_library::package_universe())
+        .with_registry(engage_library::driver_registry())
+        .with_solver_mode(engage::SolverMode::Incremental)
+        .with_obs(obs.clone());
+    let partial = engage_library::openmrs_partial();
+    let (_, deployment) = engage.deploy(&partial).expect("openmrs deploys");
+    let watched = deployment.monitor().watches().len();
+    let victim = deployment.monitor().watches()[0].clone();
+    let mut rl = engage.reconciler(&partial, deployment);
+
+    assert!(!rl.tick().expect("idle tick").replanned);
+    assert_eq!(obs.metrics().gauge("reconcile.scanned"), watched as i64);
+    assert_eq!(obs.metrics().gauge("reconcile.drifted"), 0);
+    engage
+        .sim()
+        .crash_service(victim.host, &victim.service)
+        .expect("victim was running");
+    let round = rl.tick().expect("drifted tick");
+    assert!(round.converged, "{round:?}");
+    assert_eq!(obs.metrics().gauge("reconcile.drifted"), 1);
+
+    let spans = sink.finished_spans();
+    let ticks: Vec<_> = spans
+        .iter()
+        .filter(|s| s.name == "reconcile.tick")
+        .collect();
+    let [idle, drifted] = ticks[..] else {
+        panic!("expected two reconcile.tick spans, got {}", ticks.len());
+    };
+    let stages = |tick: &engage_util::obs::FinishedSpan| -> Vec<&str> {
+        let mut under: Vec<_> = (spans.iter())
+            .filter(|s| s.parent == Some(tick.id) && s.name.starts_with("reconcile."))
+            .collect();
+        under.sort_by_key(|s| s.start);
+        under.iter().map(|s| s.name.as_str()).collect()
+    };
+    assert!(stages(idle).is_empty(), "{:?}", stages(idle));
+    assert_eq!(
+        stages(drifted),
+        [
+            "reconcile.classify",
+            "reconcile.replan",
+            "reconcile.adopt",
+            "reconcile.converge",
+            "reconcile.refresh"
+        ]
+    );
+}
+
 // ------------------------------------------------- CLI acceptance test
 
 const FIGURE_2: &str = r#"[

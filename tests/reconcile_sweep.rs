@@ -12,11 +12,12 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use engage::{Engage, RetryPolicy, SolverMode};
-use engage_deploy::Deployment;
-use engage_model::InstallSpec;
-use engage_sim::{DriftEvent, FaultPlan, HostId, Sim};
-use engage_testgen::{scenario, Family};
+use engage::{DeployJournal, Engage, InstanceHealth, JournalRecord, RetryPolicy, SolverMode};
+use engage_deploy::{Deployment, ReconcileRound};
+use engage_model::{InstallSpec, InstanceId};
+use engage_sim::{DriftEvent, FaultKind, FaultOp, FaultPlan, HostId, Sim, WatchEntry};
+use engage_testgen::{scenario, scenario_with, Family, Knobs};
+use engage_util::obs::Obs;
 use engage_util::rand::{Rng, SeedableRng, StdRng};
 
 fn sweep_seeds() -> u64 {
@@ -44,6 +45,37 @@ fn end_state(spec: &InstallSpec, sim: &Sim, dep: &Deployment) -> Vec<(String, St
         .collect()
 }
 
+/// Injects a seeded fault set: crashes ~40% of the watched services, then
+/// (half the time) kills one watched host outright. Returns both.
+fn inject_faults(
+    sim: &Sim,
+    watches: &[WatchEntry],
+    seed: u64,
+) -> (BTreeSet<(HostId, String)>, Option<HostId>) {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0xD81F_7A11);
+    let mut crashed = BTreeSet::new();
+    for w in watches {
+        if rng.gen_bool(0.4) {
+            sim.crash_service(w.host, &w.service).unwrap();
+            crashed.insert((w.host, w.service.clone()));
+        }
+    }
+    let hosts: Vec<HostId> = {
+        let mut seen = BTreeSet::new();
+        watches
+            .iter()
+            .map(|w| w.host)
+            .filter(|h| seen.insert(*h))
+            .collect()
+    };
+    let dead = rng.gen_bool(0.5).then(|| {
+        let host = hosts[rng.gen_range(0..hosts.len())];
+        sim.fail_host(host).unwrap();
+        host
+    });
+    (crashed, dead)
+}
+
 /// Property: the monitor's drift report is *exactly* the injected fault
 /// set. Crashed services on live hosts surface as `ServiceDown`, every
 /// watched service on a killed host folds into that host's `HostLost`
@@ -65,29 +97,7 @@ fn drift_report_matches_injected_faults_exactly() {
             let watches: Vec<_> = dep.monitor().watches().to_vec();
             assert!(!watches.is_empty(), "{}: nothing watched", s.name());
 
-            // Inject a seeded fault set: crash ~40% of watched services,
-            // then (half the time) kill one watched host outright.
-            let mut rng = StdRng::seed_from_u64(seed ^ 0xD81F_7A11);
-            let mut crashed: BTreeSet<(HostId, String)> = BTreeSet::new();
-            for w in &watches {
-                if rng.gen_bool(0.4) {
-                    sys.sim().crash_service(w.host, &w.service).unwrap();
-                    crashed.insert((w.host, w.service.clone()));
-                }
-            }
-            let hosts: Vec<HostId> = {
-                let mut seen = BTreeSet::new();
-                watches
-                    .iter()
-                    .map(|w| w.host)
-                    .filter(|h| seen.insert(*h))
-                    .collect()
-            };
-            let dead: Option<HostId> = rng.gen_bool(0.5).then(|| {
-                let host = hosts[rng.gen_range(0..hosts.len())];
-                sys.sim().fail_host(host).unwrap();
-                host
-            });
+            let (crashed, dead) = inject_faults(sys.sim(), &watches, seed);
 
             // Expected report, derived independently from the watch list.
             let expected_down: BTreeSet<(HostId, String)> = crashed
@@ -221,4 +231,238 @@ fn reconciled_end_state_matches_a_fresh_deploy() {
             );
         }
     }
+}
+
+/// What one tick must classify, derived from the deployment as it stood
+/// when the faults went in: `Lost` iff the instance's host was killed
+/// (which wins over a crash), `Degraded` iff its `(host, service)` pair
+/// was crashed on a live host, and nothing else listed.
+fn expected_health(
+    dep: &Deployment,
+    crashed: &BTreeSet<(HostId, String)>,
+    dead: Option<HostId>,
+) -> BTreeMap<InstanceId, InstanceHealth> {
+    let mut expected = BTreeMap::new();
+    for inst in dep.spec().iter() {
+        let Some(host) = dep.host_of(inst.id()) else {
+            continue;
+        };
+        if Some(host) == dead {
+            expected.insert(inst.id().clone(), InstanceHealth::Lost);
+        } else if crashed.contains(&(host, engage_deploy::service_name(inst.key()))) {
+            expected.insert(inst.id().clone(), InstanceHealth::Degraded);
+        }
+    }
+    expected
+}
+
+/// Property: the round's classification is *exactly* what the injected
+/// fault set implies, for every family × seed.
+#[test]
+fn classification_matches_injected_faults_exactly() {
+    for family in Family::ALL {
+        for seed in 0..sweep_seeds() {
+            let s = scenario(family, seed);
+            let sys = Engage::new(s.universe.clone()).with_solver_mode(SolverMode::Incremental);
+            let (_, dep) = sys
+                .deploy(&s.partial)
+                .unwrap_or_else(|e| panic!("{}: deploy failed: {e}", s.name()));
+            let (crashed, dead) = inject_faults(sys.sim(), dep.monitor().watches(), seed);
+            let expected = expected_health(&dep, &crashed, dead);
+            let mut rl = sys.reconciler(&s.partial, dep);
+            let round = rl
+                .tick()
+                .unwrap_or_else(|e| panic!("{}: tick failed: {e}", s.name()));
+            assert_eq!(round.health, expected, "{}", s.name());
+        }
+    }
+}
+
+/// Two instances of one type on one platform share their `(host,
+/// service)` pair: one `ServiceDown` event degrades both, and only them.
+#[test]
+fn one_down_service_degrades_every_instance_sharing_it() {
+    let s = scenario_with(Family::ThreeLevel, 0, Knobs::small(Family::ThreeLevel));
+    // The family's reconfigure spec adds `app-extra`, a second `App0`
+    // release beside `app0-0` on platform 0.
+    let sys = Engage::new(s.universe.clone()).with_solver_mode(SolverMode::Incremental);
+    let (_, dep) = sys.deploy(&s.reconfigure).expect("twin spec deploys");
+    let twins = [InstanceId::new("app-extra"), InstanceId::new("app0-0")];
+    let host = dep.host_of(&twins[0]).expect("twins are placed");
+    assert_eq!(dep.host_of(&twins[1]), Some(host));
+    sys.sim().crash_service(host, "app0").unwrap();
+    let crashed = [(host, "app0".to_owned())].into_iter().collect();
+    let expected = expected_health(&dep, &crashed, None);
+    assert_eq!(
+        expected.keys().collect::<Vec<_>>(),
+        twins.iter().collect::<Vec<_>>()
+    );
+
+    let mut rl = sys.reconciler(&s.reconfigure, dep);
+    let round = rl.tick().expect("tick");
+    assert_eq!(round.drift.len(), 1, "{:?}", round.drift);
+    assert_eq!(round.health, expected);
+}
+
+/// The estate index is built when a plan is adopted and rebuilt only
+/// when the spec changes or a host is replaced — not per tick, not per
+/// event, and not by a crash-only round whose re-plan returns the spec
+/// it already runs.
+#[test]
+fn estate_index_is_rebuilt_only_when_the_estate_changes_shape() {
+    let s = scenario_with(Family::ThreeLevel, 3, Knobs::small(Family::ThreeLevel));
+    let obs = Obs::new();
+    let sys = Engage::new(s.universe.clone())
+        .with_solver_mode(SolverMode::Incremental)
+        .with_obs(obs.clone());
+    let (_, dep) = sys.deploy(&s.partial).expect("deploys");
+    sys.sim().set_fault_plan(FaultPlan::new(3));
+    let mut rl = sys.reconciler(&s.partial, dep);
+    let rebuilds = || obs.metrics().counter("reconcile.index_rebuilds");
+    assert_eq!(rebuilds(), 1, "built once, on adoption");
+
+    for _ in 0..20 {
+        assert!(!rl.tick().expect("idle tick").replanned);
+    }
+    assert_eq!(rebuilds(), 1, "idle ticks must not rebuild");
+
+    let mut repaired = 0;
+    for _ in 0..10 {
+        sys.sim().crash_storm(0.3);
+        let round = rl.tick().expect("storm tick");
+        assert!(round.converged, "{round:?}");
+        repaired += round.repaired.len();
+    }
+    assert!(repaired > 0, "the storms must have hit something");
+    assert_eq!(rebuilds(), 1, "crash-only rounds re-plan to the same spec");
+
+    let host = *rl
+        .deployment()
+        .machines()
+        .values()
+        .next()
+        .expect("a machine");
+    sys.sim().fail_host(host).expect("host dies");
+    let round = rl.tick().expect("host-loss tick");
+    assert_eq!(round.replaced_hosts.len(), 1);
+    assert_eq!(rebuilds(), 2, "a replaced host moves instances");
+}
+
+/// One tick rendered for the golden: the drift it saw (in scan order, so
+/// the watch list's order is pinned too), what it classified (only the
+/// non-converged entries, so a dense and a sparse `health` map render
+/// alike), what it repaired and deferred, and what it journaled —
+/// `Observed` adoptions, replacement `Provisioned` records and committed
+/// transitions, in journal order.
+fn push_round(text: &mut String, label: &str, round: &ReconcileRound, journaled: &[JournalRecord]) {
+    let ids = |ids: &[InstanceId]| {
+        let ids: Vec<&str> = ids.iter().map(InstanceId::as_str).collect();
+        ids.join(" ")
+    };
+    text.push_str(&format!("## {label}\n"));
+    text.push_str(&format!(
+        "drift={} replanned={} converged={} actions={} error={}\n",
+        round.drift.len(),
+        round.replanned,
+        round.converged,
+        round.actions,
+        round.error.is_some()
+    ));
+    for event in &round.drift {
+        match event {
+            DriftEvent::ServiceDown { host, service } => {
+                text.push_str(&format!("down {host} {service}\n"));
+            }
+            DriftEvent::HostLost { host, services } => {
+                text.push_str(&format!("host-lost {host} {}\n", services.join(" ")));
+            }
+        }
+    }
+    for (id, health) in &round.health {
+        if *health != InstanceHealth::Converged {
+            text.push_str(&format!("health {id} {health}\n"));
+        }
+    }
+    text.push_str(&format!("repaired {}\n", ids(&round.repaired)));
+    text.push_str(&format!("deferred {}\n", ids(&round.deferred)));
+    for record in journaled {
+        match record {
+            JournalRecord::Observed { instance, state } => {
+                text.push_str(&format!("observed {instance} {state}\n"));
+            }
+            JournalRecord::Provisioned { instance, .. } => {
+                text.push_str(&format!("provisioned {instance}\n"));
+            }
+            JournalRecord::Commit {
+                instance,
+                action,
+                from,
+                to,
+                ..
+            } => text.push_str(&format!("commit {instance} {action} {from}>{to}\n")),
+            JournalRecord::Attempt { .. } => {}
+        }
+    }
+}
+
+/// Golden differential against the parent commit: the listing below was
+/// captured from the reconciler that classified by scanning the whole
+/// spec once per drift event, before that scan was deleted in favour of
+/// the per-plan estate index — a fixed three-level estate through twelve
+/// storm ticks (one instance made to flap through its backoff), a host
+/// loss, and the ticks that reconverge it. Which instances a round calls
+/// degraded or lost, which it repairs or defers, and what it journals
+/// must not move. `ENGAGE_RECONCILE_PRINT_GOLDEN=1 … -- --nocapture`
+/// prints the listing instead of comparing it.
+#[test]
+fn storm_rounds_reproduce_the_parent_commit_listing() {
+    let s = scenario_with(Family::ThreeLevel, 5, Knobs::small(Family::ThreeLevel));
+    let journal = DeployJournal::in_memory();
+    let sys = Engage::new(s.universe.clone())
+        .with_solver_mode(SolverMode::Incremental)
+        .with_retry_policy(RetryPolicy::new(2).with_seed(5))
+        .with_workers(1) // a failing round commits what ran before the failure
+        .with_journal(journal.clone());
+    let (_, dep) = sys.deploy(&s.partial).expect("golden scenario deploys");
+    sys.sim().set_fault_plan(FaultPlan::new(5));
+    let flapper = dep.monitor().watches()[1].clone();
+    let mut rl = sys.reconciler(&s.partial, dep);
+
+    let mut text = String::new();
+    let mut tick = |label: &str, text: &mut String| {
+        let mark = journal.records().len();
+        let round = rl.tick().expect("golden tick");
+        push_round(text, label, &round, &journal.records()[mark..]);
+        round.converged
+    };
+    for n in 0..12 {
+        sys.sim().crash_storm(0.3);
+        if n == 2 {
+            // Four failing restarts: past the flap threshold, into backoff.
+            let _ = sys.sim().crash_service(flapper.host, &flapper.service);
+            sys.sim()
+                .inject_fault(FaultOp::Start, &flapper.service, 4, FaultKind::Permanent);
+        }
+        tick(&format!("storm {n}"), &mut text);
+    }
+    sys.sim().crash_storm(0.6);
+    sys.sim().fail_host(flapper.host).expect("host dies once");
+    let mut converged = tick("host loss", &mut text);
+    for n in 0..8 {
+        if converged {
+            break;
+        }
+        converged = tick(&format!("settle {n}"), &mut text);
+    }
+    assert!(converged, "golden estate did not reconverge:\n{text}");
+
+    if std::env::var_os("ENGAGE_RECONCILE_PRINT_GOLDEN").is_some() {
+        print!("{text}");
+        return;
+    }
+    let golden = include_str!("golden/reconcile_storm_three_level.txt");
+    assert!(
+        text == golden,
+        "reconcile listing diverges from the parent commit's; got:\n{text}"
+    );
 }
