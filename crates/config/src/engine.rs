@@ -241,7 +241,9 @@ impl<'a> ConfigEngine<'a> {
         }
     }
 
-    /// Selects the exactly-one encoding (for the encoding ablation bench).
+    /// Selects the exactly-one encoding. Every product path takes the
+    /// pairwise default; the Sinz sequential encoder is reached only by
+    /// tests, and leaves with ROADMAP's native exactly-one groups.
     pub fn with_encoding(mut self, encoding: ExactlyOneEncoding) -> Self {
         self.encoding = encoding;
         self

@@ -54,7 +54,6 @@ use engage_deploy::{
 use engage_model::{
     BasicState, InstallSpec, InstanceId, ModelError, PartialInstallSpec, Universe, UniverseIndex,
 };
-use engage_sat::ExactlyOneEncoding;
 use engage_sim::{DownloadSource, PackageUniverse, RestartRecord, Sim};
 use engage_util::obs::Obs;
 use engage_util::sync::Mutex;
@@ -118,7 +117,6 @@ pub struct Engage {
     index: Arc<UniverseIndex>,
     registry: DriverRegistry,
     sim: Sim,
-    encoding: ExactlyOneEncoding,
     mode: ProvisionMode,
     obs: Obs,
     retry: RetryPolicy,
@@ -141,7 +139,6 @@ impl Clone for Engage {
             index: Arc::clone(&self.index),
             registry: self.registry.clone(),
             sim: self.sim.clone(),
-            encoding: self.encoding,
             mode: self.mode,
             obs: self.obs.clone(),
             retry: self.retry.clone(),
@@ -164,7 +161,6 @@ impl Engage {
             universe,
             registry: DriverRegistry::new(),
             sim: Sim::new(DownloadSource::local_cache()),
-            encoding: ExactlyOneEncoding::Pairwise,
             mode: ProvisionMode::Local,
             obs: Obs::disabled(),
             retry: RetryPolicy::none(),
@@ -215,13 +211,6 @@ impl Engage {
     /// Uses custom driver bindings (builder-style).
     pub fn with_registry(mut self, registry: DriverRegistry) -> Self {
         self.registry = registry;
-        self
-    }
-
-    /// Selects the exactly-one encoding for the configuration engine
-    /// (builder-style).
-    pub fn with_encoding(mut self, encoding: ExactlyOneEncoding) -> Self {
-        self.encoding = encoding;
         self
     }
 
@@ -554,11 +543,10 @@ impl Engage {
         ReconcileLoop::new(self.engine(), config, partial.clone(), deployment)
     }
 
-    /// A configuration engine with this system's encoding and obs sink
+    /// A configuration engine with this system's index and obs sink
     /// (serial until the caller picks a mode).
     fn config_engine(&self) -> ConfigEngine<'_> {
         ConfigEngine::new_with_index(&self.universe, Arc::clone(&self.index))
-            .with_encoding(self.encoding)
             .with_obs(self.obs.clone())
     }
 

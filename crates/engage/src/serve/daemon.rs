@@ -195,6 +195,16 @@ impl Drop for Server {
 
 impl ServerState {
     fn run_job(&self, job: Job) {
+        // One span per job on the worker: the engines below report into
+        // the same handle, so their `config.*` / `deploy.*` spans nest
+        // under the request that caused them.
+        let _request = self.obs.is_enabled().then(|| {
+            let fields = [
+                ("op", job.request.op.name()),
+                ("id", &*job.request.id.compact()),
+            ];
+            self.obs.span_with("serve.request", &fields)
+        });
         let depth = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
         self.obs.gauge("serve.queue_depth").set(depth);
         self.obs.counter("serve.requests").incr();
@@ -286,7 +296,8 @@ impl ServerState {
         // Incremental, so repeated same-shape plans reuse the tenant's
         // warm session.
         let engine = ConfigEngine::new_with_index(universe, Arc::clone(index))
-            .with_solver_mode(SolverMode::Incremental);
+            .with_solver_mode(SolverMode::Incremental)
+            .with_obs(self.obs.clone());
         let outcome = match engine.reconfigure(session, &partial) {
             Ok(o) => o,
             Err(e @ ConfigError::Unsatisfiable { .. }) => {
@@ -322,7 +333,9 @@ impl ServerState {
         ];
         if deploy {
             let (sim, registry) = fresh_data_center(req);
-            let engine = DeploymentEngine::new(sim, universe).with_registry(registry);
+            let engine = DeploymentEngine::new(sim, universe)
+                .with_registry(registry)
+                .with_obs(self.obs.clone());
             match engine.deploy(&outcome.spec) {
                 Ok(dep) => {
                     body.push(("deployed".to_owned(), Json::Bool(dep.is_deployed())));
@@ -408,8 +421,9 @@ impl ServerState {
         Result<Vec<(String, Json)>, (ErrorKind, String)>,
         ConfigSession,
     ) {
-        let config =
-            ConfigEngine::new_with_index(universe, index).with_solver_mode(SolverMode::Incremental);
+        let config = ConfigEngine::new_with_index(universe, index)
+            .with_solver_mode(SolverMode::Incremental)
+            .with_obs(self.obs.clone());
         let outcome = match config.reconfigure(&mut session, &partial) {
             Ok(o) => o,
             Err(e @ ConfigError::Unsatisfiable { .. }) => {
@@ -420,7 +434,9 @@ impl ServerState {
         let (sim, registry) = fresh_data_center(req);
         // Seed the chaos RNG so crash storms replay per (seed, ticks).
         sim.set_fault_plan(FaultPlan::new(req.seed.unwrap_or(0)));
-        let engine = DeploymentEngine::new(sim.clone(), universe).with_registry(registry);
+        let engine = DeploymentEngine::new(sim.clone(), universe)
+            .with_registry(registry)
+            .with_obs(self.obs.clone());
         let dep = match engine.deploy(&outcome.spec) {
             Ok(d) => d,
             Err(e) => return (Err((ErrorKind::Deploy, e.to_string())), session),

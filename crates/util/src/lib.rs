@@ -34,11 +34,6 @@
 //!   parser (`ENGAGE_*_SWEEP_SEEDS`) every seeded test sweep shares.
 //! * [`hash`] is also native: stable FNV-1a hashing for cross-run cache
 //!   keys (std's `DefaultHasher` is seeded per process).
-//! * [`bench`] replaces `criterion`: a wall-clock harness with warmup
-//!   and batched sampling that reports min/median/p95 per benchmark,
-//!   plus `criterion_group!` / `criterion_main!` and the
-//!   `Criterion`/`BenchmarkGroup`/`BenchmarkId`/`Bencher` types the
-//!   `crates/bench` benches drive.
 //!
 //! Everything is deterministic where the replaced crate was not: the
 //! property runner seeds its PRNG from the test name (override with
@@ -47,7 +42,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod bench;
 pub mod env;
 pub mod hash;
 pub mod obs;

@@ -1,7 +1,7 @@
 //! Deterministic, seedable pseudo-random number generation.
 //!
 //! Replaces the `rand` crate for the workspace's needs: seed-reproducible
-//! synthetic workloads (`engage-bench`) and the property-testing runner.
+//! synthetic workloads (`engage-testgen`) and the property-testing runner.
 //! The generator is xoshiro256++ (Blackman & Vigna), seeded through
 //! SplitMix64 exactly as the xoshiro authors recommend, so a single
 //! `u64` seed expands to a full 256-bit state with no weak lanes.

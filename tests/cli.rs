@@ -176,6 +176,41 @@ fn diagnose_explains_conflicts() {
     assert!(text.contains("exactly one"), "{text}");
 }
 
+/// The pipeline ledger's `plan_unsat` input at four times its size (a
+/// 400-region DbTiers stack, ~7 600 constraint groups) with the two
+/// planted pins: the CLI must explain the conflict and name both.
+#[test]
+fn diagnose_names_both_planted_pins_in_a_large_spec() {
+    use engage_testgen::{scenario_with, Family, Knobs};
+    let knobs = Knobs {
+        machines: 400,
+        services: 0,
+        depth: 3,
+        width: 3,
+        unsat: true,
+    };
+    let s = scenario_with(Family::DbTiers, 1, knobs);
+    let universe = write_temp("unsat-4x.ers", &engage_dsl::print_universe(&s.universe));
+    let spec = write_temp(
+        "unsat-4x.json",
+        &engage_dsl::render_partial_spec(&s.partial),
+    );
+    let out = engage_cmd(&[
+        "diagnose",
+        "--library",
+        "none",
+        "--spec",
+        spec.to_str().unwrap(),
+        universe.to_str().unwrap(),
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    assert!(text.starts_with("unsatisfiable; "), "{text}");
+    for pin in ["`xcl-a` must be deployed", "`xcl-b` must be deployed"] {
+        assert!(text.contains(pin), "{pin} missing from:\n{text}");
+    }
+}
+
 #[test]
 fn diagnose_reports_satisfiable() {
     let spec = write_temp("fig2e.json", FIGURE_2);

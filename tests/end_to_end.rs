@@ -121,7 +121,7 @@ fn a_sample_of_the_256_configs_deploys() {
         .with_packages(engage_library::package_universe())
         .with_registry(engage_library::driver_registry());
     // Every 16th config (16 of the 256) — the full sweep runs in
-    // exp_django_configs.
+    // exp_paper.
     for config in engage_library::DjangoConfig::all().into_iter().step_by(16) {
         let partial = config.partial_spec("Codespeed 0.8");
         let (outcome, dep) = e.deploy(&partial).unwrap();

@@ -191,6 +191,56 @@ fn reconcile_stages_nest_under_a_drifted_tick_only() {
     );
 }
 
+/// The daemon hands its `Obs` to the engines it builds: a traced `plan`
+/// shows the configure pipeline under the worker's `serve.request` span,
+/// and a daemon whose observability is off records nothing at all.
+#[test]
+fn serve_request_span_parents_the_configure_pipeline() {
+    use engage::serve::{ServeConfig, Server};
+    use engage_util::sync::channel;
+
+    let spec = engage_dsl::partial_spec_to_json(&engage_library::openmrs_partial()).compact();
+    let line = format!(r#"{{"id":7,"tenant":"t","op":"plan","spec":{spec}}}"#);
+    let plan = |obs: Obs| {
+        let server = Server::new(ServeConfig::default(), obs);
+        let (tx, rx) = channel::unbounded();
+        server.handle_line(&line, &tx);
+        let response = rx.recv().expect("the daemon answers");
+        assert!(response.contains(r#""ok":true"#), "{response}");
+    };
+
+    let sink = Arc::new(MemorySink::new());
+    plan(Obs::new().with_sink(sink.clone()));
+    let request = sink
+        .records()
+        .into_iter()
+        .find_map(|r| match r {
+            Record::SpanStart {
+                id, name, fields, ..
+            } if name == "serve.request" => Some((id, fields)),
+            _ => None,
+        })
+        .expect("one serve.request span per job");
+    let field = |k: &str| request.1.iter().find(|(key, _)| key == k).map(|f| &*f.1);
+    assert_eq!((field("op"), field("id")), (Some("plan"), Some("7")));
+    let spans = sink.finished_spans();
+    let named = |name: &str| {
+        let found = spans.iter().find(|s| s.name == name);
+        found.unwrap_or_else(|| panic!("missing {name} span"))
+    };
+    let configure = named("config.configure");
+    assert_eq!(configure.parent, Some(request.0));
+    for phase in ["config.graphgen", "config.solve", "config.propagate"] {
+        assert_eq!(named(phase).parent, Some(configure.id), "{phase}");
+    }
+
+    let quiet = Arc::new(MemorySink::new());
+    let obs = Obs::disabled().with_sink(quiet.clone());
+    plan(obs.clone());
+    assert!(quiet.records().is_empty());
+    assert_eq!(obs.metrics(), Default::default());
+}
+
 // ------------------------------------------------- CLI acceptance test
 
 const FIGURE_2: &str = r#"[

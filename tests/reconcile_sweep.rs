@@ -233,6 +233,58 @@ fn reconciled_end_state_matches_a_fresh_deploy() {
     }
 }
 
+/// The acceptance bars of docs/robustness.md, on the simulated clock (so
+/// deterministic, unlike a wall-clock ratio): repairing what drifted is
+/// at least 3x faster than the paper's full redeploy of the same stack at
+/// 10, 20 and 30 % crash storms, and a lost host under a concurrent 20 %
+/// storm is replaced and the stack reconverges.
+#[test]
+fn minimal_delta_repair_beats_a_full_redeploy_on_the_simulated_clock() {
+    let knobs = Knobs {
+        machines: 8,
+        services: 6,
+        ..Knobs::small(Family::ThreeLevel)
+    };
+    let s = scenario_with(Family::ThreeLevel, 1, knobs);
+    let deployed = |obs: &Obs, seed: u64| {
+        let sys = Engage::new(s.universe.clone())
+            .with_obs(obs.clone())
+            .with_solver_mode(SolverMode::Incremental)
+            .with_retry_policy(RetryPolicy::new(2).with_seed(seed));
+        let (_, dep) = sys.deploy(&s.partial).expect("deploys");
+        let full_redeploy = sys.sim().now();
+        sys.sim().set_fault_plan(FaultPlan::new(seed));
+        (sys, dep, full_redeploy)
+    };
+
+    for (cell, rate) in [0.1, 0.2, 0.3].into_iter().enumerate() {
+        let (sys, dep, full_redeploy) = deployed(&Obs::disabled(), 0xC4A05 + cell as u64);
+        let mut rl = sys.reconciler(&s.partial, dep);
+        for round in 0..6 {
+            sys.sim().crash_storm(rate);
+            let converged = rl.run_until_converged(10).expect("reconcile round");
+            assert!(converged, "rate {rate}: storm {round} did not reconverge");
+        }
+        let mttr = rl.stats().mean_mttr().expect("the storms caused outages");
+        assert!(
+            full_redeploy >= 3 * mttr,
+            "rate {rate}: repair took {mttr:?} per outage, a full redeploy {full_redeploy:?}"
+        );
+    }
+
+    let obs = Obs::new();
+    let (sys, dep, _) = deployed(&obs, 0xB0);
+    let mut rl = sys.reconciler(&s.partial, dep);
+    let victim = *rl.deployment().machines().values().next().expect("a host");
+    sys.sim().fail_host(victim).expect("host dies");
+    sys.sim().crash_storm(0.2);
+    assert!(rl
+        .run_until_converged(12)
+        .expect("reconcile after host loss"));
+    assert!(rl.deployment().is_deployed());
+    assert!(obs.metrics().counter("reconcile.replaced_hosts") >= 1);
+}
+
 /// What one tick must classify, derived from the deployment as it stood
 /// when the faults went in: `Lost` iff the instance's host was killed
 /// (which wins over a crash), `Degraded` iff its `(host, service)` pair

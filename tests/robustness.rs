@@ -4,7 +4,7 @@
 //! permanent failures (see docs/robustness.md).
 
 use engage::{DeployJournal, Engage, JournalRecord, ResumeMode, RetryPolicy};
-use engage_model::{BasicState, DriverState, InstallSpec};
+use engage_model::{BasicState, DriverState, InstallSpec, PartialInstance, Universe};
 use engage_sim::{FaultKind, FaultOp, FaultPlan};
 use engage_util::obs::Obs;
 
@@ -28,6 +28,36 @@ fn production_spec() -> InstallSpec {
         .plan(&engage_library::openmrs_production_partial())
         .unwrap()
         .spec
+}
+
+/// One host carrying 20 independent services: 42 faultable install and
+/// start operations per deployment, the stack the fault-rate bars are
+/// stated for.
+fn twenty_service_stack() -> (Universe, InstallSpec) {
+    let mut src = String::from(
+        r#"abstract resource "Server" {
+             config port hostname: string = "localhost";
+             output port host: { hostname: string } = { hostname: config.hostname };
+           }
+           resource "Ubuntu 10.10" extends "Server" {}"#,
+    );
+    let mut partial = vec![PartialInstance::new("server", "Ubuntu 10.10")];
+    for i in 0..20 {
+        src.push_str(&format!(
+            r#"resource "Svc{i:02} 1.0" {{
+                 inside "Server";
+                 config port port: int = {port};
+                 output port svc: {{ port: int }} = {{ port: config.port }};
+                 driver service;
+               }}"#,
+            port = 9000 + i,
+        ));
+        let key = format!("Svc{i:02} 1.0");
+        partial.push(PartialInstance::new(format!("svc{i:02}"), key.as_str()).inside("server"));
+    }
+    let u = engage_dsl::parse_universe(&src).expect("generated universe parses");
+    let plan = Engage::new(u.clone()).plan(&partial.into_iter().collect());
+    (u, plan.expect("plans").spec)
 }
 
 /// Every driver state of `dep`, for equivalence comparisons.
@@ -62,6 +92,47 @@ fn seeded_chaos_deploy_converges_with_retries() {
     assert!(m.counter("deploy.retries") > 0, "seed 3 injects faults");
     assert!(m.counter("deploy.backoff_wait_ns") > 0);
     assert!(m.counter("sim.injected_failures") > 0);
+}
+
+/// The acceptance bar of docs/robustness.md on fixed seeds: at a 20 %
+/// transient fault rate the 6-attempt policy converges in at least 95 %
+/// of trials and a policy without retries in none; with no faults both
+/// always converge.
+#[test]
+fn retries_hold_convergence_across_transient_fault_rates() {
+    const TRIALS: u64 = 40;
+    let (u, spec) = twenty_service_stack();
+    for (cell, rate) in [0.0, 0.1, 0.2, 0.3].into_iter().enumerate() {
+        let converged = |attempts: u32| {
+            let trial = |t: &u64| {
+                // The same plan seed for both arms: a paired comparison.
+                let seed = 0xEB00 + cell as u64 * 1000 + t;
+                let sys = Engage::new(u.clone())
+                    .with_retry_policy(RetryPolicy::new(attempts).with_seed(seed));
+                if rate > 0.0 {
+                    sys.sim().set_fault_plan(
+                        FaultPlan::new(seed)
+                            .with_install_faults(rate, 1.0)
+                            .with_start_faults(rate, 1.0),
+                    );
+                }
+                sys.deploy_spec(&spec).is_ok()
+            };
+            (0..TRIALS).filter(trial).count() as u64
+        };
+        let (plain, retried) = (converged(1), converged(6));
+        if rate == 0.0 {
+            assert_eq!((plain, retried), (TRIALS, TRIALS), "no faults, no failures");
+        } else {
+            assert_eq!(plain, 0, "rate {rate}: 42 dice and no retry never all pass");
+        }
+        if rate <= 0.2 {
+            assert!(
+                retried * 100 >= 95 * TRIALS,
+                "rate {rate}: {retried}/{TRIALS}"
+            );
+        }
+    }
 }
 
 #[test]
@@ -269,6 +340,25 @@ fn parallel_kill_is_resumable() {
 
 #[test]
 fn permanent_failure_rolls_back_every_host_clean() {
+    let clean = |sim: &engage_sim::Sim, spec: &InstallSpec| {
+        for host in sim.hosts() {
+            for inst in spec.iter() {
+                let pkg = inst.key().to_string().to_lowercase();
+                let pkg = pkg.replace(|c: char| !c.is_ascii_alphanumeric() && c != '.', "-");
+                assert!(
+                    !sim.has_package(host, &pkg),
+                    "host {host:?} still has `{pkg}` installed after rollback"
+                );
+            }
+            for service in sim.services_on(host) {
+                assert!(
+                    !sim.service_running(host, &service),
+                    "host {host:?} still runs `{service}` after rollback"
+                );
+            }
+        }
+    };
+
     let spec = production_spec();
     let obs = Obs::new();
     let sys = engage_sys()
@@ -282,37 +372,35 @@ fn permanent_failure_rolls_back_every_host_clean() {
     let failure = sys.deploy_spec_with_recovery(&spec).unwrap_err();
     assert_eq!(failure.rolled_back, Some(true), "{:?}", failure.error);
     assert_eq!(obs.metrics().counter("deploy.rollbacks"), 1);
-    for host in sys.sim().hosts() {
-        for inst in spec.iter() {
-            let pkg = inst
-                .key()
-                .to_string()
-                .to_lowercase()
-                .chars()
-                .map(|c| {
-                    if c.is_ascii_alphanumeric() || c == '.' {
-                        c
-                    } else {
-                        '-'
-                    }
-                })
-                .collect::<String>();
-            assert!(
-                !sys.sim().has_package(host, &pkg),
-                "host {host:?} still has `{pkg}` installed after rollback"
-            );
-        }
-        for service in sys.sim().services_on(host) {
-            assert!(
-                !sys.sim().service_running(host, &service),
-                "host {host:?} still runs `{service}` after rollback"
-            );
-        }
-    }
+    clean(sys.sim(), &spec);
     // And the failure report still carries the full pre-rollback state.
     assert!(failure
         .states
         .values()
         .any(|s| s == &DriverState::Basic(BasicState::Active)));
     assert!(!failure.completed.is_empty());
+
+    // Seeded all-permanent plans on the 20-service stack: wherever the
+    // dice land, a failed run is rolled back and leaves nothing behind.
+    let (u, spec) = twenty_service_stack();
+    let mut failed = 0;
+    for t in 0..10 {
+        let sys = Engage::new(u.clone())
+            .with_retry_policy(RetryPolicy::new(6).with_seed(t))
+            .with_auto_rollback();
+        sys.sim().set_fault_plan(
+            FaultPlan::new(0xDEAD + t)
+                .with_install_faults(0.15, 0.0)
+                .with_start_faults(0.15, 0.0),
+        );
+        if let Err(failure) = sys.deploy_spec_with_recovery(&spec) {
+            assert_eq!(failure.rolled_back, Some(true), "{:?}", failure.error);
+            clean(sys.sim(), &spec);
+            failed += 1;
+        }
+    }
+    assert!(
+        failed > 0,
+        "the seeded plans must make some deployment fail"
+    );
 }

@@ -151,14 +151,14 @@ fn incremental_solving_is_monotone() {
 #[test]
 fn solver_survives_many_restarts() {
     // A hard-ish unsat instance to push conflicts/restarts/reduce_db.
-    let cnf = engage_bench_pigeonhole(7);
+    let cnf = pigeonhole(7);
     let mut s = Solver::from_cnf(&cnf);
     assert_eq!(s.solve(), SatResult::Unsat);
     assert!(s.stats().conflicts > 100);
 }
 
 /// Random k-CNF via the repo's own seeded RNG (`engage_util::rand`), so
-/// this sweep and the bench generators share one reproducible stream.
+/// the sweep reproduces from its seed.
 fn seeded_cnf(rng: &mut StdRng, vars: u32, clauses: usize, clause_len: usize) -> Cnf {
     let mut cnf = Cnf::new();
     let vs: Vec<Var> = (0..vars).map(|_| cnf.fresh_var()).collect();
@@ -317,9 +317,9 @@ fn incremental_session_agrees_under_changing_assumptions() {
     }
 }
 
-/// Local pigeonhole builder (kept here to avoid a dev-dependency cycle
-/// with engage-bench).
-fn engage_bench_pigeonhole(holes: u32) -> Cnf {
+/// The pigeonhole principle as a CNF: `holes + 1` pigeons into `holes`
+/// holes (unsatisfiable; exponential for resolution-based solvers).
+fn pigeonhole(holes: u32) -> Cnf {
     let pigeons = holes + 1;
     let mut cnf = Cnf::new();
     let var = |p: u32, h: u32| Var(p * holes + h);

@@ -45,6 +45,32 @@ fn differential_sweep_over_all_families() {
     }
 }
 
+/// One fixed case per family above the seeded sweep's sizes (the
+/// generator's default knobs stay small so 32 seeds are cheap): the
+/// differential must hold on larger stacks too, and the spec sizes the
+/// knobs produce are pinned.
+#[test]
+fn differential_holds_at_each_family_s_largest_rung() {
+    let rung = |machines, services, depth, width| Knobs {
+        machines,
+        services,
+        depth,
+        width,
+        unsat: false,
+    };
+    for (family, knobs, spec_len) in [
+        (Family::Mesh, rung(8, 16, 0, 0), 32),
+        (Family::DbTiers, rung(6, 0, 3, 3), 30),
+        (Family::Chain, rung(4, 0, 16, 0), 68),
+        (Family::TypeForest, rung(4, 0, 4, 4), 12),
+        (Family::ThreeLevel, rung(8, 6, 0, 0), 73),
+    ] {
+        let s = scenario_with(family, 1, knobs);
+        let stats = check_scenario(&s).unwrap_or_else(|d| panic!("{d}"));
+        assert_eq!(stats.spec_len, spec_len, "{}", s.name());
+    }
+}
+
 #[test]
 fn unsat_sweep_over_all_families() {
     // The planted-conflict variants: every solver mode must return the

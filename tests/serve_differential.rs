@@ -175,6 +175,46 @@ fn daemon_plans_match_the_one_shot_engine() {
     }
 }
 
+/// The session pool's accounting, in counts: a request under a fresh
+/// tenant always misses the pool, and N same-shape requests spread over T
+/// resident tenants hit it exactly N - T times (one miss each, to build
+/// the session). What a hit is worth in time is the pipeline ledger's
+/// `serve_mix` workload (`serve.warm_ms_p50` against `serve.cold_ms_p50`).
+#[test]
+fn fresh_tenants_miss_the_pool_and_resident_tenants_hit_it() {
+    let srv = server(4);
+    let (tx, rx) = channel::unbounded();
+    let s = scenario(Family::Mesh, 0);
+    let hits = |responses: BTreeMap<String, Json>| {
+        let hit = |r: &Json| {
+            assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{}", r.compact());
+            r.get("session_hit") == Some(&Json::Bool(true))
+        };
+        responses.values().filter(|r| hit(r)).count()
+    };
+
+    let plan = |id: String, tenant: String| request_line(&id, &tenant, "plan", &s, false);
+    let cold: Vec<String> = (0..12)
+        .map(|i| plan(format!("cold-{i}"), format!("cold-{i}")))
+        .collect();
+    assert_eq!(hits(round(&srv, &tx, &rx, &cold)), 0, "fresh tenants miss");
+
+    // One request per tenant per round: requests of one tenant stay
+    // ordered, tenants interleave across the worker pool.
+    let (tenants, rounds) = (4, 8);
+    let mut warm_hits = 0;
+    for r in 0..rounds {
+        let lines: Vec<String> = (0..tenants)
+            .map(|t| plan(format!("warm-{t}-{r}"), format!("warm-{t}")))
+            .collect();
+        warm_hits += hits(round(&srv, &tx, &rx, &lines));
+    }
+    assert_eq!(warm_hits, tenants * rounds - tenants);
+    let m = srv.obs().metrics();
+    assert_eq!(m.counter("serve.session_hits"), warm_hits as u64);
+    assert_eq!(m.counter("serve.session_misses"), 12 + tenants as u64);
+}
+
 #[test]
 fn daemon_deploys_match_the_one_shot_end_state() {
     let srv = server(4);
