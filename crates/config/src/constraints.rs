@@ -9,7 +9,7 @@
 //!
 //! The production generator is *handle-keyed*: node `h` of the
 //! [`HyperGraph`] is proposition `Var(h)`, so the node↔variable bijection
-//! is the graph's own node table (a `Vec`, shared via `Arc`) instead of a
+//! is the graph's own node table (a `Vec`) instead of a
 //! `BTreeMap<InstanceId, Var>`, and clause emission walks the dense
 //! handle-resolved edge tables without a single id lookup. Auxiliary
 //! encoding variables are pre-numbered with a prefix sum over per-edge
@@ -18,7 +18,7 @@
 //! oracle; the two produce byte-identical CNFs.
 
 use std::collections::{BTreeMap, HashMap};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 use engage_model::InstanceId;
 use engage_sat::{Clause, Cnf, ExactlyOneEncoding, Lit, Var};
@@ -27,10 +27,8 @@ use crate::graph::HyperGraph;
 
 /// Vec-backed node↔variable bijection: `Var(h)` *is* node handle `h`, so
 /// the forward direction is an array index and only the id→handle
-/// direction needs a hash map. Shared via [`Arc`] so cloning
-/// [`Constraints`] (the incremental session clones per warm reconfigure)
-/// copies a pointer, not the table.
-#[derive(Debug)]
+/// direction needs a hash map.
+#[derive(Debug, Clone)]
 struct VarMap {
     /// Node ids in handle order (`ids[h]` ↔ `Var(h)`).
     ids: Vec<InstanceId>,
@@ -67,7 +65,7 @@ impl VarMap {
 #[derive(Debug, Clone)]
 pub struct Constraints {
     cnf: Cnf,
-    vars: Arc<VarMap>,
+    vars: VarMap,
 }
 
 impl Constraints {
@@ -196,7 +194,7 @@ fn build(
 
     let constraints = Constraints {
         cnf: Cnf::from_parts(next_aux, clauses),
-        vars: Arc::new(VarMap::from_graph(g)),
+        vars: VarMap::from_graph(g),
     };
     (constraints, spec_lits)
 }
@@ -324,7 +322,7 @@ pub fn generate_legacy(g: &HyperGraph, encoding: ExactlyOneEncoding) -> Constrai
     }
     Constraints {
         cnf,
-        vars: Arc::new(VarMap::from_graph(g)),
+        vars: VarMap::from_graph(g),
     }
 }
 

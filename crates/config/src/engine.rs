@@ -6,14 +6,14 @@ use std::fmt;
 use std::sync::Arc;
 
 use engage_model::{
-    check_install_spec_indexed, InstallSpec, InstanceId, ModelError, PartialInstallSpec,
-    ResourceKey, Universe, UniverseIndex,
+    check_install_spec_indexed, InstallSpec, InstanceId, ModelError, PartialInstallSpec, Universe,
+    UniverseIndex,
 };
-use engage_sat::{ExactlyOneEncoding, IncrementalSession, SatResult, Solver, SolverStats};
+use engage_sat::{ExactlyOneEncoding, Lit, SatResult, Solver, SolverStats, Var};
 use engage_util::obs::Obs;
 
 use crate::constraints::{generate, generate_structural, Constraints};
-use crate::graph::{graph_gen_indexed, HyperGraph};
+use crate::graph::{graph_gen_indexed, HyperGraph, HANDLE_NONE};
 
 /// How the engine discharges the SAT query at the heart of
 /// [`ConfigEngine::configure`]. See `docs/solver-modes.md`.
@@ -38,47 +38,39 @@ impl fmt::Display for SolverMode {
     }
 }
 
-/// Solver state carried across [`ConfigEngine::reconfigure`] calls in
-/// [`SolverMode::Incremental`]: a live [`IncrementalSession`] keyed on
-/// the structural CNF, plus the last run's hypergraph and constraints,
-/// reused wholesale when the partial spec's *shape* — ids, keys, inside
-/// links — is unchanged (config-value edits keep the shape). Cheap to
-/// create; a fresh session simply makes the first solve a rebuild.
+/// State carried across [`ConfigEngine::reconfigure`] calls in
+/// [`SolverMode::Incremental`]: the last plan's structure — hypergraph,
+/// structural constraints, spec literals — and the live solver loaded
+/// with it, under one key. A reconfigure whose partial spec has the same
+/// *shape* (ids, keys, inside links; config-value edits keep it) against
+/// the same universe index and encoding reuses all of it; anything else
+/// replaces all of it. Cheap to create; a fresh session simply makes the
+/// first solve a build.
 ///
-/// A session caches state derived from one universe index and encoding;
-/// it revalidates both on every use and rebuilds on mismatch. The
-/// universe is recognised by the *identity* of the engine's
+/// The universe is recognised by the *identity* of the engine's
 /// `Arc<UniverseIndex>`, so engines meant to share a session must share
 /// their index ([`ConfigEngine::new_with_index`], or clones of one
 /// engine).
 #[derive(Debug, Clone, Default)]
 pub struct ConfigSession {
-    sat: IncrementalSession,
-    structure: Option<CachedStructure>,
+    live: Option<Live>,
 }
 
-/// The shape of a partial spec: everything GraphGen's output depends on
-/// besides the universe (config values are carried as data, not shape).
-type SpecShape = Vec<(InstanceId, ResourceKey, Option<InstanceId>)>;
-
-fn spec_shape(partial: &PartialInstallSpec) -> SpecShape {
-    partial
-        .iter()
-        .map(|i| (i.id().clone(), i.key().clone(), i.inside_link().cloned()))
-        .collect()
-}
-
-/// GraphGen + constraint-generation output cached across reconfigures.
+/// One plan structure and the solver built from it. The graph and the
+/// constraints are shared with every [`ConfigOutcome`] produced from
+/// them; the shape half of the key is the graph's own spec nodes.
 #[derive(Debug, Clone)]
-struct CachedStructure {
-    shape: SpecShape,
+struct Live {
     /// The index the graph was generated against; holding the `Arc`
     /// keeps its address from being reused by another universe's index.
     index: Arc<UniverseIndex>,
     encoding: ExactlyOneEncoding,
-    graph: HyperGraph,
-    constraints: Constraints,
-    spec_lits: Vec<engage_sat::Lit>,
+    graph: Arc<HyperGraph>,
+    constraints: Arc<Constraints>,
+    /// The spec instances as assumptions (empty in serial mode, where
+    /// they are unit clauses of `constraints`).
+    spec_lits: Vec<Lit>,
+    solver: Solver,
 }
 
 impl ConfigSession {
@@ -87,38 +79,18 @@ impl ConfigSession {
         Self::default()
     }
 
-    /// Drops the live solver and the cached structure; the next
-    /// reconfigure rebuilds both.
+    /// Drops the structure and its solver; the next reconfigure
+    /// rebuilds both.
     pub fn reset(&mut self) {
-        self.sat.reset();
-        self.structure = None;
+        self.live = None;
     }
 
-    /// `true` once a solve has populated the structural cache — i.e. a
-    /// shape-matching reconfigure through this session can skip GraphGen
-    /// and constraint generation. Session pools report this as hit/miss.
+    /// `true` once a solve has populated the session — i.e. a
+    /// shape-matching reconfigure through it can skip GraphGen,
+    /// constraint generation and the solver build. Session pools report
+    /// this as hit/miss.
     pub fn is_warm(&self) -> bool {
-        self.structure.is_some()
-    }
-
-    /// Returns the cached graph/constraints for `partial` if the shape
-    /// (and the engine's universe/encoding) still match, with the
-    /// graph's config overrides refreshed from the new partial spec.
-    fn structure_for(
-        &self,
-        engine: &ConfigEngine<'_>,
-        partial: &PartialInstallSpec,
-    ) -> Option<(HyperGraph, Constraints, Vec<engage_sat::Lit>)> {
-        let c = self.structure.as_ref()?;
-        if c.shape != spec_shape(partial)
-            || !Arc::ptr_eq(&c.index, &engine.index)
-            || c.encoding != engine.encoding
-        {
-            return None;
-        }
-        let mut graph = c.graph.clone();
-        graph.refresh_config_overrides(partial);
-        Some((graph, c.constraints.clone(), c.spec_lits.clone()))
+        self.live.is_some()
     }
 }
 
@@ -170,11 +142,13 @@ impl From<ModelError> for ConfigError {
 pub struct ConfigOutcome {
     /// The full installation specification.
     pub spec: InstallSpec,
-    /// The resource-instance hypergraph (Figure 5).
-    pub graph: HyperGraph,
+    /// The resource-instance hypergraph (Figure 5), shared with the
+    /// session that produced it. A later reconfigure never changes what
+    /// a held outcome reads here.
+    pub graph: Arc<HyperGraph>,
     /// The Boolean constraints generated from `graph` (list them with
     /// [`ConfigOutcome::render_constraints`]).
-    constraints: Constraints,
+    constraints: Arc<Constraints>,
     /// CNF size: (variables, clauses).
     pub cnf_size: (u32, usize),
     /// SAT-solver statistics (deterministic in both modes).
@@ -183,10 +157,10 @@ pub struct ConfigOutcome {
     /// clauses) was reused instead of rebuilt. Always `false` outside
     /// [`ConfigEngine::reconfigure`] in [`SolverMode::Incremental`].
     pub reused_solver: bool,
-    /// Whether the session's cached hypergraph and constraints were
-    /// reused (same spec shape), skipping GraphGen and constraint
-    /// generation entirely. Implies nothing about `reused_solver`; both
-    /// are `false` outside incremental reconfiguration.
+    /// Whether the session's hypergraph and constraints were reused
+    /// (same spec shape), skipping GraphGen and constraint generation
+    /// entirely. A session keeps its structure and its solver under one
+    /// key, so this always equals `reused_solver`.
     pub reused_structure: bool,
 }
 
@@ -314,8 +288,8 @@ impl<'a> ConfigEngine<'a> {
     /// Computes a full installation specification extending `partial`
     /// (§4: GraphGen → constraint generation → SAT → port propagation).
     ///
-    /// In [`SolverMode::Incremental`] this builds a throwaway session;
-    /// to actually amortize solver state across calls, hold a
+    /// In [`SolverMode::Incremental`] this runs through a throwaway
+    /// session; to actually amortize solver state across calls, hold a
     /// [`ConfigSession`] and use [`ConfigEngine::reconfigure`].
     ///
     /// # Errors
@@ -372,74 +346,43 @@ impl<'a> ConfigEngine<'a> {
     fn configure_inner(
         &self,
         partial: &PartialInstallSpec,
-        mut session: Option<&mut ConfigSession>,
+        session: Option<&mut ConfigSession>,
         pins: &[InstanceId],
     ) -> Result<ConfigOutcome, ConfigError> {
         let _configure = self.obs.span("config.configure");
         let incremental = self.solver_mode == SolverMode::Incremental;
-        // An incremental session may hold the previous run's graph and
-        // constraints; a shape-preserving spec edit (config values only)
-        // reuses them and skips GraphGen + constraint generation.
-        let cached = if incremental {
-            session
-                .as_deref()
-                .and_then(|s| s.structure_for(self, partial))
-        } else {
-            None
+        // Serial mode, and an incremental configure with no session to
+        // carry, run through a session dropped on return.
+        let mut local = ConfigSession::new();
+        let session = match session {
+            Some(s) if incremental => s,
+            _ => &mut local,
         };
-        let reused_structure = cached.is_some();
-        let (graph, constraints, spec_lits) = match cached {
-            Some((graph, constraints, lits)) => {
+        // A shape-preserving spec edit (config values only) against the
+        // same index and encoding keeps the structure and its solver.
+        let reused = match &mut session.live {
+            Some(live)
+                if Arc::ptr_eq(&live.index, &self.index)
+                    && live.encoding == self.encoding
+                    && live.graph.has_shape_of(partial) =>
+            {
+                HyperGraph::refresh_config_overrides(&mut live.graph, partial);
                 self.obs.counter("config.structure_reuses").incr();
-                (graph, constraints, Some(lits))
+                true
             }
-            None => {
-                let graph = {
-                    let _s = self.obs.span("config.graphgen");
-                    graph_gen_indexed(&self.index, partial)?
-                };
-                self.obs.counter("config.graphgen.runs").incr();
-                self.obs
-                    .gauge("config.graphgen.nodes")
-                    .set(graph.nodes().len() as i64);
-                self.obs
-                    .gauge("config.graphgen.edges")
-                    .set(graph.edges().len() as i64);
-                self.report_index_stats();
-                // Incremental mode splits off the spec units as assumption
-                // literals; serial mode solves the full formula.
-                let (constraints, spec_lits) = {
-                    let _s = self.obs.span("config.constraint_gen");
-                    match self.solver_mode {
-                        SolverMode::Incremental => {
-                            let (c, lits) = generate_structural(&graph, self.encoding);
-                            (c, Some(lits))
-                        }
-                        SolverMode::Serial => (generate(&graph, self.encoding), None),
-                    }
-                };
-                if incremental {
-                    if let (Some(s), Some(lits)) = (session.as_deref_mut(), spec_lits.as_ref()) {
-                        s.structure = Some(CachedStructure {
-                            shape: spec_shape(partial),
-                            index: Arc::clone(&self.index),
-                            encoding: self.encoding,
-                            graph: graph.clone(),
-                            constraints: constraints.clone(),
-                            spec_lits: lits.clone(),
-                        });
-                    }
-                }
-                (graph, constraints, spec_lits)
+            _ => {
+                session.live = Some(self.build(partial)?);
+                false
             }
         };
+        let live = session.live.as_mut().expect("reused or just built");
+        let (graph, constraints) = (Arc::clone(&live.graph), Arc::clone(&live.constraints));
         self.obs
             .gauge("config.graph_nodes")
             .set(graph.nodes().len() as i64);
         // Count spec literals as the unit clauses they stand for, so
         // cnf_size is comparable across solver modes.
-        let logical_clauses =
-            constraints.cnf().num_clauses() + spec_lits.as_ref().map_or(0, Vec::len);
+        let logical_clauses = constraints.cnf().num_clauses() + live.spec_lits.len();
         self.obs
             .gauge("config.cnf_vars")
             .set(constraints.cnf().num_vars() as i64);
@@ -450,59 +393,68 @@ impl<'a> ConfigEngine<'a> {
         // instance that the graph knows about, so the model keeps those
         // placements. Unknown pins are skipped, not errors — a pin is a
         // preference about an instance that may have left the spec.
-        let pin_lits: Vec<engage_sat::Lit> = if incremental {
+        let pin_lits: Vec<Lit> = if incremental {
             pins.iter()
-                .filter_map(|id| constraints.var(id))
-                .map(engage_sat::Var::positive)
+                .filter_map(|id| graph.handle_of(id))
+                .map(|h| Var(h).positive())
                 .collect()
         } else {
             Vec::new()
         };
-        let solved = {
+        let result = {
             let _s = self.obs.span("config.solve");
+            // The first solve on a solver just built is the rebuild the
+            // `sat.incremental.*` counters report; every other is a reuse.
+            let mut fresh = !reused;
+            let solver = &mut live.solver;
+            let mut solve = |assumptions: &[Lit]| {
+                if incremental && fresh {
+                    self.obs.counter("sat.incremental.rebuilds").incr();
+                } else if incremental {
+                    self.obs.counter("sat.incremental.reuses").incr();
+                    self.obs
+                        .counter("sat.incremental.reused_clauses")
+                        .add(solver.learnt_clause_count() as u64);
+                }
+                fresh = false;
+                solver.solve_with_assumptions(assumptions)
+            };
             if pin_lits.is_empty() {
-                self.solve_by_mode(&constraints, spec_lits.as_deref(), session)
+                solve(&live.spec_lits)
             } else {
                 self.obs
                     .counter("config.pins.assumed")
                     .add(pin_lits.len() as u64);
-                let mut pinned = spec_lits.clone().unwrap_or_default();
-                pinned.extend(pin_lits.iter().copied());
-                let first = self.solve_by_mode(&constraints, Some(&pinned), session.as_deref_mut());
-                if matches!(first.0, SatResult::Unsat) {
+                let first = solve(&[&live.spec_lits[..], &pin_lits].concat());
+                if first.is_sat() {
+                    first
+                } else {
                     // The pins themselves are over-constraining; relax
                     // them and re-place freely rather than report UNSAT.
                     self.obs.counter("config.pins.relaxed").incr();
-                    self.solve_by_mode(&constraints, spec_lits.as_deref(), session)
-                } else {
-                    first
+                    solve(&live.spec_lits)
                 }
             }
         };
-        let (model, solver_stats, reused_solver) = match solved {
-            (SatResult::Sat(m), stats, reused) => (m, stats, reused),
-            (SatResult::Unsat, ..) => {
-                // The one consumer of the constraint listing.
-                return Err(ConfigError::Unsatisfiable {
-                    constraints: constraints.render(&graph),
-                });
-            }
+        let solver_stats = live.solver.stats();
+        // A throwaway session's solver is not kept across propagation.
+        drop(local);
+        let SatResult::Sat(model) = result else {
+            // The one consumer of the constraint listing.
+            return Err(ConfigError::Unsatisfiable {
+                constraints: constraints.render(&graph),
+            });
         };
         let spec = {
             let _s = self.obs.span("config.propagate");
-            let chosen: BTreeSet<InstanceId> = constraints
-                .vars()
-                .filter(|(_, v)| model.value(*v))
-                .map(|(id, _)| id.clone())
-                .collect();
             // A satisfying assignment may switch on instances nothing
             // requires (a free variable outside every triggered
             // exactly-one group); restrict to the instances transitively
             // required by the spec. The pruned set still satisfies every
             // constraint: spec units stay on, and a kept source's chosen
             // satisfier is kept with it.
-            let chosen = required_closure(&graph, &chosen);
-            crate::propagate::build_full_spec_indexed(&self.index, &graph, &chosen)?
+            let chosen = required_closure(&graph, |h| model.value(Var(h)));
+            crate::propagate::build_full_spec_chosen(&self.index, &graph, &chosen)?
         };
         if self.verify {
             let _s = self.obs.span("config.static_check");
@@ -513,45 +465,50 @@ impl<'a> ConfigEngine<'a> {
         Ok(ConfigOutcome {
             spec,
             cnf_size: (constraints.cnf().num_vars(), logical_clauses),
+            graph,
             constraints,
             solver_stats,
-            reused_solver,
-            reused_structure,
-            graph,
+            reused_solver: reused,
+            reused_structure: reused,
         })
     }
 
-    /// Discharges the SAT query per the engine's mode, returning the
-    /// verdict, the stats of whichever solver answered, and whether a
-    /// session solver was reused.
-    fn solve_by_mode(
-        &self,
-        constraints: &Constraints,
-        spec_lits: Option<&[engage_sat::Lit]>,
-        session: Option<&mut ConfigSession>,
-    ) -> (SatResult, SolverStats, bool) {
-        match self.solver_mode {
-            SolverMode::Serial => {
-                let mut solver = Solver::from_cnf(constraints.cnf());
-                solver.set_obs(&self.obs);
-                let result = solver.solve();
-                (result, solver.stats(), false)
+    /// GraphGen, constraint generation and the solver load — the one
+    /// place a plan structure and its solver come into being. Incremental
+    /// mode splits off the spec units as assumption literals; serial mode
+    /// loads the full formula (the paper's MiniSat setup).
+    fn build(&self, partial: &PartialInstallSpec) -> Result<Live, ConfigError> {
+        let graph = {
+            let _s = self.obs.span("config.graphgen");
+            graph_gen_indexed(&self.index, partial)?
+        };
+        self.obs.counter("config.graphgen.runs").incr();
+        self.obs
+            .gauge("config.graphgen.nodes")
+            .set(graph.nodes().len() as i64);
+        self.obs
+            .gauge("config.graphgen.edges")
+            .set(graph.edges().len() as i64);
+        self.report_index_stats();
+        let (constraints, spec_lits) = {
+            let _s = self.obs.span("config.constraint_gen");
+            match self.solver_mode {
+                SolverMode::Incremental => generate_structural(&graph, self.encoding),
+                SolverMode::Serial => (generate(&graph, self.encoding), Vec::new()),
             }
-            SolverMode::Incremental => {
-                let lits = spec_lits.expect("incremental mode generates spec literals");
-                let mut scratch;
-                let sat = match session {
-                    Some(s) => &mut s.sat,
-                    None => {
-                        scratch = IncrementalSession::default();
-                        &mut scratch
-                    }
-                };
-                sat.set_obs(&self.obs);
-                let s = sat.solve(constraints.cnf(), lits);
-                (s.result, s.stats, s.reused)
-            }
+        };
+        let mut solver = Solver::from_cnf(constraints.cnf());
+        if self.solver_mode == SolverMode::Serial {
+            solver.set_obs(&self.obs);
         }
+        Ok(Live {
+            index: Arc::clone(&self.index),
+            encoding: self.encoding,
+            graph: Arc::new(graph),
+            constraints: Arc::new(constraints),
+            spec_lits,
+            solver,
+        })
     }
 
     /// Counts the distinct *minimal* deployments extending `partial` —
@@ -571,50 +528,37 @@ impl<'a> ConfigEngine<'a> {
     ) -> Result<usize, ConfigError> {
         let graph = graph_gen_indexed(&self.index, partial)?;
         let constraints: Constraints = generate(&graph, self.encoding);
-        let ids: Vec<InstanceId> = constraints.vars().map(|(id, _)| id.clone()).collect();
-        let mut minimal = 0usize;
-        let mut seen_minimal: std::collections::BTreeSet<Vec<InstanceId>> =
-            std::collections::BTreeSet::new();
+        // The minimal core of each model, as its bitmap; each counts once.
+        let mut seen_minimal: BTreeSet<Vec<bool>> = BTreeSet::new();
         engage_sat::for_each_model(
             constraints.cnf(),
             &constraints.node_vars(),
             limit,
             |projection| {
-                let chosen: BTreeSet<InstanceId> = ids
-                    .iter()
-                    .zip(projection)
-                    .filter(|(_, &on)| on)
-                    .map(|(id, _)| id.clone())
-                    .collect();
-                let required = required_closure(&graph, &chosen);
-                // The minimal core of this model; count each core once.
-                let core: Vec<InstanceId> = required.into_iter().collect();
-                if seen_minimal.insert(core) {
-                    minimal += 1;
-                }
+                seen_minimal.insert(required_closure(&graph, |h| projection[h as usize]));
                 true
             },
         );
-        Ok(minimal)
+        Ok(seen_minimal.len())
     }
 }
 
-/// The instances actually required by a satisfying assignment: the fixpoint
-/// of "spec instances are required; the chosen satisfier of each dependency
-/// of a required instance is required".
-fn required_closure(g: &HyperGraph, chosen: &BTreeSet<InstanceId>) -> BTreeSet<InstanceId> {
-    let mut required: BTreeSet<InstanceId> = g
-        .nodes()
-        .iter()
-        .filter(|n| n.from_spec())
-        .map(|n| n.id().clone())
+/// The instances actually required by a satisfying assignment, as a
+/// bitmap over node handles (`Var(h)` is handle `h`, so `chosen` reads
+/// the model directly): the fixpoint of "spec instances are required;
+/// the chosen satisfier of each dependency of a required instance is
+/// required".
+fn required_closure(g: &HyperGraph, chosen: impl Fn(u32) -> bool) -> Vec<bool> {
+    let mut required: Vec<bool> = g.nodes().iter().map(|n| n.from_spec()).collect();
+    let mut worklist: Vec<u32> = (0..required.len() as u32)
+        .filter(|&h| required[h as usize])
         .collect();
-    let mut worklist: Vec<InstanceId> = required.iter().cloned().collect();
-    while let Some(id) = worklist.pop() {
-        for edge in g.edges_from(&id) {
-            for t in edge.targets() {
-                if chosen.contains(t) && required.insert(t.clone()) {
-                    worklist.push(t.clone());
+    while let Some(h) = worklist.pop() {
+        for &e in g.edge_indices_from(h) {
+            for &t in g.edge_target_handles(e as usize) {
+                if t != HANDLE_NONE && chosen(t) && !required[t as usize] {
+                    required[t as usize] = true;
+                    worklist.push(t);
                 }
             }
         }
@@ -808,34 +752,133 @@ mod tests {
         let mut session = ConfigSession::new();
         engine.reconfigure(&mut session, &figure_2()).unwrap();
 
-        let mutated: PartialInstallSpec = [
+        let mutated = figure_2_on("prod.example.com");
+        let out = engine.reconfigure(&mut session, &mutated).unwrap();
+        assert!(out.reused_structure, "config edit preserves the shape");
+        assert!(out.reused_solver, "identical CNF keeps the solver");
+        assert_eq!(
+            hostname(&out),
+            "prod.example.com".into(),
+            "refreshed config override must reach the full spec"
+        );
+
+        // A shape change (one instance fewer) must rebuild.
+        let out = engine.reconfigure(&mut session, &tomcat_only()).unwrap();
+        assert!(!out.reused_structure, "shape changed: GraphGen reruns");
+    }
+
+    /// `figure_2` with the server's `hostname` overridden.
+    fn figure_2_on(hostname: &str) -> PartialInstallSpec {
+        [
             PartialInstance::new("server", "Mac-OSX 10.6")
-                .config("hostname", "prod.example.com")
+                .config("hostname", hostname)
                 .config("os_user_name", "root"),
             PartialInstance::new("tomcat", "Tomcat 6.0.18").inside("server"),
             PartialInstance::new("openmrs", "OpenMRS 1.8").inside("tomcat"),
         ]
         .into_iter()
-        .collect();
-        let out = engine.reconfigure(&mut session, &mutated).unwrap();
-        assert!(out.reused_structure, "config edit preserves the shape");
-        assert!(out.reused_solver, "identical CNF keeps the solver");
-        let server = out.spec.get(&"server".into()).unwrap();
-        assert_eq!(
-            server.config().get("hostname"),
-            Some(&engage_model::Value::from("prod.example.com")),
-            "refreshed config override must reach the full spec"
-        );
+        .collect()
+    }
 
-        // A shape change (different key for one instance) must rebuild.
-        let reshaped: PartialInstallSpec = [
+    /// `figure_2` without OpenMRS: a different shape.
+    fn tomcat_only() -> PartialInstallSpec {
+        [
             PartialInstance::new("server", "Mac-OSX 10.6"),
             PartialInstance::new("tomcat", "Tomcat 6.0.18").inside("server"),
         ]
         .into_iter()
-        .collect();
-        let out = engine.reconfigure(&mut session, &reshaped).unwrap();
-        assert!(!out.reused_structure, "shape changed: GraphGen reruns");
+        .collect()
+    }
+
+    fn hostname(out: &ConfigOutcome) -> engage_model::Value {
+        out.spec.get(&"server".into()).unwrap().config()["hostname"].clone()
+    }
+
+    #[test]
+    fn warm_reconfigure_hands_back_the_same_graph_allocation() {
+        let u = openmrs_universe();
+        let engine = ConfigEngine::new(&u).with_solver_mode(SolverMode::Incremental);
+        let mut session = ConfigSession::new();
+        let first = engine
+            .reconfigure(&mut session, &figure_2_on("a.example.com"))
+            .unwrap();
+        let built = Arc::as_ptr(&first.graph);
+        drop(first);
+        // Nobody else holds the graph: the edit lands in place.
+        let second = engine
+            .reconfigure(&mut session, &figure_2_on("b.example.com"))
+            .unwrap();
+        assert!(second.reused_structure);
+        assert_eq!(
+            Arc::as_ptr(&second.graph),
+            built,
+            "warm hit copied the graph"
+        );
+        assert_eq!(hostname(&second), "b.example.com".into());
+        drop(second);
+        let third = engine
+            .reconfigure(&mut session, &figure_2_on("b.example.com"))
+            .unwrap();
+        assert_eq!(Arc::as_ptr(&third.graph), built);
+    }
+
+    #[test]
+    fn held_outcome_keeps_its_values_across_a_later_edit() {
+        let u = openmrs_universe();
+        let engine = ConfigEngine::new(&u).with_solver_mode(SolverMode::Incremental);
+        let mut session = ConfigSession::new();
+        let old = engine
+            .reconfigure(&mut session, &figure_2_on("old.example.com"))
+            .unwrap();
+        let new = engine
+            .reconfigure(&mut session, &figure_2_on("new.example.com"))
+            .unwrap();
+        assert!(new.reused_structure);
+        let graph_hostname = |out: &ConfigOutcome| {
+            out.graph.node(&"server".into()).unwrap().config_overrides()["hostname"].clone()
+        };
+        assert_eq!(graph_hostname(&old), "old.example.com".into());
+        assert_eq!(graph_hostname(&new), "new.example.com".into());
+        assert_eq!(hostname(&old), "old.example.com".into());
+        assert_eq!(hostname(&new), "new.example.com".into());
+    }
+
+    #[test]
+    fn structure_and_solver_are_reused_together() {
+        // One key: every step reuses both or neither, and the
+        // `sat.incremental.*` counters the session emits say the same.
+        let u = openmrs_universe();
+        let obs = Obs::new();
+        let engine = ConfigEngine::new(&u)
+            .with_solver_mode(SolverMode::Incremental)
+            .with_obs(obs.clone());
+        let mut session = ConfigSession::new();
+        assert!(!session.is_warm());
+        let steps = [
+            (figure_2(), false),
+            (figure_2(), true),
+            (figure_2_on("prod.example.com"), true),
+            (tomcat_only(), false),
+            (figure_2(), false),
+            (figure_2(), true),
+        ];
+        for (step, (partial, reused)) in steps.iter().enumerate() {
+            let out = engine.reconfigure(&mut session, partial).unwrap();
+            assert_eq!(out.reused_structure, *reused, "step {step}");
+            assert_eq!(out.reused_solver, out.reused_structure, "step {step}");
+            assert!(session.is_warm());
+        }
+        session.reset();
+        assert!(!session.is_warm());
+        let out = engine.reconfigure(&mut session, &figure_2()).unwrap();
+        assert!(
+            !out.reused_structure && !out.reused_solver,
+            "reset: rebuild"
+        );
+        let snap = obs.metrics();
+        assert_eq!(snap.counter("sat.incremental.rebuilds"), 4);
+        assert_eq!(snap.counter("sat.incremental.reuses"), 3);
+        assert_eq!(snap.counter("config.structure_reuses"), 3);
     }
 
     #[test]

@@ -24,6 +24,7 @@
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
+use std::sync::Arc;
 
 use engage_model::{
     DepKind, InstanceId, ModelError, PartialInstallSpec, ResourceKey, Universe, UniverseIndex,
@@ -337,17 +338,33 @@ impl HyperGraph {
         out
     }
 
-    /// Replaces the config overrides of every spec node with the values
-    /// from `partial`. Two partial specs with the same shape — ids, keys,
-    /// and inside links — generate identical graphs up to these override
-    /// maps, so the incremental session's structure cache brings a stored
-    /// graph up to date by refreshing them instead of rerunning GraphGen.
-    pub(crate) fn refresh_config_overrides(&mut self, partial: &PartialInstallSpec) {
-        for node in &mut self.nodes {
-            if node.from_spec {
-                if let Some(inst) = partial.get(node.id()) {
-                    node.config_overrides = inst.config_overrides().clone();
-                }
+    /// Whether `partial` has the *shape* this graph was generated from:
+    /// the same ids, keys and inside links in the same order — everything
+    /// GraphGen's output depends on besides the universe and the config
+    /// values. GraphGen creates the spec nodes first, in spec order, so
+    /// they are the leading run of `from_spec` nodes.
+    pub(crate) fn has_shape_of(&self, partial: &PartialInstallSpec) -> bool {
+        let spec_nodes = partial.len();
+        spec_nodes <= self.nodes.len()
+            && self.nodes.get(spec_nodes).is_none_or(|n| !n.from_spec)
+            && self.nodes.iter().zip(partial.iter()).all(|(n, inst)| {
+                n.id == *inst.id()
+                    && n.key == *inst.key()
+                    && n.inside.as_ref() == inst.inside_link()
+            })
+    }
+
+    /// Brings the spec nodes' config overrides up to date with `partial`,
+    /// which must have this graph's shape ([`HyperGraph::has_shape_of`]):
+    /// two same-shape specs generate identical graphs up to these maps,
+    /// so a session refreshes them instead of rerunning GraphGen.
+    /// Copy-on-write — a graph nobody else holds is edited in place, one
+    /// an earlier outcome still holds is copied first and keeps its
+    /// values, and equal values touch nothing.
+    pub(crate) fn refresh_config_overrides(this: &mut Arc<Self>, partial: &PartialInstallSpec) {
+        for (h, inst) in partial.iter().enumerate() {
+            if this.nodes[h].config_overrides != *inst.config_overrides() {
+                Arc::make_mut(this).nodes[h].config_overrides = inst.config_overrides().clone();
             }
         }
     }

@@ -159,18 +159,28 @@ pub fn build_full_spec_indexed(
     g: &HyperGraph,
     chosen: &BTreeSet<InstanceId>,
 ) -> Result<InstallSpec, ModelError> {
-    let nodes = g.nodes();
-    let n = nodes.len();
-
-    // Chosen bitmap and dense rank numbering. Ranks follow handle order,
-    // which is the legacy spec's insertion order, so the topological
-    // tie-break below matches `topological_order` exactly.
-    let mut is_chosen = vec![false; n];
+    let mut is_chosen = vec![false; g.nodes().len()];
     for id in chosen {
         if let Some(h) = g.handle_of(id) {
             is_chosen[h as usize] = true;
         }
     }
+    build_full_spec_chosen(index, g, &is_chosen)
+}
+
+/// [`build_full_spec_indexed`] with the chosen set as a bitmap over node
+/// handles — what the engine's model-to-closure tail produces.
+pub(crate) fn build_full_spec_chosen(
+    index: &UniverseIndex,
+    g: &HyperGraph,
+    is_chosen: &[bool],
+) -> Result<InstallSpec, ModelError> {
+    let nodes = g.nodes();
+    let n = nodes.len();
+
+    // Dense rank numbering of the chosen handles. Ranks follow handle
+    // order, which is the legacy spec's insertion order, so the
+    // topological tie-break below matches `topological_order` exactly.
     let chosen_handles: Vec<u32> = (0..n as u32).filter(|&h| is_chosen[h as usize]).collect();
     let m = chosen_handles.len();
     let mut rank = vec![u32::MAX; n];

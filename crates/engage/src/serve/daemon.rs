@@ -202,17 +202,13 @@ impl ServerState {
             let fields = [
                 ("op", job.request.op.name()),
                 ("id", &*job.request.id.compact()),
+                ("tenant", &*job.request.tenant),
             ];
             self.obs.span_with("serve.request", &fields)
         });
         let depth = self.depth.fetch_sub(1, Ordering::Relaxed) - 1;
         self.obs.gauge("serve.queue_depth").set(depth);
         self.obs.counter("serve.requests").incr();
-        if !job.request.tenant.is_empty() {
-            self.obs
-                .counter(&format!("serve.tenant.{}.requests", job.request.tenant))
-                .incr();
-        }
         let line = self.execute(&job.request);
         let micros = i64::try_from(job.submitted.elapsed().as_micros()).unwrap_or(i64::MAX);
         self.obs.gauge("serve.latency_us.last").set(micros);

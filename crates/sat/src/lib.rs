@@ -7,6 +7,13 @@
 //! CNF construction with two *exactly-one* encodings; DIMACS I/O; and model
 //! enumeration (used to count deployment configurations).
 //!
+//! Incremental solving is the solver's own interface, MiniSat style: keep
+//! one [`Solver`] alive, pass the choices that change between solves to
+//! [`Solver::solve_with_assumptions`], and read
+//! [`Solver::failed_assumptions`] after an UNSAT answer. There is no
+//! session type here; recognising "same formula as last time" is the job
+//! of whoever built the formula (`engage-config`'s `ConfigSession`).
+//!
 //! # Examples
 //!
 //! ```
@@ -28,13 +35,11 @@
 mod cnf;
 mod dpll;
 mod enumerate;
-mod incremental;
 mod solver;
 mod types;
 
 pub use cnf::{verify_model, Cnf, ExactlyOneEncoding};
 pub use dpll::dpll_solve;
 pub use enumerate::{brute_force_models, collect_models, count_models, for_each_model};
-pub use incremental::{IncrementalSession, SessionSolve};
 pub use solver::{luby, SatResult, Solver, SolverStats};
 pub use types::{Clause, LBool, Lit, Model, Var};

@@ -69,6 +69,18 @@ grep -ohE -e '--(bin|example|test|bench) [A-Za-z0-9_]+' $docs | sort -u |
             exit 1
         fi
     done
+# Doc-symbol guard, same exemption: a `CamelCase` item the docs qualify
+# with an `engage_*::` path must still be declared `pub` under crates/.
+# shellcheck disable=SC2086
+{ grep -ohE '`engage_[a-z_]+(::[A-Za-z0-9_]+)+' $docs || true; } |
+    { grep -oE '::[A-Z][A-Za-z0-9]*' || true; } | sort -u |
+    while read -r item; do
+        decl="pub (struct|enum|trait|type|const|static) ${item#::}\b"
+        if ! git grep -qE --untracked "$decl" -- 'crates/*.rs'; then
+            echo "error: the docs name an item nothing declares: ${item#::}" >&2
+            exit 1
+        fi
+    done
 if git ls-files | grep -E '(^|/)BENCH_.*\.json$' >&2; then
     echo "error: committed BENCH_*.json beside BENCHMARK.json" >&2
     exit 1
@@ -110,4 +122,4 @@ ENGAGE_SERVE_SWEEP_SEEDS=8 sweep serve_differential
 sweep serve_concurrency
 sweep serve_cli
 
-echo "verify: OK (build + tests + fmt + clippy green, lockfile hermetic, ledger smoke, exp_paper claims + EXPERIMENTS.md in sync, doc targets exist, trace shape, sweeps passed)"
+echo "verify: OK (build + tests + fmt + clippy green, lockfile hermetic, ledger smoke, exp_paper claims + EXPERIMENTS.md in sync, doc targets and symbols exist, trace shape, sweeps passed)"

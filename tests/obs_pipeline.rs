@@ -223,6 +223,7 @@ fn serve_request_span_parents_the_configure_pipeline() {
         .expect("one serve.request span per job");
     let field = |k: &str| request.1.iter().find(|(key, _)| key == k).map(|f| &*f.1);
     assert_eq!((field("op"), field("id")), (Some("plan"), Some("7")));
+    assert_eq!(field("tenant"), Some("t"));
     let spans = sink.finished_spans();
     let named = |name: &str| {
         let found = spans.iter().find(|s| s.name == name);
@@ -239,6 +240,40 @@ fn serve_request_span_parents_the_configure_pipeline() {
     plan(obs.clone());
     assert!(quiet.records().is_empty());
     assert_eq!(obs.metrics(), Default::default());
+}
+
+/// Tenant names come from clients; the metrics registry must not grow
+/// with them (the tenant is a field of the `serve.request` span).
+#[test]
+fn distinct_tenants_do_not_grow_the_metrics_registry() {
+    use engage::serve::{ServeConfig, Server};
+    use engage_util::sync::channel;
+
+    let obs = Obs::new();
+    // A one-entry pool, so the two warm-up tenants already touch every
+    // counter a cold tenant can (miss, eviction).
+    let cfg = ServeConfig {
+        session_cap: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::new(cfg, obs.clone());
+    let (tx, rx) = channel::unbounded();
+    // A job that reaches a worker (`ping` is answered inline); the empty
+    // spec keeps each of them cheap.
+    let plan = |tenant: &str| {
+        let line = format!(r#"{{"id":1,"tenant":"{tenant}","op":"plan","spec":[]}}"#);
+        server.handle_line(&line, &tx);
+        rx.recv().expect("the daemon answers");
+    };
+    plan("warm-up");
+    plan("warm-up-2");
+    let counters = obs.metrics().counters.len();
+    for i in 0..1000 {
+        plan(&format!("tenant-{i}"));
+    }
+    let after = obs.metrics();
+    assert_eq!(after.counter("serve.requests"), 1002);
+    assert_eq!(after.counters.len(), counters, "{:?}", after.counters);
 }
 
 // ------------------------------------------------- CLI acceptance test

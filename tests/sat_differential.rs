@@ -1,11 +1,11 @@
 //! Differential tests for the SAT stack: the CDCL solver, the DPLL
-//! baseline, and brute force must agree; an incremental session must
-//! agree with a fresh solver per call; models must satisfy their
-//! formulas; DIMACS must round-trip solver verdicts.
+//! baseline, and brute force must agree; one live solver under changing
+//! assumptions must agree with a fresh solver per call; models must
+//! satisfy their formulas; DIMACS must round-trip solver verdicts.
 
 use engage_sat::{
-    brute_force_models, count_models, dpll_solve, verify_model, Cnf, ExactlyOneEncoding,
-    IncrementalSession, Lit, SatResult, Solver, Var,
+    brute_force_models, count_models, dpll_solve, verify_model, Cnf, ExactlyOneEncoding, Lit,
+    SatResult, Solver, Var,
 };
 use engage_util::obs::Obs;
 use engage_util::rand::{Rng, SeedableRng, StdRng};
@@ -263,8 +263,12 @@ fn incremental_session_agrees_with_serial_on_seeded_sweep() {
         let clauses = (vars as usize * rng.gen_range(30..=55u32) as usize) / 10;
         let cnf = seeded_cnf(&mut rng, vars, clauses, 3);
 
+        // A live solver's second answer rests on everything the first
+        // search learned; it must agree with a fresh solver's.
         let serial = Solver::from_cnf(&cnf).solve();
-        let inc = IncrementalSession::new().solve(&cnf, &[]).result;
+        let mut live = Solver::from_cnf(&cnf);
+        live.solve();
+        let inc = live.solve_with_assumptions(&[]);
         assert_eq!(inc.is_sat(), serial.is_sat(), "seed {seed}");
         for (who, result) in [("serial", &serial), ("incremental", &inc)] {
             if let SatResult::Sat(m) = result {
@@ -278,13 +282,13 @@ fn incremental_session_agrees_with_serial_on_seeded_sweep() {
 
 #[test]
 fn incremental_session_agrees_under_changing_assumptions() {
-    // Flip assumption sets over one session; a fresh solver per call is
-    // the oracle. Learned clauses carried across calls must never change
-    // a verdict.
+    // Flip assumption sets over one live solver; a fresh solver per call
+    // is the oracle. Learned clauses carried across calls must never
+    // change a verdict.
     let mut rng = StdRng::seed_from_u64(0xA55);
     let cnf = seeded_cnf(&mut rng, 14, 50, 3);
     let vs: Vec<Var> = (0..14).map(Var).collect();
-    let mut session = IncrementalSession::new();
+    let mut live = Solver::from_cnf(&cnf);
     for round in 0..12 {
         let a = vs[rng.gen_range(0..vs.len())];
         let b = vs[rng.gen_range(0..vs.len())];
@@ -292,14 +296,14 @@ fn incremental_session_agrees_under_changing_assumptions() {
             Lit::new(a, rng.gen_bool(0.5)),
             Lit::new(b, rng.gen_bool(0.5)),
         ];
-        let inc = session.solve(&cnf, &assumptions);
+        let inc = live.solve_with_assumptions(&assumptions);
         let oracle = Solver::from_cnf(&cnf).solve_with_assumptions(&assumptions);
         assert_eq!(
-            inc.result.is_sat(),
+            inc.is_sat(),
             oracle.is_sat(),
             "round {round}, assumptions {assumptions:?}"
         );
-        if let SatResult::Sat(m) = &inc.result {
+        if let SatResult::Sat(m) = &inc {
             if let Err(e) = verify_model(&cnf, m) {
                 panic!("round {round}: {e}");
             }
@@ -310,9 +314,6 @@ fn incremental_session_agrees_under_changing_assumptions() {
                     "round {round}: assumption {lit:?} not honored"
                 );
             }
-        }
-        if round > 0 {
-            assert!(inc.reused, "round {round} should reuse the session solver");
         }
     }
 }
