@@ -124,37 +124,11 @@ impl Constraints {
     }
 }
 
-/// Generates the Boolean constraints (`Generate(R, I)` of Theorem 1).
+/// Generates the Boolean constraints (`Generate(R, I)` of Theorem 1):
+/// node vars are the handles; the clause stream opens with one unit
+/// clause per spec node, in node order (family 1), and the hyperedge
+/// clauses follow in edge order (family 2).
 pub fn generate(g: &HyperGraph, encoding: ExactlyOneEncoding) -> Constraints {
-    build(g, encoding, true).0
-}
-
-/// Generates only the *structural* constraints — constraint family 2
-/// (the hyperedge exactly-one implications) without the family-1 spec
-/// unit clauses, which are returned separately as literals.
-///
-/// This is the incremental-solving split: the structural CNF depends
-/// only on the hypergraph shape, so a reconfiguration whose graph is
-/// unchanged can hand the same formula to a live solver and pass the
-/// spec literals as *assumptions*, keeping every clause the solver has
-/// learned. Variable numbering (node vars first, then encoding
-/// auxiliaries) is identical to [`generate`]'s, since unit clauses
-/// allocate no variables.
-pub fn generate_structural(
-    g: &HyperGraph,
-    encoding: ExactlyOneEncoding,
-) -> (Constraints, Vec<Lit>) {
-    build(g, encoding, false)
-}
-
-/// Shared generator body: node vars are the handles, spec literals are
-/// added as units (`with_units`) or returned, and the hyperedge clauses
-/// follow in edge order.
-fn build(
-    g: &HyperGraph,
-    encoding: ExactlyOneEncoding,
-    with_units: bool,
-) -> (Constraints, Vec<Lit>) {
     let n = g.nodes().len() as u32;
 
     // Pre-number the encoding's auxiliary variables: they start after
@@ -170,33 +144,22 @@ fn build(
         total_clauses += clause_count(encoding, e.targets().len());
     }
 
-    // Units first (family 1), then the hyperedge clauses in edge order
-    // (family 2) — the legacy generator's exact clause stream.
-    let spec_count = if with_units {
-        g.nodes().iter().filter(|n| n.from_spec()).count()
-    } else {
-        0
-    };
+    // Units first, then the hyperedge clauses — the legacy generator's
+    // exact clause stream.
+    let spec_count = g.nodes().iter().filter(|n| n.from_spec()).count();
     let mut clauses: Vec<Clause> = Vec::with_capacity(spec_count + total_clauses);
-    let mut spec_lits = Vec::new();
     for (h, node) in g.nodes().iter().enumerate() {
         if node.from_spec() {
-            let lit = Var(h as u32).positive();
-            if with_units {
-                clauses.push(vec![lit]);
-            } else {
-                spec_lits.push(lit);
-            }
+            clauses.push(vec![Var(h as u32).positive()]);
         }
     }
 
     emit_edges(g, encoding, &aux_base, &mut clauses);
 
-    let constraints = Constraints {
+    Constraints {
         cnf: Cnf::from_parts(next_aux, clauses),
         vars: VarMap::from_graph(g),
-    };
-    (constraints, spec_lits)
+    }
 }
 
 /// Auxiliary variables one hyperedge needs under `encoding`: the
@@ -421,34 +384,40 @@ mod tests {
     }
 
     #[test]
-    fn structural_plus_assumptions_matches_full_generate() {
+    fn spec_units_lead_the_clause_stream() {
+        // The diagnosis peels the stream's leading units into its
+        // assumption list: one unit per spec node, in node order, and
+        // the edge clauses alone under those assumptions must answer as
+        // the whole formula does.
         let u = openmrs_universe();
         let g = graph_gen(&u, &figure_2()).unwrap();
+        let spec_units: Vec<Lit> = g
+            .nodes()
+            .iter()
+            .enumerate()
+            .filter(|(_, n)| n.from_spec())
+            .map(|(h, _)| Var(h as u32).positive())
+            .collect();
+        assert_eq!(spec_units.len(), figure_2().len());
         for enc in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
             let full = generate(&g, enc);
-            let (structural, spec_lits) = generate_structural(&g, enc);
-            // Identical variable universe and node↔var mapping.
-            assert_eq!(full.cnf().num_vars(), structural.cnf().num_vars(), "{enc}");
-            assert!(full
-                .vars()
-                .zip(structural.vars())
-                .all(|((ida, va), (idb, vb))| ida == idb && va == vb));
-            // Unit clauses are exactly the difference in clause count.
-            assert_eq!(
-                full.cnf().num_clauses(),
-                structural.cnf().num_clauses() + spec_lits.len(),
+            let (units, edges) = full.cnf().clauses().split_at(spec_units.len());
+            assert!(units.iter().all(|c| c.len() == 1), "{enc}");
+            let leading: Vec<Lit> = units.iter().map(|c| c[0]).collect();
+            assert_eq!(leading, spec_units, "{enc}");
+            // Edge clauses are units only when they switch a source off.
+            assert!(
+                edges.iter().all(|c| c.len() > 1 || !c[0].is_positive()),
                 "{enc}"
             );
-            // Solving structural CNF under the spec assumptions agrees
-            // with the full formula and honors every spec literal.
-            let mut s = Solver::from_cnf(structural.cnf());
-            let r = s.solve_with_assumptions(&spec_lits);
-            let m = r.model().expect("satisfiable under spec assumptions");
-            for &l in &spec_lits {
-                assert!(m.satisfies(l), "{enc}: spec literal {l} off");
+            let mut s = Solver::new();
+            for _ in 0..full.cnf().num_vars() {
+                s.new_var();
             }
-            assert!(m.satisfies_all(structural.cnf().clauses()));
-            assert!(Solver::from_cnf(full.cnf()).solve().is_sat());
+            edges.iter().for_each(|c| s.add_clause(c.clone()));
+            let m = s.solve_with_assumptions(&spec_units);
+            let m = m.model().expect("satisfiable under the spec assumptions");
+            assert!(m.satisfies_all(full.cnf().clauses()), "{enc}");
         }
     }
 

@@ -15,7 +15,7 @@ use std::fmt;
 use engage_model::{DepKind, InstanceId, ModelError, PartialInstallSpec, Universe};
 use engage_sat::{ExactlyOneEncoding, Lit, Solver, Var};
 
-use crate::constraints::{clause_count, generate_structural};
+use crate::constraints::{clause_count, generate};
 use crate::engine::ConfigEngine;
 use crate::graph::{graph_gen_indexed, HyperGraph};
 
@@ -132,18 +132,20 @@ impl ConfigEngine<'_> {
     ) -> Result<Option<(Diagnosis, HyperGraph)>, ModelError> {
         let _span = self.obs.span("config.diagnose");
         let graph = graph_gen_indexed(&self.index, partial)?;
-        let (constraints, mut assumptions) = generate_structural(&graph, self.encoding);
-        let spec_groups = assumptions.len();
-        let cnf = constraints.into_cnf();
+        let cnf = generate(&graph, self.encoding).into_cnf();
         let selector_base = cnf.num_vars();
 
         let mut solver = Solver::new();
         for _ in 0..selector_base as usize + graph.edges().len() {
             solver.new_var();
         }
+        // The stream opens with one unit clause per spec node, in node
+        // order: each unit's literal is that spec instance's assumption.
+        let spec_groups = graph.nodes().iter().filter(|n| n.from_spec()).count();
+        let mut clauses = cnf.into_clauses().into_iter();
+        let mut assumptions: Vec<Lit> = clauses.by_ref().take(spec_groups).map(|u| u[0]).collect();
         // Edge `e` owns the next `clause_count` clauses of the stream; each
         // moves into the solver with the edge's selector appended.
-        let mut clauses = cnf.into_clauses().into_iter();
         for (e, edge) in graph.edges().iter().enumerate() {
             let selector = Var(selector_base + e as u32).positive();
             assumptions.push(selector);

@@ -12,40 +12,32 @@ use engage_model::{
 use engage_sat::{ExactlyOneEncoding, Lit, SatResult, Solver, SolverStats, Var};
 use engage_util::obs::Obs;
 
-use crate::constraints::{generate, generate_structural, Constraints};
+use crate::constraints::{generate, Constraints};
 use crate::graph::{graph_gen_indexed, HyperGraph, HANDLE_NONE};
 
-/// How the engine discharges the SAT query at the heart of
-/// [`ConfigEngine::configure`]. See `docs/solver-modes.md`.
+/// How the engine discharges its SAT query: one way. Every solve runs
+/// on a [`ConfigSession`]'s solver, loaded with the paper's formula (spec
+/// instances as unit clauses); a one-shot [`ConfigEngine::configure`] is
+/// a session used once. See `docs/solver-modes.md`.
+///
+/// Kept only because the benchmark package under
+/// `crates/bench/src/bin/exp_pipeline/` spells `SolverMode::Incremental`
+/// and must build unedited; ROADMAP's benchmark-only slot deletes it
+/// together with the no-op builder methods that take it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SolverMode {
-    /// One CDCL solver, built fresh per configure call (the paper's
-    /// MiniSat setup).
+    /// The one mode.
     #[default]
-    Serial,
-    /// Keep a solver alive across [`ConfigEngine::reconfigure`] calls:
-    /// spec instances become assumptions, learnt clauses carry over
-    /// whenever the structural constraints are unchanged.
     Incremental,
 }
 
-impl fmt::Display for SolverMode {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            SolverMode::Serial => write!(f, "serial"),
-            SolverMode::Incremental => write!(f, "incremental"),
-        }
-    }
-}
-
-/// State carried across [`ConfigEngine::reconfigure`] calls in
-/// [`SolverMode::Incremental`]: the last plan's structure — hypergraph,
-/// structural constraints, spec literals — and the live solver loaded
-/// with it, under one key. A reconfigure whose partial spec has the same
-/// *shape* (ids, keys, inside links; config-value edits keep it) against
-/// the same universe index and encoding reuses all of it; anything else
-/// replaces all of it. Cheap to create; a fresh session simply makes the
-/// first solve a build.
+/// State carried across [`ConfigEngine::reconfigure`] calls: the last
+/// plan's structure — hypergraph and constraints — and the live solver
+/// loaded with it, under one key. A reconfigure whose partial spec has
+/// the same *shape* (ids, keys, inside links; config-value edits keep
+/// it) against the same universe index and encoding reuses all of it;
+/// anything else replaces all of it. Cheap to create; a fresh session
+/// simply makes the first solve a build.
 ///
 /// The universe is recognised by the *identity* of the engine's
 /// `Arc<UniverseIndex>`, so engines meant to share a session must share
@@ -67,9 +59,9 @@ struct Live {
     encoding: ExactlyOneEncoding,
     graph: Arc<HyperGraph>,
     constraints: Arc<Constraints>,
-    /// The spec instances as assumptions (empty in serial mode, where
-    /// they are unit clauses of `constraints`).
-    spec_lits: Vec<Lit>,
+    /// Loaded with `constraints`, spec units included: the shape key
+    /// fixes the spec nodes, so they hold for as long as the solver
+    /// lives and only placement pins are ever assumed.
     solver: Solver,
 }
 
@@ -151,11 +143,12 @@ pub struct ConfigOutcome {
     constraints: Arc<Constraints>,
     /// CNF size: (variables, clauses).
     pub cnf_size: (u32, usize),
-    /// SAT-solver statistics (deterministic in both modes).
+    /// SAT-solver statistics, cumulative over the session's solver
+    /// (deterministic).
     pub solver_stats: SolverStats,
-    /// Whether an incremental session's live solver (and its learnt
-    /// clauses) was reused instead of rebuilt. Always `false` outside
-    /// [`ConfigEngine::reconfigure`] in [`SolverMode::Incremental`].
+    /// Whether the session's live solver (and its learnt clauses) was
+    /// reused instead of rebuilt. Always `false` for
+    /// [`ConfigEngine::configure`].
     pub reused_solver: bool,
     /// Whether the session's hypergraph and constraints were reused
     /// (same spec shape), skipping GraphGen and constraint generation
@@ -189,7 +182,6 @@ pub struct ConfigEngine<'a> {
     pub(crate) encoding: ExactlyOneEncoding,
     verify: bool,
     pub(crate) obs: Obs,
-    solver_mode: SolverMode,
 }
 
 impl<'a> ConfigEngine<'a> {
@@ -211,7 +203,6 @@ impl<'a> ConfigEngine<'a> {
             encoding: ExactlyOneEncoding::Pairwise,
             verify: true,
             obs: Obs::disabled(),
-            solver_mode: SolverMode::Serial,
         }
     }
 
@@ -223,16 +214,10 @@ impl<'a> ConfigEngine<'a> {
         self
     }
 
-    /// Selects how the SAT query is discharged (builder-style). Serial
-    /// by default; see [`SolverMode`].
-    pub fn with_solver_mode(mut self, mode: SolverMode) -> Self {
-        self.solver_mode = mode;
+    /// Does nothing: there is one solver mode. Kept only for the
+    /// benchmark package, which calls it; see [`SolverMode`].
+    pub fn with_solver_mode(self, _mode: SolverMode) -> Self {
         self
-    }
-
-    /// The engine's solver mode.
-    pub fn solver_mode(&self) -> SolverMode {
-        self.solver_mode
     }
 
     /// Reports phase spans and solver counters into `obs`
@@ -288,9 +273,10 @@ impl<'a> ConfigEngine<'a> {
     /// Computes a full installation specification extending `partial`
     /// (§4: GraphGen → constraint generation → SAT → port propagation).
     ///
-    /// In [`SolverMode::Incremental`] this runs through a throwaway
-    /// session; to actually amortize solver state across calls, hold a
-    /// [`ConfigSession`] and use [`ConfigEngine::reconfigure`].
+    /// A session used once: it is built, solved and dropped before port
+    /// propagation, so the solver is not alive during the tail. To
+    /// amortize solver state across calls, hold a [`ConfigSession`] and
+    /// use [`ConfigEngine::reconfigure`].
     ///
     /// # Errors
     ///
@@ -301,12 +287,11 @@ impl<'a> ConfigEngine<'a> {
     }
 
     /// [`ConfigEngine::configure`] with solver state carried in
-    /// `session`. In [`SolverMode::Incremental`] the session's live
-    /// solver — learnt clauses, activities, phases — is reused whenever
-    /// the structural constraints (the hypergraph shape) are unchanged,
-    /// which is the common case for small edits to a partial spec: the
-    /// spec instances enter as assumptions, not clauses. Serial mode
-    /// ignores the session and behaves exactly like `configure`.
+    /// `session`. The session's live solver — learnt clauses,
+    /// activities, phases — is reused whenever the partial spec has the
+    /// session's shape (config-value edits keep it), which is the common
+    /// case for small edits; a fresh session's first solve is exactly
+    /// `configure`'s.
     ///
     /// # Errors
     ///
@@ -319,17 +304,15 @@ impl<'a> ConfigEngine<'a> {
         self.configure_inner(partial, Some(session), &[])
     }
 
-    /// [`ConfigEngine::reconfigure`] with *placement pins*: in
-    /// [`SolverMode::Incremental`] every pinned instance that exists in
-    /// the hypergraph is added as a positive assumption literal, so the
+    /// [`ConfigEngine::reconfigure`] with *placement pins*: every pinned
+    /// instance that exists in the hypergraph is assumed true, so the
     /// solver keeps still-healthy placements and produces a minimal-delta
     /// model instead of a fresh placement. Pins naming instances absent
     /// from the graph are ignored; if the pin set itself is
     /// unsatisfiable (e.g. a pinned instance conflicts with a repair),
     /// the solve is retried *without* pins rather than failing — a
     /// wedged pin set must never block recovery (the
-    /// `config.pins.relaxed` counter records the fallback). Serial
-    /// mode ignores pins entirely.
+    /// `config.pins.relaxed` counter records the fallback).
     ///
     /// # Errors
     ///
@@ -350,14 +333,10 @@ impl<'a> ConfigEngine<'a> {
         pins: &[InstanceId],
     ) -> Result<ConfigOutcome, ConfigError> {
         let _configure = self.obs.span("config.configure");
-        let incremental = self.solver_mode == SolverMode::Incremental;
-        // Serial mode, and an incremental configure with no session to
-        // carry, run through a session dropped on return.
+        // With no session to carry, solve through one dropped before
+        // propagation.
         let mut local = ConfigSession::new();
-        let session = match session {
-            Some(s) if incremental => s,
-            _ => &mut local,
-        };
+        let session = session.unwrap_or(&mut local);
         // A shape-preserving spec edit (config values only) against the
         // same index and encoding keeps the structure and its solver.
         let reused = match &mut session.live {
@@ -377,30 +356,22 @@ impl<'a> ConfigEngine<'a> {
         };
         let live = session.live.as_mut().expect("reused or just built");
         let (graph, constraints) = (Arc::clone(&live.graph), Arc::clone(&live.constraints));
+        let cnf = constraints.cnf();
+        let cnf_size = (cnf.num_vars(), cnf.num_clauses());
         self.obs
             .gauge("config.graph_nodes")
             .set(graph.nodes().len() as i64);
-        // Count spec literals as the unit clauses they stand for, so
-        // cnf_size is comparable across solver modes.
-        let logical_clauses = constraints.cnf().num_clauses() + live.spec_lits.len();
-        self.obs
-            .gauge("config.cnf_vars")
-            .set(constraints.cnf().num_vars() as i64);
-        self.obs
-            .gauge("config.cnf_clauses")
-            .set(logical_clauses as i64);
-        // Placement pins (incremental mode only): assume each pinned
-        // instance that the graph knows about, so the model keeps those
-        // placements. Unknown pins are skipped, not errors — a pin is a
-        // preference about an instance that may have left the spec.
-        let pin_lits: Vec<Lit> = if incremental {
-            pins.iter()
-                .filter_map(|id| graph.handle_of(id))
-                .map(|h| Var(h).positive())
-                .collect()
-        } else {
-            Vec::new()
-        };
+        self.obs.gauge("config.cnf_vars").set(cnf_size.0 as i64);
+        self.obs.gauge("config.cnf_clauses").set(cnf_size.1 as i64);
+        // Placement pins: assume each pinned instance that the graph
+        // knows about, so the model keeps those placements. Unknown pins
+        // are skipped, not errors — a pin is a preference about an
+        // instance that may have left the spec.
+        let pin_lits: Vec<Lit> = pins
+            .iter()
+            .filter_map(|id| graph.handle_of(id))
+            .map(|h| Var(h).positive())
+            .collect();
         let result = {
             let _s = self.obs.span("config.solve");
             // The first solve on a solver just built is the rebuild the
@@ -408,9 +379,9 @@ impl<'a> ConfigEngine<'a> {
             let mut fresh = !reused;
             let solver = &mut live.solver;
             let mut solve = |assumptions: &[Lit]| {
-                if incremental && fresh {
+                if fresh {
                     self.obs.counter("sat.incremental.rebuilds").incr();
-                } else if incremental {
+                } else {
                     self.obs.counter("sat.incremental.reuses").incr();
                     self.obs
                         .counter("sat.incremental.reused_clauses")
@@ -420,19 +391,19 @@ impl<'a> ConfigEngine<'a> {
                 solver.solve_with_assumptions(assumptions)
             };
             if pin_lits.is_empty() {
-                solve(&live.spec_lits)
+                solve(&[])
             } else {
                 self.obs
                     .counter("config.pins.assumed")
                     .add(pin_lits.len() as u64);
-                let first = solve(&[&live.spec_lits[..], &pin_lits].concat());
+                let first = solve(&pin_lits);
                 if first.is_sat() {
                     first
                 } else {
                     // The pins themselves are over-constraining; relax
                     // them and re-place freely rather than report UNSAT.
                     self.obs.counter("config.pins.relaxed").incr();
-                    solve(&live.spec_lits)
+                    solve(&[])
                 }
             }
         };
@@ -464,7 +435,7 @@ impl<'a> ConfigEngine<'a> {
         }
         Ok(ConfigOutcome {
             spec,
-            cnf_size: (constraints.cnf().num_vars(), logical_clauses),
+            cnf_size,
             graph,
             constraints,
             solver_stats,
@@ -474,9 +445,10 @@ impl<'a> ConfigEngine<'a> {
     }
 
     /// GraphGen, constraint generation and the solver load — the one
-    /// place a plan structure and its solver come into being. Incremental
-    /// mode splits off the spec units as assumption literals; serial mode
-    /// loads the full formula (the paper's MiniSat setup).
+    /// place a plan structure and its solver come into being. The solver
+    /// holds the paper's whole formula, spec units included (MiniSat's
+    /// setup in §4), and mirrors its search counters into the engine's
+    /// obs for as long as it lives.
     fn build(&self, partial: &PartialInstallSpec) -> Result<Live, ConfigError> {
         let graph = {
             let _s = self.obs.span("config.graphgen");
@@ -490,23 +462,17 @@ impl<'a> ConfigEngine<'a> {
             .gauge("config.graphgen.edges")
             .set(graph.edges().len() as i64);
         self.report_index_stats();
-        let (constraints, spec_lits) = {
+        let constraints = {
             let _s = self.obs.span("config.constraint_gen");
-            match self.solver_mode {
-                SolverMode::Incremental => generate_structural(&graph, self.encoding),
-                SolverMode::Serial => (generate(&graph, self.encoding), Vec::new()),
-            }
+            generate(&graph, self.encoding)
         };
         let mut solver = Solver::from_cnf(constraints.cnf());
-        if self.solver_mode == SolverMode::Serial {
-            solver.set_obs(&self.obs);
-        }
+        solver.set_obs(&self.obs);
         Ok(Live {
             index: Arc::clone(&self.index),
             encoding: self.encoding,
             graph: Arc::new(graph),
             constraints: Arc::new(constraints),
-            spec_lits,
             solver,
         })
     }
@@ -642,13 +608,21 @@ mod tests {
         ]
         .into_iter()
         .collect();
-        for mode in [SolverMode::Serial, SolverMode::Incremental] {
-            let err = ConfigEngine::new(&u)
-                .with_solver_mode(mode)
-                .configure(&partial)
-                .unwrap_err();
+        // One-shot, then twice through one session (cold, then warm on
+        // a solver already refuted).
+        let engine = ConfigEngine::new(&u);
+        let mut session = ConfigSession::new();
+        for (step, err) in [
+            engine.configure(&partial),
+            engine.reconfigure(&mut session, &partial),
+            engine.reconfigure(&mut session, &partial),
+        ]
+        .into_iter()
+        .map(Result::unwrap_err)
+        .enumerate()
+        {
             let ConfigError::Unsatisfiable { constraints } = err else {
-                panic!("{mode}: expected Unsatisfiable, got {err:?}");
+                panic!("step {step}: expected Unsatisfiable, got {err:?}");
             };
             for line in [
                 "jdk    (from install spec)",
@@ -657,23 +631,35 @@ mod tests {
             ] {
                 assert!(
                     constraints.lines().any(|l| l == line),
-                    "{mode}: `{line}` missing from\n{constraints}"
+                    "step {step}: `{line}` missing from\n{constraints}"
                 );
             }
         }
     }
 
     #[test]
-    fn solver_modes_agree_on_openmrs() {
+    fn configure_is_a_fresh_session_used_once() {
+        // The one-shot path and a fresh session's first solve are the
+        // same search on the same formula; a warm repeat gives back the
+        // last model (saved phases) without a rebuild.
         let u = openmrs_universe();
-        let serial = ConfigEngine::new(&u).configure(&figure_2()).unwrap();
-        let out = ConfigEngine::new(&u)
-            .with_solver_mode(SolverMode::Incremental)
-            .configure(&figure_2())
-            .unwrap();
-        assert_eq!(out.spec.len(), serial.spec.len());
-        assert_eq!(out.cnf_size, serial.cnf_size);
-        assert!(!out.reused_solver, "no session to reuse");
+        let engine = ConfigEngine::new(&u);
+        let once = engine.configure(&figure_2()).unwrap();
+        assert!(!once.reused_solver, "no session to reuse");
+        let mut session = ConfigSession::new();
+        let cold = engine.reconfigure(&mut session, &figure_2()).unwrap();
+        let render = |out: &ConfigOutcome| engage_dsl::render_install_spec(&out.spec);
+        assert_eq!(render(&cold), render(&once));
+        assert_eq!(cold.solver_stats, once.solver_stats);
+        assert_eq!(cold.cnf_size, once.cnf_size);
+        assert!(!cold.reused_solver);
+        let warm = engine.reconfigure(&mut session, &figure_2()).unwrap();
+        assert!(warm.reused_solver);
+        assert_eq!(render(&warm), render(&once));
+        assert_eq!(
+            warm.cnf_size, once.cnf_size,
+            "units counted once, not per solve"
+        );
     }
 
     /// Four types; `App 1` needs the database named by `app_env`.
@@ -704,10 +690,10 @@ mod tests {
             out.spec.iter().map(|i| i.key().to_string()).collect()
         };
         let mut session = ConfigSession::new();
-        let engine_a = ConfigEngine::new(&a).with_solver_mode(SolverMode::Incremental);
+        let engine_a = ConfigEngine::new(&a);
         let first = engine_a.reconfigure(&mut session, &partial).unwrap();
         assert!(keys(&first).contains("DbA 1"));
-        let engine_b = ConfigEngine::new(&b).with_solver_mode(SolverMode::Incremental);
+        let engine_b = ConfigEngine::new(&b);
         let second = engine_b.reconfigure(&mut session, &partial).unwrap();
         assert!(
             !second.reused_structure,
@@ -717,7 +703,6 @@ mod tests {
         // Engines sharing one index (the daemon's per-request wrappers)
         // still hit the cache.
         let again = ConfigEngine::new_with_index(&b, Arc::clone(engine_b.index()))
-            .with_solver_mode(SolverMode::Incremental)
             .reconfigure(&mut session, &partial)
             .unwrap();
         assert!(again.reused_structure && again.reused_solver);
@@ -726,7 +711,7 @@ mod tests {
     #[test]
     fn reconfigure_reuses_session_for_same_shape() {
         let u = openmrs_universe();
-        let engine = ConfigEngine::new(&u).with_solver_mode(SolverMode::Incremental);
+        let engine = ConfigEngine::new(&u);
         let mut session = ConfigSession::new();
         let first = engine.reconfigure(&mut session, &figure_2()).unwrap();
         assert!(!first.reused_solver, "first solve builds");
@@ -735,11 +720,6 @@ mod tests {
         assert!(second.reused_solver, "same structural CNF: solver kept");
         assert!(second.reused_structure, "same shape: graph kept");
         assert_eq!(second.spec.len(), first.spec.len());
-        // Serial mode ignores the session entirely.
-        let serial = ConfigEngine::new(&u);
-        let out = serial.reconfigure(&mut session, &figure_2()).unwrap();
-        assert!(!out.reused_solver);
-        assert!(!out.reused_structure);
     }
 
     #[test]
@@ -748,7 +728,7 @@ mod tests {
         // structure cache and the live solver are reused — and the new
         // value must still land in the produced full spec.
         let u = openmrs_universe();
-        let engine = ConfigEngine::new(&u).with_solver_mode(SolverMode::Incremental);
+        let engine = ConfigEngine::new(&u);
         let mut session = ConfigSession::new();
         engine.reconfigure(&mut session, &figure_2()).unwrap();
 
@@ -797,7 +777,7 @@ mod tests {
     #[test]
     fn warm_reconfigure_hands_back_the_same_graph_allocation() {
         let u = openmrs_universe();
-        let engine = ConfigEngine::new(&u).with_solver_mode(SolverMode::Incremental);
+        let engine = ConfigEngine::new(&u);
         let mut session = ConfigSession::new();
         let first = engine
             .reconfigure(&mut session, &figure_2_on("a.example.com"))
@@ -825,7 +805,7 @@ mod tests {
     #[test]
     fn held_outcome_keeps_its_values_across_a_later_edit() {
         let u = openmrs_universe();
-        let engine = ConfigEngine::new(&u).with_solver_mode(SolverMode::Incremental);
+        let engine = ConfigEngine::new(&u);
         let mut session = ConfigSession::new();
         let old = engine
             .reconfigure(&mut session, &figure_2_on("old.example.com"))
@@ -849,9 +829,7 @@ mod tests {
         // `sat.incremental.*` counters the session emits say the same.
         let u = openmrs_universe();
         let obs = Obs::new();
-        let engine = ConfigEngine::new(&u)
-            .with_solver_mode(SolverMode::Incremental)
-            .with_obs(obs.clone());
+        let engine = ConfigEngine::new(&u).with_obs(obs.clone());
         let mut session = ConfigSession::new();
         assert!(!session.is_warm());
         let steps = [
@@ -879,15 +857,15 @@ mod tests {
         assert_eq!(snap.counter("sat.incremental.rebuilds"), 4);
         assert_eq!(snap.counter("sat.incremental.reuses"), 3);
         assert_eq!(snap.counter("config.structure_reuses"), 3);
+        // Every session solver mirrors its search into the engine's obs.
+        assert!(snap.counter("sat.propagations") > 0);
     }
 
     #[test]
     fn pinned_reconfigure_steers_and_relaxes() {
         let u = openmrs_universe();
         let obs = Obs::new();
-        let engine = ConfigEngine::new(&u)
-            .with_solver_mode(SolverMode::Incremental)
-            .with_obs(obs.clone());
+        let engine = ConfigEngine::new(&u).with_obs(obs.clone());
         let mut session = ConfigSession::new();
         let first = engine.reconfigure(&mut session, &figure_2()).unwrap();
 
@@ -933,17 +911,11 @@ mod tests {
         assert!(obs.metrics().counter("config.pins.relaxed") >= 1);
         assert!(obs.metrics().counter("config.pins.assumed") > 0);
 
-        // Pins naming unknown instances are ignored; serial mode ignores
-        // pins entirely.
+        // Pins naming unknown instances are ignored.
         let unknown = engine
             .reconfigure_pinned(&mut session, &figure_2(), &["no-such".into()])
             .unwrap();
         assert_eq!(ids(&unknown.spec), ids(&first.spec));
-        let serial = ConfigEngine::new(&u);
-        let out = serial
-            .reconfigure_pinned(&mut session, &figure_2(), &chosen)
-            .unwrap();
-        assert_eq!(out.spec.len(), first.spec.len());
     }
 
     #[test]

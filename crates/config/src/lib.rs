@@ -52,7 +52,7 @@ mod engine;
 mod graph;
 mod propagate;
 
-pub use constraints::{generate, generate_legacy, generate_structural, Constraints};
+pub use constraints::{generate, generate_legacy, Constraints};
 pub use diagnose::{diagnose, ConstraintGroup, Diagnosis};
 pub use engine::{ConfigEngine, ConfigError, ConfigOutcome, ConfigSession, SolverMode};
 pub use graph::{

@@ -138,8 +138,9 @@ pub struct ReconcileRound {
     pub error: Option<String>,
 }
 
-/// Running totals across rounds, plus the repair-time metrics the
-/// `exp_reconcile` experiment commits.
+/// Running totals across rounds, plus the repair-time metrics (mean time
+/// to repair, rounds to converge) the pipeline ledger's
+/// `reconcile_storm` workload reports.
 #[derive(Debug, Clone, Default)]
 pub struct ReconcileStats {
     /// Rounds ticked.
@@ -727,9 +728,7 @@ mod tests {
 
     /// Plans `partial()` and deploys it, returning the loop plus the sim.
     fn reconciler(u: &Universe, obs: Obs) -> (ReconcileLoop<'_>, Sim) {
-        let config = ConfigEngine::new(u)
-            .with_solver_mode(engage_config::SolverMode::Incremental)
-            .with_obs(obs.clone());
+        let config = ConfigEngine::new(u).with_obs(obs.clone());
         let spec = config.configure(&partial()).unwrap().spec;
         let sim = Sim::new(DownloadSource::local_cache());
         let engine = DeploymentEngine::new(sim.clone(), u)

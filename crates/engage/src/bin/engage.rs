@@ -59,7 +59,7 @@ use std::process::ExitCode;
 use std::sync::Arc;
 
 use engage::{load_jsonl, DeployFailure, DeployJournal, Engage, ResumeMode, RetryPolicy};
-use engage_config::{generate, graph_gen, ConfigEngine, ConfigError, SolverMode};
+use engage_config::{generate, graph_gen, ConfigEngine, ConfigError};
 use engage_model::{PartialInstallSpec, Universe};
 use engage_sat::ExactlyOneEncoding;
 use engage_sim::FaultPlan;
@@ -612,7 +612,6 @@ fn run_reconcile(opts: &Options, obs: &Obs) -> Result<String, String> {
     let mut system = Engage::new(u)
         .with_packages(engage_library::package_universe())
         .with_registry(engage_library::driver_registry())
-        .with_solver_mode(SolverMode::Incremental)
         .with_obs(obs.clone());
     if opts.cloud {
         system = system.with_cloud_provisioning();

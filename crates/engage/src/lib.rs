@@ -124,11 +124,9 @@ pub struct Engage {
     auto_rollback: bool,
     kill_point: Option<u64>,
     workers: Option<usize>,
-    solver_mode: SolverMode,
-    /// Live solver state for [`SolverMode::Incremental`], shared by
-    /// every `plan`/`upgrade` on this instance. Interior mutability
-    /// keeps the planning API `&self`; a `Mutex` (not `RefCell`) keeps
-    /// `Engage: Sync`.
+    /// Live solver state, shared by every `plan`/`deploy`/`upgrade` on
+    /// this instance. Interior mutability keeps the planning API
+    /// `&self`; a `Mutex` (not `RefCell`) keeps `Engage: Sync`.
     session: Mutex<ConfigSession>,
 }
 
@@ -146,7 +144,6 @@ impl Clone for Engage {
             auto_rollback: self.auto_rollback,
             kill_point: self.kill_point,
             workers: self.workers,
-            solver_mode: self.solver_mode,
             session: Mutex::new(self.session.lock().clone()),
         }
     }
@@ -168,7 +165,6 @@ impl Engage {
             auto_rollback: false,
             kill_point: None,
             workers: None,
-            solver_mode: SolverMode::Serial,
             session: Mutex::new(ConfigSession::new()),
         }
     }
@@ -214,20 +210,10 @@ impl Engage {
         self
     }
 
-    /// Selects how the configuration engine discharges its SAT query
-    /// (builder-style; serial by default). In
-    /// [`SolverMode::Incremental`] the instance keeps a solver session
-    /// alive across `plan`/`deploy`/`upgrade` calls, so repeated
-    /// planning against the same universe reuses learnt clauses. See
-    /// `docs/solver-modes.md`.
-    pub fn with_solver_mode(mut self, mode: SolverMode) -> Self {
-        self.solver_mode = mode;
+    /// Does nothing: there is one solver mode. Kept only for the
+    /// benchmark package, which calls it; see [`SolverMode`].
+    pub fn with_solver_mode(self, _mode: SolverMode) -> Self {
         self
-    }
-
-    /// The configured solver mode.
-    pub fn solver_mode(&self) -> SolverMode {
-        self.solver_mode
     }
 
     /// Provisions machines from the simulated cloud instead of declaring
@@ -298,19 +284,17 @@ impl Engage {
     }
 
     /// Runs the configuration engine: partial installation specification →
-    /// full installation specification (§4).
+    /// full installation specification (§4). Every call goes through
+    /// this instance's session, so re-planning a partial spec of the same
+    /// shape reuses the live solver and its learnt clauses. See
+    /// `docs/solver-modes.md`.
     ///
     /// # Errors
     ///
     /// Ill-formed input or unsatisfiable constraints.
     pub fn plan(&self, partial: &PartialInstallSpec) -> Result<ConfigOutcome, EngageError> {
-        let engine = self.config_engine().with_solver_mode(self.solver_mode);
-        if self.solver_mode == SolverMode::Incremental {
-            let mut session = self.session.lock();
-            Ok(engine.reconfigure(&mut session, partial)?)
-        } else {
-            Ok(engine.configure(partial)?)
-        }
+        let mut session = self.session.lock();
+        Ok(self.config_engine().reconfigure(&mut session, partial)?)
     }
 
     /// Deploys an already-computed full installation specification.
@@ -529,7 +513,7 @@ impl Engage {
     /// Wraps a running deployment in a self-healing [`ReconcileLoop`]:
     /// each tick scans for drift, re-plans the desired partial spec with
     /// healthy placements pinned, and repairs only the delta (see
-    /// `engage_deploy::ReconcileLoop`). The loop gets its own incremental
+    /// `engage_deploy::ReconcileLoop`). The loop gets its own
     /// configuration session, so it never disturbs this instance's
     /// planning cache.
     pub fn reconciler(
@@ -537,14 +521,15 @@ impl Engage {
         partial: &PartialInstallSpec,
         deployment: Deployment,
     ) -> ReconcileLoop<'_> {
-        let config = self
-            .config_engine()
-            .with_solver_mode(SolverMode::Incremental);
-        ReconcileLoop::new(self.engine(), config, partial.clone(), deployment)
+        ReconcileLoop::new(
+            self.engine(),
+            self.config_engine(),
+            partial.clone(),
+            deployment,
+        )
     }
 
-    /// A configuration engine with this system's index and obs sink
-    /// (serial until the caller picks a mode).
+    /// A configuration engine with this system's index and obs sink.
     fn config_engine(&self) -> ConfigEngine<'_> {
         ConfigEngine::new_with_index(&self.universe, Arc::clone(&self.index))
             .with_obs(self.obs.clone())
@@ -640,16 +625,20 @@ mod tests {
     }
 
     #[test]
-    fn solver_modes_plan_identically() {
-        let serial = engage().plan(&engage_library::openmrs_partial()).unwrap();
-        let e = engage().with_solver_mode(SolverMode::Incremental);
+    fn plan_matches_a_one_shot_configure() {
+        let e = engage();
         let out = e.plan(&engage_library::openmrs_partial()).unwrap();
-        assert_eq!(out.spec.len(), serial.spec.len());
+        let once = RawConfigEngine::new(e.universe())
+            .configure(&engage_library::openmrs_partial())
+            .unwrap();
+        let render = |o: &ConfigOutcome| engage_dsl::render_install_spec(&o.spec);
+        assert_eq!(render(&out), render(&once));
+        assert_eq!(out.solver_stats, once.solver_stats);
     }
 
     #[test]
     fn incremental_facade_reuses_session_across_plans() {
-        let e = engage().with_solver_mode(SolverMode::Incremental);
+        let e = engage();
         let first = e.plan(&engage_library::openmrs_partial()).unwrap();
         assert!(!first.reused_solver);
         let second = e.plan(&engage_library::openmrs_partial()).unwrap();
@@ -658,7 +647,7 @@ mod tests {
 
     #[test]
     fn upgrade_report_carries_replan_info() {
-        let e = engage().with_solver_mode(SolverMode::Incremental);
+        let e = engage();
         let (_, mut dep) = e.deploy(&engage_library::openmrs_partial()).unwrap();
         let report = e
             .upgrade(&mut dep, &engage_library::openmrs_partial())

@@ -9,7 +9,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
 
-use engage_config::{ConfigEngine, ConfigError, ConfigSession, SolverMode};
+use engage_config::{ConfigEngine, ConfigError, ConfigSession};
 use engage_deploy::{
     Deployment, DeploymentEngine, DriverRegistry, ReconcileLoop, ReconcileOptions,
 };
@@ -289,11 +289,9 @@ impl ServerState {
             session,
             ..
         } = &mut *entry;
-        // Incremental, so repeated same-shape plans reuse the tenant's
-        // warm session.
-        let engine = ConfigEngine::new_with_index(universe, Arc::clone(index))
-            .with_solver_mode(SolverMode::Incremental)
-            .with_obs(self.obs.clone());
+        // Repeated same-shape plans reuse the tenant's warm session.
+        let engine =
+            ConfigEngine::new_with_index(universe, Arc::clone(index)).with_obs(self.obs.clone());
         let outcome = match engine.reconfigure(session, &partial) {
             Ok(o) => o,
             Err(e @ ConfigError::Unsatisfiable { .. }) => {
@@ -417,9 +415,7 @@ impl ServerState {
         Result<Vec<(String, Json)>, (ErrorKind, String)>,
         ConfigSession,
     ) {
-        let config = ConfigEngine::new_with_index(universe, index)
-            .with_solver_mode(SolverMode::Incremental)
-            .with_obs(self.obs.clone());
+        let config = ConfigEngine::new_with_index(universe, index).with_obs(self.obs.clone());
         let outcome = match config.reconfigure(&mut session, &partial) {
             Ok(o) => o,
             Err(e @ ConfigError::Unsatisfiable { .. }) => {

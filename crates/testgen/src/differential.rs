@@ -1,7 +1,8 @@
 //! The whole-pipeline differential harness: run a [`Scenario`] through
-//! configure→plan→deploy→reconfigure across the full cross-product of
-//! solver modes × schedulers × fault settings and check every cell
-//! agrees with the construction-time oracle and with every other cell.
+//! configure→plan→deploy→reconfigure — one-shot and through a carried
+//! session, then across the cross-product of schedulers × fault
+//! settings — and check every cell agrees with the construction-time
+//! oracle and with every other cell.
 //!
 //! Divergence is *reported*, not panicked, so the harness itself can be
 //! tested: [`check_scenario_perturbed`] plants a bug in one cell and a
@@ -10,18 +11,13 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use engage_config::{ConfigEngine, ConfigError, ConfigSession, ConstraintGroup, SolverMode};
+use engage_config::{ConfigEngine, ConfigError, ConfigOutcome, ConfigSession, ConstraintGroup};
 use engage_deploy::{service_name, Deployment, DeploymentEngine, RetryPolicy};
 use engage_model::{DriverState, InstallSpec, InstanceId};
 use engage_sat::{Cnf, ExactlyOneEncoding, Lit, Solver, Var};
 use engage_sim::{DownloadSource, FaultPlan, Sim};
 
 use crate::Scenario;
-
-/// The solver modes every scenario is configured under.
-pub fn solver_modes() -> [SolverMode; 2] {
-    [SolverMode::Serial, SolverMode::Incremental]
-}
 
 /// The fault environments every deployment cell runs under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,7 +193,7 @@ pub fn check_scenario_perturbed(
     if !scenario.expected.satisfiable {
         return check_unsat(scenario);
     }
-    let (spec, reconfigured) = check_solver_modes(scenario)?;
+    let (spec, reconfigured) = check_session(scenario)?;
     let configurations = check_configuration_count(scenario)?;
     let cells = check_deploy_cells(scenario, &spec, perturbation)?;
     // The reconfigured spec must deploy cleanly too (sequential engine,
@@ -227,82 +223,56 @@ fn diverged(scenario: &Scenario, cell: &str, detail: String) -> Divergence {
     }
 }
 
-/// Configure + reconfigure under every solver mode; returns the serial
-/// (canonical) full specs for the deployment legs.
-fn check_solver_modes(scenario: &Scenario) -> Result<(InstallSpec, InstallSpec), Divergence> {
-    let mut canonical: Option<(String, InstallSpec)> = None;
-    let mut canonical_re: Option<(String, InstallSpec)> = None;
-    for mode in solver_modes() {
-        let engine = ConfigEngine::new(&scenario.universe).with_solver_mode(mode);
-        // `reconfigure` so the incremental session is warm for the
-        // second leg; serial mode ignores the session entirely.
-        let mut session = ConfigSession::new();
-        let outcome = engine
-            .reconfigure(&mut session, &scenario.partial)
-            .map_err(|e| {
-                diverged(
-                    scenario,
-                    &format!("plan/{mode}"),
-                    format!("expected SAT, got: {e}"),
-                )
-            })?;
-        if let Some(n) = scenario.expected.spec_len {
-            if outcome.spec.len() != n {
-                return Err(diverged(
-                    scenario,
-                    &format!("plan/{mode}"),
-                    format!("spec length {} != oracle {n}", outcome.spec.len()),
-                ));
-            }
-        }
-        let re_outcome = engine
-            .reconfigure(&mut session, &scenario.reconfigure)
-            .map_err(|e| {
-                diverged(
-                    scenario,
-                    &format!("reconfigure/{mode}"),
-                    format!("expected SAT, got: {e}"),
-                )
-            })?;
-        if let Some(n) = scenario.expected.reconfigure_len {
-            if re_outcome.spec.len() != n {
-                return Err(diverged(
-                    scenario,
-                    &format!("reconfigure/{mode}"),
-                    format!("spec length {} != oracle {n}", re_outcome.spec.len()),
-                ));
-            }
-        }
-        let rendered = engage_dsl::render_install_spec(&outcome.spec);
-        let re_rendered = engage_dsl::render_install_spec(&re_outcome.spec);
-        match (&canonical, &canonical_re) {
-            (None, _) | (_, None) => {
-                canonical = Some((rendered, outcome.spec));
-                canonical_re = Some((re_rendered, re_outcome.spec));
-            }
-            (Some((c, _)), Some((cr, _))) if scenario.expected.unique_model => {
-                if rendered != *c {
-                    return Err(diverged(
-                        scenario,
-                        &format!("plan/{mode}"),
-                        "full spec differs from serial on a unique-model scenario".to_owned(),
-                    ));
-                }
-                if re_rendered != *cr {
-                    return Err(diverged(
-                        scenario,
-                        &format!("reconfigure/{mode}"),
-                        "reconfigured spec differs from serial on a unique-model scenario"
-                            .to_owned(),
-                    ));
-                }
-            }
-            _ => {}
-        }
+/// The two ways to ask the solver agree. A one-shot `configure` is a
+/// session used once, so against a carried [`ConfigSession`] the cold
+/// solve must render byte-identically with equal `solver_stats`, and a
+/// warm repeat of the same partial — the solver kept, its saved phases
+/// giving back the last model — must render byte-identically too; then
+/// the session takes the reconfigure step. Returns the full specs for
+/// the deployment legs.
+fn check_session(scenario: &Scenario) -> Result<(InstallSpec, InstallSpec), Divergence> {
+    let engine = ConfigEngine::new(&scenario.universe);
+    let sat = |cell: &str, result: Result<ConfigOutcome, ConfigError>| {
+        result.map_err(|e| diverged(scenario, cell, format!("expected SAT, got: {e}")))
+    };
+    let sized = |cell: &str, spec: &InstallSpec, expected: Option<usize>| match expected {
+        Some(n) if spec.len() != n => Err(diverged(
+            scenario,
+            cell,
+            format!("spec length {} != oracle {n}", spec.len()),
+        )),
+        _ => Ok(()),
+    };
+    let once = sat("plan/configure", engine.configure(&scenario.partial))?;
+    sized("plan/configure", &once.spec, scenario.expected.spec_len)?;
+    let rendered = engage_dsl::render_install_spec(&once.spec);
+    let mut session = ConfigSession::new();
+    for (cell, warm) in [("plan/session-cold", false), ("plan/session-warm", true)] {
+        let out = sat(cell, engine.reconfigure(&mut session, &scenario.partial))?;
+        let detail = if out.reused_solver != warm {
+            format!("reused_solver is {}", out.reused_solver)
+        } else if engage_dsl::render_install_spec(&out.spec) != rendered {
+            "full spec differs from the one-shot configure".to_owned()
+        } else if !warm && out.solver_stats != once.solver_stats {
+            format!(
+                "solver stats {:?} != the one-shot configure's {:?}",
+                out.solver_stats, once.solver_stats
+            )
+        } else {
+            continue;
+        };
+        return Err(diverged(scenario, cell, detail));
     }
-    let (_, spec) = canonical.expect("at least one solver mode ran");
-    let (_, reconfigured) = canonical_re.expect("at least one solver mode ran");
-    Ok((spec, reconfigured))
+    let re_outcome = sat(
+        "reconfigure",
+        engine.reconfigure(&mut session, &scenario.reconfigure),
+    )?;
+    sized(
+        "reconfigure",
+        &re_outcome.spec,
+        scenario.expected.reconfigure_len,
+    )?;
+    Ok((once.spec, re_outcome.spec))
 }
 
 /// Enumerates minimal configurations against the oracle count.
@@ -505,34 +475,40 @@ fn check_mus_certificate(groups: &[ConstraintGroup]) -> Result<(), String> {
     Ok(())
 }
 
-/// The UNSAT leg: every solver mode must reject both partials with the
-/// unsatisfiable verdict, MUS diagnosis under both encodings must carry
-/// its certificate ([`check_mus_certificate`]), and model enumeration
-/// must find nothing.
+/// The UNSAT leg: a one-shot `configure` and a carried session (cold,
+/// warm, then the reconfigure step) must all return the unsatisfiable
+/// verdict, MUS diagnosis under both encodings must carry its
+/// certificate ([`check_mus_certificate`]), and model enumeration must
+/// find nothing.
 fn check_unsat(scenario: &Scenario) -> Result<SweepStats, Divergence> {
-    for mode in solver_modes() {
-        let engine = ConfigEngine::new(&scenario.universe).with_solver_mode(mode);
-        let mut session = ConfigSession::new();
-        for (leg, partial) in [
-            ("plan", &scenario.partial),
-            ("reconfigure", &scenario.reconfigure),
-        ] {
-            match engine.reconfigure(&mut session, partial) {
-                Err(ConfigError::Unsatisfiable { .. }) => {}
-                Ok(_) => {
-                    return Err(diverged(
-                        scenario,
-                        &format!("{leg}/{mode}"),
-                        "expected UNSAT, configuration succeeded".to_owned(),
-                    ));
-                }
-                Err(e) => {
-                    return Err(diverged(
-                        scenario,
-                        &format!("{leg}/{mode}"),
-                        format!("expected the unsatisfiable verdict, got: {e}"),
-                    ));
-                }
+    let engine = ConfigEngine::new(&scenario.universe);
+    let mut session = ConfigSession::new();
+    for (cell, partial) in [
+        ("plan/configure", &scenario.partial),
+        ("plan/session-cold", &scenario.partial),
+        ("plan/session-warm", &scenario.partial),
+        ("reconfigure", &scenario.reconfigure),
+    ] {
+        let result = if cell == "plan/configure" {
+            engine.configure(partial)
+        } else {
+            engine.reconfigure(&mut session, partial)
+        };
+        match result {
+            Err(ConfigError::Unsatisfiable { .. }) => {}
+            Ok(_) => {
+                return Err(diverged(
+                    scenario,
+                    cell,
+                    "expected UNSAT, configuration succeeded".to_owned(),
+                ));
+            }
+            Err(e) => {
+                return Err(diverged(
+                    scenario,
+                    cell,
+                    format!("expected the unsatisfiable verdict, got: {e}"),
+                ));
             }
         }
     }

@@ -14,9 +14,9 @@
 //! from running the solver, so they double as an independent oracle.
 //!
 //! The [`differential`] module runs a scenario through
-//! configure→plan→deploy→reconfigure across the full cross-product of
-//! solver modes × schedulers × fault settings and checks that every
-//! cell agrees (see `docs/testing.md`).
+//! configure→plan→deploy→reconfigure — one-shot and through a carried
+//! session, then across schedulers × fault settings — and checks that
+//! every cell agrees (see `docs/testing.md`).
 //!
 //! Scenarios come from three sources:
 //!
@@ -39,8 +39,8 @@ use engage_util::prop::{Source, Strategy};
 use engage_util::rand::{Rng, SeedableRng, StdRng};
 
 pub use differential::{
-    check_scenario, check_scenario_perturbed, observe, solver_modes, Divergence, FaultSetting,
-    Observation, Perturbation, SweepStats,
+    check_scenario, check_scenario_perturbed, observe, Divergence, FaultSetting, Observation,
+    Perturbation, SweepStats,
 };
 
 /// A named topology family.
@@ -268,8 +268,8 @@ pub struct Expected {
     pub configurations: Option<u64>,
     /// Exact size of every full spec for the reconfigured partial.
     pub reconfigure_len: Option<usize>,
-    /// Every dependency resolves to exactly one candidate, so all
-    /// solver modes must produce byte-identical specs.
+    /// Every dependency resolves to exactly one candidate, so every
+    /// correct solve produces the same, byte-identical spec.
     pub unique_model: bool,
 }
 

@@ -81,6 +81,26 @@ grep -ohE -e '--(bin|example|test|bench) [A-Za-z0-9_]+' $docs | sort -u |
             exit 1
         fi
     done
+# Enum-variant guard, same exemption: a backticked `Type::Variant` (both
+# CamelCase) must name a variant of a `pub enum Type` under crates/ —
+# the lines one indent inside the enum's braces that start CamelCase.
+variants=$(git ls-files --cached --others --exclude-standard -- 'crates/*.rs' | xargs awk '
+    /^ *pub enum [A-Z]/ { ty = $3; sub(/[^A-Za-z0-9_].*/, "", ty); indent = index($0, "pub") - 1; next }
+    ty == "" { next }
+    { match($0, /^ */); lead = RLENGTH }
+    lead == indent && /^ *}/ { ty = ""; next }
+    lead == indent + 4 && match(substr($0, lead + 1), /^[A-Z][A-Za-z0-9_]*/) {
+        print ty "::" substr($0, lead + 1, RLENGTH)
+    }')
+# shellcheck disable=SC2086
+{ grep -ohE '`[A-Z][a-z0-9][A-Za-z0-9]*::[A-Z][a-z0-9][A-Za-z0-9]*' $docs || true; } |
+    tr -d '`' | sort -u |
+    while read -r item; do
+        if ! grep -qxF "$item" <<< "$variants"; then
+            echo "error: the docs name an enum variant nothing declares: $item" >&2
+            exit 1
+        fi
+    done
 if git ls-files | grep -E '(^|/)BENCH_.*\.json$' >&2; then
     echo "error: committed BENCH_*.json beside BENCHMARK.json" >&2
     exit 1

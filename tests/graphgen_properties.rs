@@ -3,9 +3,7 @@
 //! satisfiability, spec validity, and model counts, across all topology
 //! families (failures shrink to minimal knob settings).
 
-use engage_config::{
-    graph_gen, graph_gen_indexed, graph_gen_naive, ConfigEngine, ConfigSession, SolverMode,
-};
+use engage_config::{graph_gen, graph_gen_indexed, graph_gen_naive, ConfigEngine, ConfigSession};
 use engage_model::{DepKind, PartialInstallSpec, PartialInstance, UniverseIndex};
 use engage_testgen::{family_strategy, scenario_strategy, Family};
 use engage_util::prop::prelude::*;
@@ -186,7 +184,7 @@ proptest! {
         };
         let mutated_alt = s.knobs.width - 1;
 
-        let engine = ConfigEngine::new(u).with_solver_mode(SolverMode::Incremental);
+        let engine = ConfigEngine::new(u);
         let mut session = ConfigSession::new();
         let first = engine.reconfigure(&mut session, &pinned(0)).unwrap();
         // The pin doubles as machine 0's top-tier choice, so the deployed

@@ -144,7 +144,6 @@ fn reconcile_stages_nest_under_a_drifted_tick_only() {
     let engage = Engage::new(engage_library::base_universe())
         .with_packages(engage_library::package_universe())
         .with_registry(engage_library::driver_registry())
-        .with_solver_mode(engage::SolverMode::Incremental)
         .with_obs(obs.clone());
     let partial = engage_library::openmrs_partial();
     let (_, deployment) = engage.deploy(&partial).expect("openmrs deploys");
@@ -240,6 +239,48 @@ fn serve_request_span_parents_the_configure_pipeline() {
     plan(obs.clone());
     assert!(quiet.records().is_empty());
     assert_eq!(obs.metrics(), Default::default());
+}
+
+/// Every solve runs on a session whose solver mirrors its search into
+/// the engine's obs, so the two long-lived planners report solver work:
+/// a daemon `plan` request and a drifted reconcile round each raise
+/// `sat.propagations` (an idle round does not solve at all).
+#[test]
+fn daemon_plans_and_drifted_rounds_count_solver_work() {
+    use engage::serve::{ServeConfig, Server};
+    use engage_util::sync::channel;
+
+    let partial = engage_library::openmrs_partial();
+    let spec = engage_dsl::partial_spec_to_json(&partial).compact();
+    let obs = Obs::new();
+    let server = Server::new(ServeConfig::default(), obs.clone());
+    let (tx, rx) = channel::unbounded();
+    server.handle_line(
+        &format!(r#"{{"id":1,"tenant":"t","op":"plan","spec":{spec}}}"#),
+        &tx,
+    );
+    let response = rx.recv().expect("the daemon answers");
+    assert!(response.contains(r#""ok":true"#), "{response}");
+    assert!(obs.metrics().counter("sat.propagations") > 0);
+
+    let obs = Obs::new();
+    let engage = Engage::new(engage_library::base_universe())
+        .with_packages(engage_library::package_universe())
+        .with_registry(engage_library::driver_registry())
+        .with_obs(obs.clone());
+    let (_, deployment) = engage.deploy(&partial).expect("openmrs deploys");
+    let victim = deployment.monitor().watches()[0].clone();
+    let mut rl = engage.reconciler(&partial, deployment);
+    let propagations = || obs.metrics().counter("sat.propagations");
+    let before = propagations();
+    assert!(!rl.tick().expect("idle tick").replanned);
+    assert_eq!(propagations(), before, "an idle round solves nothing");
+    engage
+        .sim()
+        .crash_service(victim.host, &victim.service)
+        .expect("victim was running");
+    assert!(rl.tick().expect("drifted tick").replanned);
+    assert!(propagations() > before, "the drifted round's re-plan");
 }
 
 /// Tenant names come from clients; the metrics registry must not grow

@@ -12,7 +12,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use engage::{DeployJournal, Engage, InstanceHealth, JournalRecord, RetryPolicy, SolverMode};
+use engage::{DeployJournal, Engage, InstanceHealth, JournalRecord, RetryPolicy};
 use engage_deploy::{Deployment, ReconcileRound};
 use engage_model::{InstallSpec, InstanceId};
 use engage_sim::{DriftEvent, FaultKind, FaultOp, FaultPlan, HostId, Sim, WatchEntry};
@@ -153,7 +153,7 @@ fn drift_report_matches_injected_faults_exactly() {
 fn empty_drift_is_a_zero_action_round_for_every_family() {
     for family in Family::ALL {
         let s = scenario(family, 0);
-        let sys = Engage::new(s.universe.clone()).with_solver_mode(SolverMode::Incremental);
+        let sys = Engage::new(s.universe.clone());
         let (_, dep) = sys
             .deploy(&s.partial)
             .unwrap_or_else(|e| panic!("{}: deploy failed: {e}", s.name()));
@@ -190,7 +190,6 @@ fn reconciled_end_state_matches_a_fresh_deploy() {
 
             // Chaos run: same plan, then storms between reconcile rounds.
             let sys = Engage::new(s.universe.clone())
-                .with_solver_mode(SolverMode::Incremental)
                 .with_retry_policy(RetryPolicy::new(2).with_seed(seed));
             let (out, dep) = sys
                 .deploy(&s.partial)
@@ -249,7 +248,6 @@ fn minimal_delta_repair_beats_a_full_redeploy_on_the_simulated_clock() {
     let deployed = |obs: &Obs, seed: u64| {
         let sys = Engage::new(s.universe.clone())
             .with_obs(obs.clone())
-            .with_solver_mode(SolverMode::Incremental)
             .with_retry_policy(RetryPolicy::new(2).with_seed(seed));
         let (_, dep) = sys.deploy(&s.partial).expect("deploys");
         let full_redeploy = sys.sim().now();
@@ -315,7 +313,7 @@ fn classification_matches_injected_faults_exactly() {
     for family in Family::ALL {
         for seed in 0..sweep_seeds() {
             let s = scenario(family, seed);
-            let sys = Engage::new(s.universe.clone()).with_solver_mode(SolverMode::Incremental);
+            let sys = Engage::new(s.universe.clone());
             let (_, dep) = sys
                 .deploy(&s.partial)
                 .unwrap_or_else(|e| panic!("{}: deploy failed: {e}", s.name()));
@@ -337,7 +335,7 @@ fn one_down_service_degrades_every_instance_sharing_it() {
     let s = scenario_with(Family::ThreeLevel, 0, Knobs::small(Family::ThreeLevel));
     // The family's reconfigure spec adds `app-extra`, a second `App0`
     // release beside `app0-0` on platform 0.
-    let sys = Engage::new(s.universe.clone()).with_solver_mode(SolverMode::Incremental);
+    let sys = Engage::new(s.universe.clone());
     let (_, dep) = sys.deploy(&s.reconfigure).expect("twin spec deploys");
     let twins = [InstanceId::new("app-extra"), InstanceId::new("app0-0")];
     let host = dep.host_of(&twins[0]).expect("twins are placed");
@@ -364,9 +362,7 @@ fn one_down_service_degrades_every_instance_sharing_it() {
 fn estate_index_is_rebuilt_only_when_the_estate_changes_shape() {
     let s = scenario_with(Family::ThreeLevel, 3, Knobs::small(Family::ThreeLevel));
     let obs = Obs::new();
-    let sys = Engage::new(s.universe.clone())
-        .with_solver_mode(SolverMode::Incremental)
-        .with_obs(obs.clone());
+    let sys = Engage::new(s.universe.clone()).with_obs(obs.clone());
     let (_, dep) = sys.deploy(&s.partial).expect("deploys");
     sys.sim().set_fault_plan(FaultPlan::new(3));
     let mut rl = sys.reconciler(&s.partial, dep);
@@ -471,7 +467,6 @@ fn storm_rounds_reproduce_the_parent_commit_listing() {
     let s = scenario_with(Family::ThreeLevel, 5, Knobs::small(Family::ThreeLevel));
     let journal = DeployJournal::in_memory();
     let sys = Engage::new(s.universe.clone())
-        .with_solver_mode(SolverMode::Incremental)
         .with_retry_policy(RetryPolicy::new(2).with_seed(5))
         .with_workers(1) // a failing round commits what ran before the failure
         .with_journal(journal.clone());

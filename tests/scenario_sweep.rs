@@ -1,10 +1,10 @@
 //! Whole-pipeline differential sweep over generated scenarios: per seed
 //! and topology family, `engage_testgen` runs
-//! configure→plan→deploy→reconfigure through the full cross-product of
-//! solver modes (serial / incremental) × schedulers
-//! (sequential / wavefront) × fault settings (none /
-//! transient-chaos) and every cell must agree with the
-//! construction-time oracle and with every other cell.
+//! configure→plan→deploy→reconfigure — one-shot and through a carried
+//! session (cold ≡ one-shot in bytes and solver stats, warm ≡ cold in
+//! bytes) — then through schedulers (sequential / wavefront) × fault
+//! settings (none / transient-chaos), and every cell must agree with
+//! the construction-time oracle and with every other cell.
 //!
 //! Seed depth is controlled by `ENGAGE_SCENARIO_SWEEP_SEEDS` (default
 //! 8; `scripts/verify.sh` runs 32). A failing scenario reproduces from
@@ -73,9 +73,9 @@ fn differential_holds_at_each_family_s_largest_rung() {
 
 #[test]
 fn unsat_sweep_over_all_families() {
-    // The planted-conflict variants: every solver mode must return the
-    // unsatisfiable verdict, diagnosis must find a core, enumeration
-    // must find nothing.
+    // The planted-conflict variants: the one-shot configure and every
+    // session leg must return the unsatisfiable verdict, diagnosis must
+    // find a core, enumeration must find nothing.
     let seeds = sweep_seeds().div_ceil(2);
     for family in Family::ALL {
         for seed in 0..seeds {

@@ -20,7 +20,7 @@ fn sweep_seeds() -> u64 {
 }
 
 /// A seeded deployment case: each seed draws from the next topology
-/// family, and the serial solver plans the full spec to deploy.
+/// family, and a one-shot configure plans the full spec to deploy.
 fn case(seed: u64) -> (Scenario, InstallSpec) {
     let family = Family::ALL[(seed as usize) % Family::ALL.len()];
     let s = scenario(family, seed);

@@ -6,7 +6,7 @@
 use std::sync::Arc;
 
 use engage::serve::{ServeConfig, Server};
-use engage_config::{ConfigEngine, ConfigSession, SolverMode};
+use engage_config::{ConfigEngine, ConfigSession};
 use engage_dsl::Json;
 use engage_testgen::{scenario_strategy, Scenario};
 use engage_util::obs::Obs;
@@ -45,7 +45,7 @@ fn spec_of(resp: &Json) -> String {
 }
 
 fn oracle(s: &Scenario, requests: &[bool]) -> Vec<String> {
-    let engine = ConfigEngine::new(&s.universe).with_solver_mode(SolverMode::Incremental);
+    let engine = ConfigEngine::new(&s.universe);
     let mut session = ConfigSession::new();
     requests
         .iter()

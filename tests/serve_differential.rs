@@ -14,12 +14,12 @@
 use std::collections::BTreeMap;
 
 use engage::serve::{ServeConfig, Server};
-use engage_config::{diagnose, ConfigEngine, ConfigError, ConfigSession, SolverMode};
+use engage_config::{diagnose, ConfigEngine, ConfigError, ConfigSession};
 use engage_deploy::DeploymentEngine;
 use engage_dsl::Json;
 use engage_sat::ExactlyOneEncoding;
 use engage_sim::{DownloadSource, Sim};
-use engage_testgen::{scenario, unsat_scenario, Family, Scenario};
+use engage_testgen::{scenario, scenario_with, unsat_scenario, Family, Knobs, Scenario};
 use engage_util::obs::Obs;
 use engage_util::sync::channel::{self, Receiver, Sender};
 
@@ -121,11 +121,11 @@ fn daemon_plans_match_the_one_shot_engine() {
     let second = round(&srv, &tx, &rx, &lines);
 
     for s in &scenarios {
-        // Oracle: a fresh one-shot engine performing the identical
-        // solve sequence (partial, then reconfigure) in the daemon's
-        // solver mode. Incremental solving is deterministic, so the
-        // daemon must reproduce it byte for byte.
-        let engine = ConfigEngine::new(&s.universe).with_solver_mode(SolverMode::Incremental);
+        // Oracle: a fresh engine performing the identical solve
+        // sequence (partial, then reconfigure) on a session of its own.
+        // Solving is deterministic, so the daemon must reproduce it byte
+        // for byte.
+        let engine = ConfigEngine::new(&s.universe);
         let mut session = ConfigSession::new();
         let oracle_first = engine.reconfigure(&mut session, &s.partial).unwrap();
         let oracle_second = engine.reconfigure(&mut session, &s.reconfigure).unwrap();
@@ -151,19 +151,17 @@ fn daemon_plans_match_the_one_shot_engine() {
             s.name()
         );
 
-        // On unique-model scenarios every solver mode agrees, so the
-        // daemon must also match the plain serial one-shot plan.
-        if s.expected.unique_model {
-            let serial = ConfigEngine::new(&s.universe)
-                .configure(&s.partial)
-                .unwrap();
-            assert_eq!(
-                response_spec(daemon_first),
-                engage_dsl::render_install_spec(&serial.spec),
-                "{}: daemon plan diverges from the serial engine",
-                s.name()
-            );
-        }
+        // A fresh tenant's first plan is a cold session solve, which is
+        // the one-shot configure, on every scenario.
+        let once = ConfigEngine::new(&s.universe)
+            .configure(&s.partial)
+            .unwrap();
+        assert_eq!(
+            response_spec(daemon_first),
+            engage_dsl::render_install_spec(&once.spec),
+            "{}: daemon plan diverges from the one-shot configure",
+            s.name()
+        );
         if let Some(n) = s.expected.spec_len {
             assert_eq!(
                 daemon_first.get("spec_len"),
@@ -173,6 +171,47 @@ fn daemon_plans_match_the_one_shot_engine() {
             );
         }
     }
+}
+
+/// A fresh session's first solve is the one-shot configure's search —
+/// the spec instances are unit clauses of the formula, never assumption
+/// levels — so on a multi-model `DbTiers` scenario (width > 1, where the
+/// search has real choices) the daemon's cold tenant and a fresh
+/// `reconfigure` both reproduce `configure`'s decisions, conflicts and
+/// propagations, and its plan.
+#[test]
+fn a_fresh_session_searches_exactly_like_configure() {
+    let knobs = Knobs {
+        machines: 3,
+        depth: 3,
+        width: 3,
+        ..Knobs::small(Family::DbTiers)
+    };
+    let s = scenario_with(Family::DbTiers, 1, knobs);
+    assert!(!s.expected.unique_model);
+    let counts = |obs: &Obs| {
+        let m = obs.metrics();
+        ["sat.decisions", "sat.conflicts", "sat.propagations"].map(|c| m.counter(c))
+    };
+    let one_shot_obs = Obs::new();
+    let engine = ConfigEngine::new(&s.universe).with_obs(one_shot_obs.clone());
+    let once = engine.configure(&s.partial).unwrap();
+    assert!(once.solver_stats.decisions > 0, "the search has choices");
+    let cold = engine
+        .reconfigure(&mut ConfigSession::new(), &s.partial)
+        .unwrap();
+    assert_eq!(cold.solver_stats, once.solver_stats);
+    let rendered = engage_dsl::render_install_spec(&once.spec);
+    assert_eq!(engage_dsl::render_install_spec(&cold.spec), rendered);
+
+    let srv = server(1);
+    let (tx, rx) = channel::unbounded();
+    let line = request_line("cold", "fresh-tenant", "plan", &s, false);
+    let response = &round(&srv, &tx, &rx, &[line])["cold"];
+    assert_eq!(response_spec(response), rendered);
+    // The one-shot engine above solved twice, the daemon once.
+    let [d, c, p] = counts(&one_shot_obs);
+    assert_eq!(counts(srv.obs()), [d / 2, c / 2, p / 2]);
 }
 
 /// The session pool's accounting, in counts: a request under a fresh
@@ -231,11 +270,11 @@ fn daemon_deploys_match_the_one_shot_end_state() {
 
     for s in &scenarios {
         let resp = &responses[&s.name()];
-        // One-shot oracle: same solver mode, fresh sim, sequential
-        // deployment of the same spec.
-        let engine = ConfigEngine::new(&s.universe).with_solver_mode(SolverMode::Incremental);
-        let mut session = ConfigSession::new();
-        let outcome = engine.reconfigure(&mut session, &s.partial).unwrap();
+        // One-shot oracle: configure, fresh sim, sequential deployment
+        // of the same spec.
+        let outcome = ConfigEngine::new(&s.universe)
+            .configure(&s.partial)
+            .unwrap();
         assert_eq!(
             response_spec(resp),
             engage_dsl::render_install_spec(&outcome.spec),
@@ -301,7 +340,7 @@ fn reconcile_line(id: &str, tenant: &str, s: &Scenario, ticks: i64, chaos: f64) 
 /// reconciliation re-plans under pinned assumptions through a dedicated
 /// pooled session, so a reconfigure racing a reconcile for the same
 /// tenant still hits the warm plan session and still byte-matches the
-/// one-shot incremental oracle.
+/// one-shot session oracle.
 #[test]
 fn reconcile_requests_leave_the_plan_session_warm() {
     let srv = server(2);
@@ -362,7 +401,7 @@ fn reconcile_requests_leave_the_plan_session_warm() {
         Some(&Json::Bool(true)),
         "reconcile evicted or missed the tenant's pool entry"
     );
-    let engine = ConfigEngine::new(&a.universe).with_solver_mode(SolverMode::Incremental);
+    let engine = ConfigEngine::new(&a.universe);
     let mut session = ConfigSession::new();
     engine.reconfigure(&mut session, &a.partial).unwrap();
     let oracle = engine.reconfigure(&mut session, &a.reconfigure).unwrap();
