@@ -5,11 +5,11 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use engage_model::{
-    topological_order, BasicState, DriverSpec, DriverState, Guard, InstallSpec, InstanceId,
-    ModelError, ResourceInstance, ResourceKey, StatePred, Transition, Universe,
+    topological_order, topological_positions, BasicState, DriverSpec, DriverState, InstallSpec,
+    InstanceId, ModelError, ResourceInstance, ResourceKey, Transition, Universe,
 };
 use engage_sim::{HostId, Monitor, Os, Sim};
 use engage_util::obs::Obs;
@@ -17,6 +17,7 @@ use engage_util::obs::Obs;
 use crate::action::{service_name, ActionCtx, DriverRegistry};
 use crate::error::{DeployError, DeployFailure};
 use crate::journal::{parse_driver_state, parse_os, DeployJournal, JournalRecord};
+use crate::parallel::ParallelOutcome;
 use crate::retry::RetryPolicy;
 
 /// How an interrupted deployment's journal is brought back to life by
@@ -287,10 +288,11 @@ impl Deployment {
     }
 }
 
-/// The spec's dependency order, or the one cycle error every walk and
+/// The spec positions in dependency order, read off the spec's
+/// `dependents` table, or the one cycle error every operation and
 /// selection over it reports.
-pub(crate) fn ordered(spec: &InstallSpec) -> Result<Vec<InstanceId>, DeployError> {
-    topological_order(spec).ok_or_else(|| {
+pub(crate) fn ordered(dependents: &[Vec<usize>]) -> Result<Vec<usize>, DeployError> {
+    topological_positions(dependents).ok_or_else(|| {
         DeployError::Model(ModelError::SpecError {
             detail: "instance dependency graph has a cycle".into(),
         })
@@ -319,9 +321,9 @@ pub struct DeploymentEngine<'a> {
     /// one asking for `inactive` also accepts `uninstalled` (the
     /// dependent is *more* stopped than required — exact-state matching
     /// would wedge the rollback of a stack whose lower layers never got
-    /// installed). And a walk is best-effort: an instance that fails to
-    /// come down does not keep the rest up.
-    teardown: bool,
+    /// installed). And a walk is best-effort: a transition that fails, or
+    /// whose guard can never hold, skips only its DAG descendants.
+    pub(crate) teardown: bool,
     workers: Option<usize>,
 }
 
@@ -466,24 +468,49 @@ impl<'a> DeploymentEngine<'a> {
         &self,
         spec: &InstallSpec,
     ) -> Result<Deployment, Box<DeployFailure>> {
-        let _span = self
-            .obs
-            .span_with("deploy.deploy", &[("instances", &spec.len().to_string())]);
+        self.deploy_on(spec, false)
+            .map(|outcome| outcome.deployment)
+    }
+
+    /// The one deploy body, under `deploy` (one worker) and
+    /// `deploy_parallel` (the pool): provisions the machines, runs the
+    /// bring-up DAG and registers the running services — or builds the
+    /// failure report, rolling back when enabled.
+    pub(crate) fn deploy_on(
+        &self,
+        spec: &InstallSpec,
+        parallel: bool,
+    ) -> Result<ParallelOutcome, Box<DeployFailure>> {
+        let machines = spec.iter().filter(|i| i.inside_link().is_none()).count();
+        let (name, workers) = if parallel {
+            ("deploy.parallel", self.pool_size(machines))
+        } else {
+            ("deploy.deploy", 1)
+        };
+        let (instances, slaves) = (spec.len().to_string(), workers.to_string());
+        let fields = [("instances", instances.as_str()), ("slaves", &slaves)];
+        let _span = self.obs.span_with(name, &fields);
         let mut dep = Deployment::fresh(spec);
         self.provision_machines(&mut dep);
-        match self.activate_all(&mut dep) {
-            Ok(()) => {
-                self.register_services(&mut dep);
-                Ok(dep)
-            }
-            Err(error) => Err(self.recover(dep, error)),
+        let started = Instant::now();
+        let run = self.execute(&mut dep, BasicState::Active, None, workers);
+        let wall = started.elapsed();
+        // A static compile error (nothing ran) and a failed run recover
+        // alike, from whatever `dep` now holds.
+        if let Err(error) | Ok((_, Some(error))) = run {
+            return Err(self.recover(dep, error));
         }
+        self.register_services(&mut dep);
+        Ok(ParallelOutcome {
+            deployment: dep,
+            wall,
+            slaves: workers,
+        })
     }
 
     /// Builds the failure report for a partial deployment, running the
-    /// automatic rollback when enabled (shared by the sequential and
-    /// parallel paths).
-    pub(crate) fn recover(&self, mut dep: Deployment, error: DeployError) -> Box<DeployFailure> {
+    /// automatic rollback when enabled.
+    fn recover(&self, mut dep: Deployment, error: DeployError) -> Box<DeployFailure> {
         let completed = dep.timeline.clone();
         let states = dep.states.clone();
         let rolled_back =
@@ -532,7 +559,7 @@ impl<'a> DeploymentEngine<'a> {
 
     /// Registers every running service with the monitor (the monit
     /// plugin's post-deploy configuration generation, §5.2). Shared by
-    /// the sequential, parallel, and resume paths.
+    /// the deploy and resume paths.
     pub(crate) fn register_services(&self, dep: &mut Deployment) {
         for inst in dep.spec.iter() {
             if let Some(host) = dep.host_of(inst.id()) {
@@ -723,113 +750,57 @@ impl<'a> DeploymentEngine<'a> {
     }
 
     /// The one stack walk every lifecycle operation is made of (§5.2):
-    /// drives each instance `only` admits to `target` — in dependency
-    /// order when bringing up to `active`, in reverse dependency order
-    /// when taking down to `inactive` or `uninstalled`. `only` is asked
-    /// as the walk reaches the instance, so it sees the states earlier
-    /// drives left. The first failed drive ends the walk; a
-    /// [`DeploymentEngine::teardown_clone`] walks on to the end first.
+    /// drives each instance `only` admits (asked once, before the DAG is
+    /// built) to `target` on the executor's one worker. The first failure
+    /// ends the walk; on a [`DeploymentEngine::teardown_clone`] it skips
+    /// only its DAG descendants and is reported after the rest.
     ///
     /// # Errors
     ///
-    /// A dependency cycle in the spec (nothing is driven), else the
-    /// first pathing, guard, or action failure.
+    /// What the DAG build rejects (nothing is driven then), else the
+    /// first action failure in DAG order.
     pub(crate) fn sweep(
         &self,
         dep: &mut Deployment,
         target: BasicState,
         only: impl Fn(&Deployment, &InstanceId) -> bool,
     ) -> Result<(), DeployError> {
-        let mut order = ordered(&dep.spec)?;
-        if target != BasicState::Active {
-            order.reverse();
+        let admitted: Vec<bool> = dep.spec.iter().map(|i| only(dep, i.id())).collect();
+        match self.execute(dep, target, Some(&admitted), 1)? {
+            (_, Some(error)) => Err(error),
+            (_, None) => Ok(()),
         }
-        // `↓s` guards ask for an instance's dependents at every step of
-        // the walk: one table here, not a scan of the spec per guard.
-        let dependents = dep.spec.dependents_table();
-        let mut outcome = Ok(());
-        for id in &order {
-            if only(dep, id) {
-                let driven = self.drive(dep, id, target, &dependents);
-                if driven.is_err() && !self.teardown {
-                    return driven;
-                }
-                outcome = outcome.and(driven);
-            }
-        }
-        outcome
     }
 
-    /// Drives one instance's driver to a basic state, firing guarded
-    /// transitions along the shortest path.
+    /// Drives one instance's driver to a basic state along its shortest
+    /// path, every other instance staying where it is.
     ///
     /// # Errors
     ///
-    /// [`DeployError::NoPath`] if the driver cannot reach the state,
-    /// [`DeployError::GuardFailed`] if a guard does not hold when needed,
-    /// or the action's own failure.
+    /// [`DeployError::UnknownInstance`], [`DeployError::NoPath`] if the
+    /// driver cannot reach the state, [`DeployError::GuardFailed`] if a
+    /// guard on the path can never hold against the other instances'
+    /// states (nothing runs then), or the action's own failure.
     pub fn drive_to(
         &self,
         dep: &mut Deployment,
         id: &InstanceId,
         target: BasicState,
     ) -> Result<(), DeployError> {
-        let dependents = dep.spec.dependents_table();
-        self.drive(dep, id, target, &dependents)
+        if dep.spec.get(id).is_none() {
+            return Err(DeployError::UnknownInstance {
+                instance: id.clone(),
+            });
+        }
+        self.sweep(dep, target, |_, other| other == id)
     }
 
-    /// [`DeploymentEngine::drive_to`] against the spec's
-    /// [`InstallSpec::dependents_table`], which a walk builds once.
-    fn drive(
-        &self,
-        dep: &mut Deployment,
-        id: &InstanceId,
-        target: BasicState,
-        dependents: &[Vec<usize>],
-    ) -> Result<(), DeployError> {
-        let inst = dep
-            .spec
-            .get(id)
-            .ok_or_else(|| DeployError::UnknownInstance {
-                instance: id.clone(),
-            })?;
-        let driver = self.universe.effective_driver(inst.key())?;
-        let target_state = DriverState::Basic(target);
-        if dep.states[id] == target_state {
-            return Ok(());
-        }
-        // BFS for the shortest action path.
-        let path = find_path(&driver, &dep.states[id], &target_state).ok_or_else(|| {
-            DeployError::NoPath {
-                instance: id.clone(),
-                from: dep.states[id].to_string(),
-                to: target_state.to_string(),
-            }
-        })?;
-        let host = dep.host_of(id).ok_or_else(|| DeployError::NoMachine {
-            instance: id.clone(),
-        })?;
-        for t in path {
-            if !self.guard_holds(dep, inst, t.guard(), dependents) {
-                return Err(DeployError::GuardFailed {
-                    instance: id.clone(),
-                    action: t.action().to_owned(),
-                    guard: t.guard().to_string(),
-                });
-            }
-            let entry = self.step(inst, host, t)?;
-            dep.timeline.push(entry);
-            dep.states.insert(id.clone(), t.to().clone());
-        }
-        Ok(())
-    }
-
-    /// One driver transition, the unit both executors commit: the kill
+    /// One driver transition, the unit the executor commits: the kill
     /// check, the action under the retry policy between two readings of
     /// the simulated clock, the `driver.transition` event, the journaled
-    /// commit, the kill switch's count. The caller has cleared the
-    /// transition's guard — by evaluating it (`drive`) or by DAG edge
-    /// (the wavefront) — and applies the returned entry to its states.
+    /// commit, the kill switch's count. The executor has cleared the
+    /// transition's guard by DAG edge and applies the returned entry to
+    /// its states.
     pub(crate) fn step(
         &self,
         inst: &ResourceInstance,
@@ -924,35 +895,6 @@ impl<'a> DeploymentEngine<'a> {
         }
     }
 
-    /// Evaluates a transition guard: `↑s` over the instances `inst` links
-    /// to, `↓s` over the instances linking to it (read off the spec's
-    /// `dependents` table). Under teardown's relaxed mode, a required
-    /// `inactive` is also satisfied by `uninstalled`.
-    fn guard_holds(
-        &self,
-        dep: &Deployment,
-        inst: &ResourceInstance,
-        guard: &Guard,
-        dependents: &[Vec<usize>],
-    ) -> bool {
-        let matches = |id: &InstanceId, required: &BasicState| {
-            let actual = dep.states.get(id);
-            if actual == Some(&DriverState::Basic(*required)) {
-                return true;
-            }
-            self.teardown
-                && *required == BasicState::Inactive
-                && actual == Some(&DriverState::Basic(BasicState::Uninstalled))
-        };
-        let me = dep.spec.position(inst.id()).expect("inst is in the spec");
-        guard.preds().iter().all(|p| match p {
-            StatePred::Upstream(s) => inst.links().all(|l| matches(l, s)),
-            StatePred::Downstream(s) => dependents[me]
-                .iter()
-                .all(|&d| matches(dep.spec.instances()[d].id(), s)),
-        })
-    }
-
     /// One monitoring cycle over the deployment's monitor.
     ///
     /// # Errors
@@ -1010,16 +952,17 @@ pub fn os_for_key(key: &engage_model::ResourceKey) -> Option<Os> {
         .find(|os| os.resource_key() == key.to_string())
 }
 
-/// BFS over a driver spec: the transitions of the shortest path from
-/// `from` to `to`.
-pub(crate) fn find_path<'d>(
-    driver: &'d DriverSpec,
+/// BFS over a driver spec: the shortest path from `from` to `to`, as
+/// indices into the driver's transition list.
+pub(crate) fn find_path(
+    driver: &DriverSpec,
     from: &DriverState,
     to: &DriverState,
-) -> Option<Vec<&'d Transition>> {
+) -> Option<Vec<usize>> {
     use std::collections::{HashMap, VecDeque};
+    let transitions = driver.transitions();
     // The transition each state was first reached by.
-    let mut reached: HashMap<&DriverState, &'d Transition> = HashMap::new();
+    let mut reached: HashMap<&DriverState, usize> = HashMap::new();
     let mut queue = VecDeque::from([from]);
     while let Some(state) = queue.pop_front() {
         if state == to {
@@ -1027,14 +970,14 @@ pub(crate) fn find_path<'d>(
             let mut cur = state;
             while cur != from {
                 path.push(reached[cur]);
-                cur = reached[cur].from();
+                cur = transitions[reached[cur]].from();
             }
             path.reverse();
             return Some(path);
         }
-        for t in driver.transitions().iter().filter(|t| t.from() == state) {
-            if t.to() != from && !reached.contains_key(t.to()) {
-                reached.insert(t.to(), t);
+        for (i, t) in transitions.iter().enumerate() {
+            if t.from() == state && t.to() != from && !reached.contains_key(t.to()) {
+                reached.insert(t.to(), i);
                 queue.push_back(t.to());
             }
         }
@@ -1186,6 +1129,76 @@ mod tests {
             .drive_to(&mut dep, &"app".into(), BasicState::Active)
             .unwrap_err();
         assert!(matches!(err, DeployError::GuardFailed { .. }), "{err}");
+        // The guard is read before anything runs: not even the install.
+        assert_eq!(
+            dep.state(&"app".into()),
+            Some(&DriverState::Basic(BasicState::Uninstalled))
+        );
+        assert!(dep.timeline().is_empty());
+    }
+
+    /// An orphan teardown where `db`'s `↓inactive` names the live `app`,
+    /// which is not torn down: `db` is blocked, and the other orphan is
+    /// still removed.
+    #[test]
+    fn teardown_skips_only_what_a_blocked_guard_holds_up() {
+        let (u, mut spec) = fixture();
+        spec.push(ResourceInstance::new("spare", "Ubuntu 10.10"))
+            .unwrap();
+        let e = engine(&u);
+        let mut dep = e.deploy(&spec).unwrap();
+        let orphans: [InstanceId; 2] = ["db".into(), "spare".into()];
+        let err = e
+            .teardown_clone()
+            .sweep(&mut dep, BasicState::Uninstalled, |_, id| {
+                orphans.contains(id)
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, DeployError::GuardFailed { instance, .. } if instance.as_str() == "db"),
+            "{err}"
+        );
+        let state = |id: &str| dep.state(&id.into()).cloned();
+        assert_eq!(
+            state("spare"),
+            Some(DriverState::Basic(BasicState::Uninstalled))
+        );
+        for live in ["db", "app", "server"] {
+            assert_eq!(state(live), Some(DriverState::Basic(BasicState::Active)));
+        }
+    }
+
+    /// A blocked transition that also waits on a torn-down instance stays
+    /// blocked once that wait clears: `db`'s `↓inactive` names the
+    /// removed `app` and the live `app2`.
+    #[test]
+    fn a_blocked_transition_never_runs_once_its_other_waits_clear() {
+        let (u, mut spec) = fixture();
+        let mut app2 = ResourceInstance::new("app2", "App 1.0");
+        app2.set_inside_link("server");
+        app2.add_peer_link("db");
+        app2.set_input("mysql", Value::structure([("port", Value::from(3306i64))]));
+        app2.set_config("port", Value::from(8001i64));
+        spec.push(app2).unwrap();
+        let e = engine(&u);
+        let mut dep = e.deploy(&spec).unwrap();
+        let orphans: [InstanceId; 2] = ["db".into(), "app".into()];
+        let err = e
+            .teardown_clone()
+            .sweep(&mut dep, BasicState::Uninstalled, |_, id| {
+                orphans.contains(id)
+            })
+            .unwrap_err();
+        assert!(
+            matches!(&err, DeployError::GuardFailed { instance, .. } if instance.as_str() == "db"),
+            "{err}"
+        );
+        let state = |id: &str| dep.state(&id.into()).cloned();
+        assert_eq!(
+            state("app"),
+            Some(DriverState::Basic(BasicState::Uninstalled))
+        );
+        assert_eq!(state("db"), Some(DriverState::Basic(BasicState::Active)));
     }
 
     #[test]
@@ -1339,7 +1352,7 @@ mod tests {
             &DriverState::Basic(BasicState::Active),
         )
         .unwrap();
-        let actions: Vec<&str> = p.iter().map(|t| t.action()).collect();
+        let actions: Vec<&str> = p.iter().map(|&t| d.transitions()[t].action()).collect();
         assert_eq!(actions, vec!["install", "start"]);
         assert!(find_path(
             &DriverSpec::new(),

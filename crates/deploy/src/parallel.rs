@@ -11,9 +11,11 @@
 //! executed as topological wavefronts on a work-stealing pool (see
 //! [`crate::schedule`]'s module docs). Guards become reverse-dependency
 //! counters released with O(1) decrements, so the engine scales to tens
-//! of thousands of hosts; the "slaves" are the pool's workers.
+//! of thousands of hosts; the "slaves" are the pool's workers. A
+//! parallel deploy is `deploy` with the pool instead of one worker: the
+//! same body, the same DAG.
 
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 use engage_model::InstallSpec;
 
@@ -41,7 +43,7 @@ impl DeploymentEngine<'_> {
     ///
     /// # Errors
     ///
-    /// The same failures as sequential deployment, plus
+    /// The same failures as [`DeploymentEngine::deploy`], including
     /// [`DeployError::GuardFailed`] if the deployment would deadlock on
     /// its guards — detected statically, before anything runs. This
     /// wrapper drops the partial-deployment report; use
@@ -55,8 +57,8 @@ impl DeploymentEngine<'_> {
     /// [`DeploymentEngine::deploy_with_recovery`]: a failure returns the
     /// partial state assembled from every worker's progress (preferring
     /// an engine kill over secondary errors), and auto-rollback — when
-    /// enabled and the engine was not killed — unwinds it sequentially
-    /// in reverse dependency order.
+    /// enabled and the engine was not killed — unwinds it on the same
+    /// executor, one worker, dependents first.
     ///
     /// # Errors
     ///
@@ -66,40 +68,14 @@ impl DeploymentEngine<'_> {
         &self,
         spec: &InstallSpec,
     ) -> Result<ParallelOutcome, Box<DeployFailure>> {
-        let mut deployment = Deployment::fresh(spec);
-        self.provision_machines(&mut deployment);
-        let workers = self.pool_size(deployment.machines.len());
-
-        let started = Instant::now();
-        let parallel_span = self.obs().span_with(
-            "deploy.parallel",
-            &[
-                ("instances", &spec.len().to_string()),
-                ("slaves", &workers.to_string()),
-            ],
-        );
-        let run = self.converge(&mut deployment, &[]);
-        drop(parallel_span);
-        let wall = started.elapsed();
-
-        // A static compile error (unreachable target, or a guard cycle /
-        // never-entered state that would wedge the deployment: nothing
-        // ran) and a failed run recover alike, from whatever `deployment`
-        // now holds.
-        if let Err(error) | Ok((_, Some(error))) = run {
-            return Err(self.recover(deployment, error));
-        }
-        self.register_services(&mut deployment);
-        Ok(ParallelOutcome {
-            deployment,
-            wall,
-            slaves: workers,
-        })
+        self.deploy_on(spec, true)
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::time::Instant;
+
     use super::*;
     use engage_model::{BasicState, ResourceInstance, Universe, Value};
     use engage_sim::{DownloadSource, Sim};
@@ -173,6 +149,8 @@ mod tests {
         assert!(e.sim().service_running(app_host, "app"));
     }
 
+    /// `deploy` is the one-worker run of the same DAG: same effects, and
+    /// both orders put the db's start before the app's.
     #[test]
     fn parallel_matches_sequential_effects() {
         let u = universe();
@@ -303,12 +281,16 @@ mod tests {
         assert!(started.elapsed() < Duration::from_secs(5));
     }
 
-    /// The wavefront scheduler must agree with the sequential engine on
-    /// final driver states at every worker count.
+    /// Every worker count reaches the one-worker `deploy`'s final driver
+    /// states and commits, per instance, the same actions.
     #[test]
     fn wavefront_matches_sequential_at_every_worker_count() {
         let u = universe();
         let spec = two_host_spec();
+        let actions = |dep: &Deployment, id: &engage_model::InstanceId| -> Vec<String> {
+            let of_id = dep.timeline().iter().filter(|t| &t.instance == id);
+            of_id.map(|t| t.action.clone()).collect()
+        };
         let seq_engine = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
         let sequential = seq_engine.deploy(&spec).unwrap();
         for workers in [1usize, 2, 4, 8] {
@@ -317,9 +299,13 @@ mod tests {
             let outcome = e.deploy_parallel(&spec).unwrap();
             assert_eq!(outcome.slaves, workers);
             for inst in spec.iter() {
+                let id = inst.id();
                 assert_eq!(
-                    sequential.state(inst.id()),
-                    outcome.deployment.state(inst.id()),
+                    (sequential.state(id), actions(&sequential, id)),
+                    (
+                        outcome.deployment.state(id),
+                        actions(&outcome.deployment, id)
+                    ),
                     "workers={workers}"
                 );
             }

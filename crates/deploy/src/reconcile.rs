@@ -214,8 +214,7 @@ impl EstateIndex {
         placed.sort_unstable();
         let mut by_id: Vec<usize> = (0..insts.len()).collect();
         by_id.sort_unstable_by_key(|&pos| insts[pos].id());
-        let position = |id: &InstanceId| dep.spec.position(id).expect("order comes from spec");
-        let order = ordered(&dep.spec).map(|ids| ids.iter().map(position).collect());
+        let order = ordered(&dep.spec.dependents_table());
         EstateIndex {
             hosts,
             services,
@@ -572,8 +571,17 @@ impl<'a> ReconcileLoop<'a> {
         }
 
         // ---- compile and run only the delta on the wavefront pool ----
-        // Deferred instances are held out of the run.
-        let (actions, failure) = self.engine.converge(&mut self.dep, &deferred)?;
+        // Deferred instances are held out of the run: masked as `active`,
+        // they and the guard edges onto them contribute no nodes.
+        let active = DriverState::Basic(BasicState::Active);
+        let states = &mut self.dep.states;
+        let held: Vec<DriverState> = (deferred.iter())
+            .map(|id| std::mem::replace(states.get_mut(id).expect("managed"), active.clone()))
+            .collect();
+        let workers = self.engine.pool_size(self.dep.machines.len());
+        let run = (self.engine).execute(&mut self.dep, BasicState::Active, None, workers);
+        self.dep.states.extend(deferred.iter().cloned().zip(held));
+        let (actions, failure) = run?;
         obs.gauge("reconcile.delta_size").set(actions as i64);
         obs.counter("reconcile.actions").add(actions as u64);
         self.stats.actions += actions as u64;

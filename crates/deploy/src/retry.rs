@@ -20,7 +20,7 @@ use std::time::Duration;
 use engage_util::rand::{Rng, RngCore, SplitMix64};
 
 /// Bounded-attempt retry with seeded exponential backoff, applied to
-/// every driver transition by the sequential and parallel engines.
+/// every driver transition the executor runs.
 ///
 /// The default ([`RetryPolicy::none`]) makes exactly one attempt —
 /// existing single-shot semantics are unchanged unless a policy is

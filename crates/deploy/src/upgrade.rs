@@ -248,10 +248,10 @@ fn affected_by(
     for spec in [old, new] {
         // In dependency order, so one pass closes the set: an instance
         // linking to an affected instance becomes affected.
-        for id in ordered(spec)? {
-            let inst = spec.get(&id).expect("order comes from spec");
+        for pos in ordered(&spec.dependents_table())? {
+            let inst = &spec.instances()[pos];
             if inst.links().any(|l| affected.contains(l)) {
-                affected.insert(id);
+                affected.insert(inst.id().clone());
             }
         }
     }

@@ -464,9 +464,16 @@ impl<'a> Checker<'a> {
 /// `None` if the graph has a cycle. Dangling links are ignored (reported
 /// separately by [`check_install_spec`]).
 pub fn topological_order(spec: &InstallSpec) -> Option<Vec<InstanceId>> {
-    let n = spec.len();
+    let order = topological_positions(&spec.dependents_table())?;
+    let ids = order.into_iter().map(|i| spec.instances()[i].id().clone());
+    Some(ids.collect())
+}
+
+/// [`topological_order`] as spec positions, over the spec's
+/// [`InstallSpec::dependents_table`].
+pub fn topological_positions(dependents: &[Vec<usize>]) -> Option<Vec<usize>> {
+    let n = dependents.len();
     // Edge up -> me: `me` depends on `up`.
-    let dependents = spec.dependents_table();
     let mut indegree = vec![0usize; n];
     for &me in dependents.iter().flatten() {
         indegree[me] += 1;
@@ -478,7 +485,7 @@ pub fn topological_order(spec: &InstallSpec) -> Option<Vec<InstanceId>> {
         .map(std::cmp::Reverse)
         .collect();
     while let Some(std::cmp::Reverse(i)) = queue.pop() {
-        order.push(spec.instances()[i].id().clone());
+        order.push(i);
         for &d in &dependents[i] {
             indegree[d] -= 1;
             if indegree[d] == 0 {

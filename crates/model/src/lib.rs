@@ -54,7 +54,9 @@ mod universe;
 mod value;
 mod version;
 
-pub use check::{check_install_spec, check_install_spec_indexed, topological_order};
+pub use check::{
+    check_install_spec, check_install_spec_indexed, topological_order, topological_positions,
+};
 pub use deps::{DepKind, DepTarget, Dependency, PortMapping};
 pub use driver::{BasicState, DriverSpec, DriverState, Guard, StatePred, Transition};
 pub use error::ModelError;

@@ -1,7 +1,7 @@
 //! The whole-pipeline differential harness: run a [`Scenario`] through
 //! configure→plan→deploy→reconfigure — one-shot and through a carried
-//! session, then across the cross-product of schedulers × fault
-//! settings — and check every cell agrees with the construction-time
+//! session, then across the cross-product of executor worker counts ×
+//! fault settings — and check every cell agrees with the construction-time
 //! oracle and with every other cell.
 //!
 //! Divergence is *reported*, not panicked, so the harness itself can be
@@ -61,27 +61,9 @@ impl FaultSetting {
     }
 }
 
-/// The deployment engines every full spec is driven through.
-#[derive(Debug, Clone, Copy)]
-enum Scheduler {
-    Sequential,
-    Wavefront(usize),
-}
-
-const SCHEDULERS: [Scheduler; 3] = [
-    Scheduler::Sequential,
-    Scheduler::Wavefront(1),
-    Scheduler::Wavefront(4),
-];
-
-impl fmt::Display for Scheduler {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Scheduler::Sequential => write!(f, "sequential"),
-            Scheduler::Wavefront(w) => write!(f, "wavefront:{w}"),
-        }
-    }
-}
+/// The executor's worker counts every full spec is deployed at: one
+/// worker is what `deploy` runs, four the pool of `deploy_parallel`.
+const WORKERS: [usize; 2] = [1, 4];
 
 /// Everything two deployment engines must agree on: final driver
 /// states, per-instance committed action sequences (times stripped —
@@ -166,7 +148,7 @@ pub struct SweepStats {
     pub reconfigure_len: usize,
     /// Enumerated minimal configurations, when the oracle pinned them.
     pub configurations: Option<usize>,
-    /// Deployment cells compared (schedulers × fault settings).
+    /// Deployment cells compared (worker counts × fault settings).
     pub cells: usize,
 }
 
@@ -196,8 +178,8 @@ pub fn check_scenario_perturbed(
     let (spec, reconfigured) = check_session(scenario)?;
     let configurations = check_configuration_count(scenario)?;
     let cells = check_deploy_cells(scenario, &spec, perturbation)?;
-    // The reconfigured spec must deploy cleanly too (sequential engine,
-    // clean sim — its scheduler equivalence is implied by the main leg).
+    // The reconfigured spec must deploy cleanly too (one worker, clean
+    // sim — its worker-count equivalence is implied by the main leg).
     let sim = Sim::new(DownloadSource::local_cache());
     let engine = DeploymentEngine::new(sim, &scenario.universe);
     if let Err(e) = engine.deploy(&reconfigured) {
@@ -294,8 +276,8 @@ fn check_configuration_count(scenario: &Scenario) -> Result<Option<usize>, Diver
     Ok(Some(counted))
 }
 
-/// Deploys the canonical spec through every scheduler × fault cell and
-/// compares each cell's observation to the clean sequential oracle.
+/// Deploys the canonical spec through every worker count × fault cell
+/// and compares each cell's observation to the clean one-worker oracle.
 fn check_deploy_cells(
     scenario: &Scenario,
     spec: &InstallSpec,
@@ -308,18 +290,16 @@ fn check_deploy_cells(
     let mut oracle: Option<Observation> = None;
     let mut cells = 0usize;
     for fault in FaultSetting::ALL {
-        for sched in SCHEDULERS {
-            let cell = format!("deploy/{sched}/{}", fault.name());
+        for workers in WORKERS {
+            let cell = format!("deploy/wavefront:{workers}/{}", fault.name());
             // The planted bug hits exactly one mid-product cell.
-            let plant = perturbed_spec.is_some()
-                && matches!(sched, Scheduler::Wavefront(4))
-                && fault == FaultSetting::None;
+            let plant = perturbed_spec.is_some() && workers == 4 && fault == FaultSetting::None;
             let deploy_spec = if plant {
                 perturbed_spec.as_ref().unwrap()
             } else {
                 spec
             };
-            let seen = run_cell(scenario, spec, deploy_spec, fault, sched)
+            let seen = run_cell(scenario, spec, deploy_spec, fault, workers)
                 .map_err(|e| diverged(scenario, &cell, e))?;
             cells += 1;
             match &oracle {
@@ -345,22 +325,15 @@ fn run_cell(
     observe_spec: &InstallSpec,
     deploy_spec: &InstallSpec,
     fault: FaultSetting,
-    sched: Scheduler,
+    workers: usize,
 ) -> Result<Observation, String> {
     let sim = Sim::new(DownloadSource::local_cache());
     fault.apply(&sim, scenario.seed);
-    let mut engine = DeploymentEngine::new(sim, &scenario.universe)
-        .with_retry_policy(fault.retry(scenario.seed));
-    let dep = match sched {
-        Scheduler::Sequential => engine.deploy(deploy_spec).map_err(|e| e.to_string())?,
-        Scheduler::Wavefront(workers) => {
-            engine = engine.with_workers(workers);
-            engine
-                .deploy_parallel(deploy_spec)
-                .map_err(|e| e.to_string())?
-                .deployment
-        }
-    };
+    let engine = DeploymentEngine::new(sim, &scenario.universe)
+        .with_retry_policy(fault.retry(scenario.seed))
+        .with_workers(workers);
+    let outcome = engine.deploy_parallel(deploy_spec);
+    let dep = outcome.map_err(|e| e.to_string())?.deployment;
     Ok(observe(observe_spec, engine.sim(), &dep))
 }
 

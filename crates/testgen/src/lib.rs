@@ -15,8 +15,10 @@
 //!
 //! The [`differential`] module runs a scenario through
 //! configure→plan→deploy→reconfigure — one-shot and through a carried
-//! session, then across schedulers × fault settings — and checks that
-//! every cell agrees (see `docs/testing.md`).
+//! session, then across worker counts × fault settings — and checks that
+//! every cell agrees (see `docs/testing.md`). The [`kernel`] module
+//! holds checkers of the paper's own statements — Figure 3's guard rule
+//! as [`kernel::check_guard_trace`] — that runs are judged against.
 //!
 //! Scenarios come from three sources:
 //!
@@ -31,6 +33,7 @@
 
 pub mod differential;
 mod families;
+pub mod kernel;
 
 use std::fmt;
 

@@ -109,6 +109,14 @@ fi
 # Observability smoke test through the product CLI: a parallel deploy
 # must stream well-formed JSONL — spans from the configure pipeline, the
 # wavefront scheduler and the drivers, then one closing metrics line.
+# A plain deploy runs on the same executor, so its trace must show the
+# `deploy.wavefront` span too.
+cargo run -q --release --offline --bin engage -- deploy --library base \
+    --spec examples/openmrs_figure2.json --trace "$tmp/plain.jsonl" > /dev/null
+if ! grep -q '"name":"deploy.wavefront"' "$tmp/plain.jsonl"; then
+    echo "error: a plain engage deploy did not run on the wavefront executor" >&2
+    exit 1
+fi
 cargo run -q --release --offline --bin engage -- deploy --parallel --library base \
     --spec examples/openmrs_figure2.json --trace "$tmp/trace.jsonl" --metrics > /dev/null
 for needle in '"type":"span_start"' '"type":"span_end"' '"name":"config.solve"' \

@@ -215,7 +215,7 @@ fn true_parallel_slaves_deploy_the_production_stack() {
         .unwrap();
     assert_eq!(parallel.slaves, 2);
     assert!(parallel.deployment.is_deployed());
-    // Same effect as the sequential engine.
+    // Same effect as the one-worker `deploy`.
     let seq = engage_sys();
     let (_, seq_dep) = seq
         .deploy(&engage_library::openmrs_production_partial())

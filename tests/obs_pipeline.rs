@@ -91,6 +91,25 @@ fn config_phases_nest_under_the_configure_span() {
     }
 }
 
+/// A plain (non-parallel) deploy runs on the one executor: its
+/// `deploy.deploy` span parents a one-worker `deploy.wavefront`.
+#[test]
+fn plain_deploy_runs_on_the_wavefront_executor() {
+    let sink = deployed_sink();
+    let spans = sink.finished_spans();
+    let deploy = spans
+        .iter()
+        .find(|s| s.name == "deploy.deploy")
+        .expect("deploy span");
+    let wavefront = spans
+        .iter()
+        .find(|s| s.name == "deploy.wavefront")
+        .expect("wavefront span");
+    assert_eq!(wavefront.parent, Some(deploy.id));
+    let workers = wavefront.fields.iter().find(|(k, _)| k == "workers");
+    assert_eq!(workers.map(|(_, v)| v.as_str()), Some("1"));
+}
+
 #[test]
 fn every_driver_transition_is_recorded() {
     let sink = deployed_sink();

@@ -14,8 +14,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use engage::{DeployJournal, Engage, InstanceHealth, JournalRecord, RetryPolicy};
 use engage_deploy::{Deployment, ReconcileRound};
-use engage_model::{InstallSpec, InstanceId};
+use engage_model::{BasicState, DriverState, InstallSpec, InstanceId};
 use engage_sim::{DriftEvent, FaultKind, FaultOp, FaultPlan, HostId, Sim, WatchEntry};
+use engage_testgen::kernel::check_guard_trace;
 use engage_testgen::{scenario, scenario_with, Family, Knobs};
 use engage_util::obs::Obs;
 use engage_util::rand::{Rng, SeedableRng, StdRng};
@@ -453,6 +454,40 @@ fn push_round(text: &mut String, label: &str, round: &ReconcileRound, journaled:
     }
 }
 
+/// Every managed instance's driver state.
+fn states_of(dep: &Deployment) -> BTreeMap<InstanceId, DriverState> {
+    let ids = dep.spec().iter().map(|i| i.id());
+    ids.filter_map(|id| Some((id.clone(), dep.state(id)?.clone())))
+        .collect()
+}
+
+/// Guard-checks one round's journal slice from the `before` states: the
+/// observations are adopted first, then the committed repair replays
+/// with the round's deferred instances held at `active`, as the repair
+/// saw them. Returns the replayed states, true values for the held.
+fn check_round(
+    universe: &engage_model::Universe,
+    spec: &InstallSpec,
+    before: &BTreeMap<InstanceId, DriverState>,
+    round: &ReconcileRound,
+    journaled: &[JournalRecord],
+) -> Result<BTreeMap<InstanceId, DriverState>, String> {
+    let (observed, rest): (Vec<_>, Vec<_>) = journaled
+        .iter()
+        .cloned()
+        .partition(|r| matches!(r, JournalRecord::Observed { .. }));
+    let adopted = check_guard_trace(universe, spec, before, &observed, false)?;
+    let mut held = adopted.clone();
+    for id in &round.deferred {
+        held.insert(id.clone(), DriverState::Basic(BasicState::Active));
+    }
+    let mut after = check_guard_trace(universe, spec, &held, &rest, false)?;
+    for id in &round.deferred {
+        after.insert(id.clone(), adopted[id].clone());
+    }
+    Ok(after)
+}
+
 /// Golden differential against the parent commit: the listing below was
 /// captured from the reconciler that classified by scanning the whole
 /// spec once per drift event, before that scan was deleted in favour of
@@ -460,8 +495,10 @@ fn push_round(text: &mut String, label: &str, round: &ReconcileRound, journaled:
 /// storm ticks (one instance made to flap through its backoff), a host
 /// loss, and the ticks that reconverge it. Which instances a round calls
 /// degraded or lost, which it repairs or defers, and what it journals
-/// must not move. `ENGAGE_RECONCILE_PRINT_GOLDEN=1 … -- --nocapture`
-/// prints the listing instead of comparing it.
+/// must not move. Every round's journal also passes the guard-trace
+/// checker and replays to the reconciled driver states.
+/// `ENGAGE_RECONCILE_PRINT_GOLDEN=1 … -- --nocapture` prints the listing
+/// instead of comparing it.
 #[test]
 fn storm_rounds_reproduce_the_parent_commit_listing() {
     let s = scenario_with(Family::ThreeLevel, 5, Knobs::small(Family::ThreeLevel));
@@ -476,10 +513,16 @@ fn storm_rounds_reproduce_the_parent_commit_listing() {
     let mut rl = sys.reconciler(&s.partial, dep);
 
     let mut text = String::new();
+    let mut states = states_of(rl.deployment());
     let mut tick = |label: &str, text: &mut String| {
         let mark = journal.records().len();
         let round = rl.tick().expect("golden tick");
-        push_round(text, label, &round, &journal.records()[mark..]);
+        let journaled = &journal.records()[mark..];
+        let spec = rl.deployment().spec();
+        states = check_round(&s.universe, spec, &states, &round, journaled)
+            .unwrap_or_else(|e| panic!("{label}: guard trace: {e}"));
+        assert_eq!(states, states_of(rl.deployment()), "{label}: replay");
+        push_round(text, label, &round, journaled);
         round.converged
     };
     for n in 0..12 {

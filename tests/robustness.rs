@@ -3,9 +3,12 @@
 //! recovery by resuming from the journal, and automatic rollback on
 //! permanent failures (see docs/robustness.md).
 
+use std::collections::BTreeMap;
+
 use engage::{DeployJournal, Engage, JournalRecord, ResumeMode, RetryPolicy};
 use engage_model::{BasicState, DriverState, InstallSpec, PartialInstance, Universe};
 use engage_sim::{FaultKind, FaultOp, FaultPlan};
+use engage_testgen::kernel::check_guard_trace;
 use engage_util::obs::Obs;
 
 fn engage_sys() -> Engage {
@@ -58,6 +61,20 @@ fn twenty_service_stack() -> (Universe, InstallSpec) {
     let u = engage_dsl::parse_universe(&src).expect("generated universe parses");
     let plan = Engage::new(u.clone()).plan(&partial.into_iter().collect());
     (u, plan.expect("plans").spec)
+}
+
+/// Guard-checks a killed run and its resume, journaled back to back
+/// from an empty estate: the replay must end where the resumed
+/// deployment did.
+fn assert_guarded(what: &str, spec: &InstallSpec, records: &[JournalRecord]) {
+    let universe = engage_library::full_universe();
+    let end = check_guard_trace(&universe, spec, &BTreeMap::new(), records, false)
+        .unwrap_or_else(|e| panic!("{what}: guard trace: {e}"));
+    let active = DriverState::Basic(BasicState::Active);
+    assert!(
+        end.values().all(|s| *s == active),
+        "{what}: replay ends short"
+    );
 }
 
 /// Every driver state of `dep`, for equivalence comparisons.
@@ -218,12 +235,15 @@ fn resume_after_kill_equals_uninterrupted_at_every_kill_point() {
         assert!(failure.rolled_back.is_none(), "kills do not roll back");
 
         // Resume on the surviving data center; the fresh facade clears
-        // the kill point but shares the sim.
-        let resumer = engage_sys().with_sim(sys.sim().clone());
+        // the kill point but shares the sim (and journals on).
+        let resumer = engage_sys()
+            .with_sim(sys.sim().clone())
+            .with_journal(journal.clone());
         let resumed = resumer
             .resume_spec(&spec, &journal.records(), ResumeMode::Attach)
             .unwrap_or_else(|e| panic!("kill point {kill_at}: {e}"));
         assert!(resumed.is_deployed(), "kill point {kill_at}");
+        assert_guarded(&format!("kill point {kill_at}"), &spec, &journal.records());
         assert_eq!(
             states_of(&spec, &resumed),
             states_of(&spec, &reference),
@@ -299,8 +319,10 @@ fn resume_after_compaction_equals_resume_from_full_history() {
         }
         let resumed = engage_sys()
             .with_sim(sys.sim().clone())
+            .with_journal(journal.clone())
             .resume_spec(&spec, &journal.records(), ResumeMode::Attach)
             .unwrap_or_else(|e| panic!("resume ({name}) failed: {e}"));
+        assert_guarded(name, &spec, &journal.records());
         std::fs::remove_file(&path).ok();
         resumed
     };
@@ -331,11 +353,14 @@ fn parallel_kill_is_resumable() {
         failure.error
     );
 
-    let resumer = engage_sys().with_sim(sys.sim().clone());
+    let resumer = engage_sys()
+        .with_sim(sys.sim().clone())
+        .with_journal(journal.clone());
     let resumed = resumer
         .resume_spec(&spec, &journal.records(), ResumeMode::Attach)
         .unwrap();
     assert!(resumed.is_deployed());
+    assert_guarded("parallel kill", &spec, &journal.records());
 }
 
 #[test]

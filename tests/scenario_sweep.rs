@@ -2,7 +2,7 @@
 //! and topology family, `engage_testgen` runs
 //! configure→plan→deploy→reconfigure — one-shot and through a carried
 //! session (cold ≡ one-shot in bytes and solver stats, warm ≡ cold in
-//! bytes) — then through schedulers (sequential / wavefront) × fault
+//! bytes) — then through executor worker counts (1 / 4) × fault
 //! settings (none / transient-chaos), and every cell must agree with
 //! the construction-time oracle and with every other cell.
 //!
@@ -35,7 +35,7 @@ fn differential_sweep_over_all_families() {
             let s = scenario(family, seed);
             let stats = check_scenario(&s).unwrap_or_else(|d| panic!("{d}"));
             assert!(
-                stats.cells >= 6,
+                stats.cells >= 4,
                 "{}: only {} deploy cells ran",
                 s.name(),
                 stats.cells

@@ -1,16 +1,21 @@
-//! Seeded property sweep: the wavefront DAG scheduler must be
-//! observationally equivalent to the sequential engine — identical
-//! final driver states, identical per-instance action sequences,
-//! identical running services — across
-//! `engage-testgen` scenarios (rotating through every topology family),
-//! worker counts {1, 2, 4, 8}, and fault plans.
+//! Seeded property sweep: the executor's pool must be observationally
+//! equivalent to its one-worker run, `deploy` — identical final driver
+//! states, identical per-instance action sequences, identical running
+//! services — across `engage-testgen` scenarios (rotating through every
+//! topology family), worker counts {1, 2, 4, 8}, and fault plans. Every
+//! run's journal must also pass the guard-trace checker
+//! (`engage_testgen::kernel::check_guard_trace`): no transition fired
+//! while its `↑s` / `↓s` guard failed.
 //!
 //! Seed depth is controlled by `ENGAGE_SCHED_SWEEP_SEEDS` (default 4).
 
+use std::collections::BTreeMap;
+
 use engage_config::ConfigEngine;
-use engage_deploy::{package_name, service_name, DeploymentEngine, RetryPolicy};
+use engage_deploy::{package_name, service_name, DeployJournal, DeploymentEngine, RetryPolicy};
 use engage_model::InstallSpec;
 use engage_sim::{DownloadSource, FaultKind, FaultOp, FaultPlan, Sim};
+use engage_testgen::kernel::check_guard_trace;
 use engage_testgen::{observe, scenario, Family, Observation, Scenario};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -43,9 +48,9 @@ fn fault_targets(spec: &InstallSpec) -> (String, String) {
     (package_name(first.key()), service_name(last.key()))
 }
 
-/// Runs one engine configuration over `spec` and observes the result:
-/// the sequential engine (`None`) or the wavefront pool at a worker
-/// count.
+/// Runs one engine configuration over `spec`, checks its journal's
+/// guard trace and observes the result: `deploy` (`None`) or
+/// `deploy_parallel` at a worker count.
 fn run(
     s: &Scenario,
     spec: &InstallSpec,
@@ -55,21 +60,24 @@ fn run(
 ) -> Observation {
     let sim = Sim::new(DownloadSource::local_cache());
     configure(&sim);
-    let mut engine = DeploymentEngine::new(sim, &s.universe).with_retry_policy(retry.clone());
-    match workers {
-        None => {
-            let dep = engine.deploy(spec).unwrap();
-            observe(spec, engine.sim(), &dep)
-        }
+    let journal = DeployJournal::in_memory();
+    let engine = DeploymentEngine::new(sim, &s.universe)
+        .with_retry_policy(retry.clone())
+        .with_journal(journal.clone());
+    let dep = match workers {
+        None => engine.deploy(spec).unwrap(),
         Some(workers) => {
-            engine = engine.with_workers(workers);
-            let outcome = engine.deploy_parallel(spec).unwrap();
-            observe(spec, engine.sim(), &outcome.deployment)
+            let engine = engine.clone().with_workers(workers);
+            engine.deploy_parallel(spec).unwrap().deployment
         }
-    }
+    };
+    let commits = journal.records();
+    check_guard_trace(&s.universe, spec, &BTreeMap::new(), &commits, false)
+        .unwrap_or_else(|e| panic!("{} at {workers:?} workers: {e}", s.name()));
+    observe(spec, engine.sim(), &dep)
 }
 
-/// The sweep core: sequential oracle vs. wavefront at every worker
+/// The sweep core: the one-worker `deploy` vs. the pool at every worker
 /// count, on one seeded topology and fault setup.
 fn assert_equivalent(seed: u64, configure: &dyn Fn(&Sim, &InstallSpec), retry: &RetryPolicy) {
     let (s, spec) = case(seed);
