@@ -155,6 +155,56 @@ fn solver_survives_many_restarts() {
     let mut s = Solver::from_cnf(&cnf);
     assert_eq!(s.solve(), SatResult::Unsat);
     assert!(s.stats().conflicts > 100);
+    assert!(s.stats().restarts > 0, "{:?}", s.stats());
+
+    // The same refutation behind an assumption: the eighth pigeon needs
+    // a hole only while `g` holds. Solving under `g` learns past the
+    // clause-DB limit, so `reduce_db` compacts the database with the
+    // assumption level open; the follow-up solves on the compacted
+    // database must match a fresh solver's verdicts.
+    let mut guarded = pigeonhole(7);
+    let g = guarded.fresh_var();
+    let mut clauses = guarded.clauses().to_vec();
+    clauses[7].push(g.negative());
+    guarded = Cnf::from_parts(guarded.num_vars(), clauses);
+    let mut live = Solver::from_cnf(&guarded);
+    assert_eq!(
+        live.solve_with_assumptions(&[g.positive()]),
+        SatResult::Unsat
+    );
+    assert_eq!(live.failed_assumptions(), [g.positive()]);
+    let st = live.stats();
+    assert!(st.db_reduced > 0, "reduce_db never fired: {st:?}");
+    for assumptions in [&[][..], &[g.positive()], &[g.negative()]] {
+        let fresh = Solver::from_cnf(&guarded).solve_with_assumptions(assumptions);
+        let again = live.solve_with_assumptions(assumptions);
+        assert_eq!(again.is_sat(), fresh.is_sat(), "under {assumptions:?}");
+        if let SatResult::Sat(m) = &again {
+            verify_model(&guarded, m).unwrap_or_else(|e| panic!("under {assumptions:?}: {e}"));
+        }
+    }
+}
+
+#[test]
+fn hard_formulas_still_restart() {
+    // Postponing restarts while the trail grows must not switch them
+    // off. Besides the pigeonhole refutation above, random 3-CNF at the
+    // phase transition (clause/variable ratio 4.26), big enough that
+    // some searches run past the second due restart, keeps restarting;
+    // every verdict still agrees with DPLL.
+    let mut rng = StdRng::seed_from_u64(0x3C4F);
+    let mut restarts = 0;
+    for round in 0..16 {
+        let cnf = seeded_cnf(&mut rng, 80, 80 * 426 / 100, 3);
+        let mut solver = Solver::from_cnf(&cnf);
+        let cdcl = solver.solve();
+        assert_eq!(cdcl.is_sat(), dpll_solve(&cnf).is_sat(), "round {round}");
+        if let SatResult::Sat(m) = &cdcl {
+            verify_model(&cnf, m).unwrap_or_else(|e| panic!("round {round}: {e}"));
+        }
+        restarts += solver.stats().restarts;
+    }
+    assert!(restarts > 0, "the random 3-CNF sweep never restarted");
 }
 
 /// Random k-CNF via the repo's own seeded RNG (`engage_util::rand`), so
@@ -226,6 +276,11 @@ fn seeded_sweep_cdcl_vs_dpll_with_live_counters() {
         assert_eq!(
             m.counter("sat.restarts"),
             stats.restarts - base.restarts,
+            "round {round}"
+        );
+        assert_eq!(
+            m.counter("sat.restarts_postponed"),
+            stats.restarts_postponed - base.restarts_postponed,
             "round {round}"
         );
         assert_eq!(
