@@ -2,8 +2,10 @@
 //!
 //! A self-contained SAT toolkit for the Engage configuration engine — the
 //! substitute for the MiniSat solver the paper uses (§6): a CDCL solver
-//! with two-watched-literal propagation, first-UIP learning, VSIDS, phase
-//! saving, and Luby restarts; a DPLL baseline for ablation benchmarks;
+//! with two-watched-literal propagation over one flat clause arena,
+//! first-UIP learning, VSIDS, phase saving, chronological backtracking,
+//! and Luby restarts that wait while the trail is still growing; a DPLL
+//! baseline for ablation benchmarks;
 //! CNF construction with two *exactly-one* encodings; DIMACS I/O; and model
 //! enumeration (used to count deployment configurations).
 //!
