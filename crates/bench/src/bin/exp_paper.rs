@@ -10,10 +10,10 @@
 //!
 //! Run with: `cargo run --release --offline -p engage-bench --bin exp_paper`
 
-use engage::{Engage, UpgradeStrategy};
+use engage::{Deployment, Engage, Target, UpgradeStrategy};
 use engage_config::{diagnose, generate, graph_gen, ConfigEngine};
 use engage_library::{django_app_partial, table1_apps, DjangoConfig};
-use engage_model::{PartialInstallSpec, PartialInstance, Universe};
+use engage_model::{BasicState, PartialInstallSpec, PartialInstance, Universe};
 use engage_sat::ExactlyOneEncoding;
 use engage_sim::{DownloadSource, Event};
 
@@ -379,7 +379,9 @@ fn upgrade_and_rollback() {
         minutes(engage.sim().now()),
         records()
     );
-    let report = engage.upgrade(&mut dep, &fa(2)).expect("FA 1 -> FA 2");
+    let report = engage
+        .upgrade(&mut dep, &fa(2), UpgradeStrategy::WorstCase)
+        .expect("FA 1 -> FA 2");
     println!(
         "FA 1 -> FA 2 in {:.1} min (worst-case path: {}); database: {}",
         minutes(report.took),
@@ -404,7 +406,7 @@ fn upgrade_and_rollback() {
             let sys = system(engage_library::django_universe());
             let (_, mut d) = sys.deploy(&fa(2)).expect("FA 2 deploys");
             let r = sys
-                .upgrade_with(&mut d, &fa(version), strategy)
+                .upgrade(&mut d, &fa(version), strategy)
                 .expect("upgrades");
             println!(
                 "{:<30} {:>14.2} {:>8}",
@@ -424,11 +426,13 @@ fn upgrade_and_rollback() {
         }
     }
 
-    engage.upgrade(&mut dep, &fa(1)).expect("back to FA 1");
+    engage
+        .upgrade(&mut dep, &fa(1), UpgradeStrategy::WorstCase)
+        .expect("back to FA 1");
     engage.sim().inject_install_failure("fa-2", 1);
     let before = records();
     let err = engage
-        .upgrade(&mut dep, &fa(2))
+        .upgrade(&mut dep, &fa(2), UpgradeStrategy::WorstCase)
         .expect_err("injected failure");
     let running = dep
         .spec()
@@ -457,10 +461,14 @@ fn multi_host() {
         let ids: Vec<String> = ids.iter().map(ToString::to_string).collect();
         println!("per-node spec {host}: {}", ids.join(", "));
     }
-    let (_, parallel) = system(engage_library::base_universe())
-        .deploy_parallel(&spec)
+    // One slave per machine.
+    let workers = dep.machines().len();
+    let master = system(engage_library::base_universe()).with_workers(workers);
+    let mut parallel = Deployment::new(&master.plan(&spec).expect("plans").spec);
+    master
+        .run(&mut parallel, Target::all(BasicState::Active))
         .expect("deploys in parallel");
-    let starts: Vec<&str> = (parallel.deployment.timeline().iter())
+    let starts: Vec<&str> = (parallel.timeline().iter())
         .filter(|t| t.action == "start")
         .map(|t| t.instance.as_str())
         .collect();
@@ -473,7 +481,7 @@ fn multi_host() {
          {:.1} min list-scheduled across hosts",
         outcome.spec.len(),
         dep.machines().len(),
-        parallel.slaves,
+        workers,
         minutes(seq),
         minutes(par)
     );
@@ -482,10 +490,10 @@ fn multi_host() {
         matches!((position("mysql"), position("openmrs")), (Some(db), Some(app)) if db < app),
         "MySQL (db host) starts before OpenMRS (app host): {starts:?}"
     );
-    let same_end_state = (outcome.spec.iter())
-        .all(|inst| parallel.deployment.state(inst.id()) == dep.state(inst.id()));
+    let same_end_state =
+        (outcome.spec.iter()).all(|inst| parallel.state(inst.id()) == dep.state(inst.id()));
     claim!(
-        same_end_state && parallel.deployment.is_deployed() && par < seq,
+        same_end_state && parallel.is_deployed() && par < seq,
         "parallel end state equals sequential ({same_end_state}) with a shorter simulated \
          makespan ({par:?} vs {seq:?})"
     );

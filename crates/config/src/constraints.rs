@@ -11,9 +11,10 @@
 //! [`HyperGraph`] is proposition `Var(h)`, so the node↔variable bijection
 //! is the graph's own node table (a `Vec`) instead of a
 //! `BTreeMap<InstanceId, Var>`, and clause emission walks the dense
-//! handle-resolved edge tables without a single id lookup. Auxiliary
-//! encoding variables are pre-numbered with a prefix sum over per-edge
-//! counts, which also sizes the clause store exactly. [`generate_legacy`]
+//! handle-resolved edge tables without a single id lookup. The
+//! exactly-one encoding is pairwise, so there are no auxiliary
+//! variables, and per-edge clause counts size the clause store exactly.
+//! [`generate_legacy`]
 //! keeps the original map-keyed generator as a differential-testing
 //! oracle; the two produce byte-identical CNFs.
 
@@ -129,20 +130,9 @@ impl Constraints {
 /// clause per spec node, in node order (family 1), and the hyperedge
 /// clauses follow in edge order (family 2).
 pub fn generate(g: &HyperGraph, encoding: ExactlyOneEncoding) -> Constraints {
-    let n = g.nodes().len() as u32;
-
-    // Pre-number the encoding's auxiliary variables: they start after
-    // the node vars and are laid out in edge order, exactly as the
-    // sequential fresh_var() calls of the legacy generator produced them.
+    let ExactlyOneEncoding::Pairwise = encoding;
     let edges = g.edges();
-    let mut aux_base: Vec<u32> = Vec::with_capacity(edges.len());
-    let mut next_aux = n;
-    let mut total_clauses = 0usize;
-    for e in edges {
-        aux_base.push(next_aux);
-        next_aux += aux_var_count(encoding, e.targets().len());
-        total_clauses += clause_count(encoding, e.targets().len());
-    }
+    let total_clauses: usize = edges.iter().map(|e| clause_count(e.targets().len())).sum();
 
     // Units first, then the hyperedge clauses — the legacy generator's
     // exact clause stream.
@@ -154,70 +144,35 @@ pub fn generate(g: &HyperGraph, encoding: ExactlyOneEncoding) -> Constraints {
         }
     }
 
-    emit_edges(g, encoding, &aux_base, &mut clauses);
-
-    Constraints {
-        cnf: Cnf::from_parts(next_aux, clauses),
-        vars: VarMap::from_graph(g),
-    }
-}
-
-/// Auxiliary variables one hyperedge needs under `encoding`: the
-/// sequential counter allocates one register per target beyond the
-/// second, everything else allocates none.
-fn aux_var_count(encoding: ExactlyOneEncoding, targets: usize) -> u32 {
-    match encoding {
-        ExactlyOneEncoding::Sequential if targets > 2 => (targets - 1) as u32,
-        _ => 0,
-    }
-}
-
-/// Clauses one hyperedge emits under `encoding` (capacity sizing for the
-/// clause store, and how the diagnosis finds an edge's clauses in the
-/// stream; mirrors [`emit_implied_exactly_one`] exactly).
-pub(crate) fn clause_count(encoding: ExactlyOneEncoding, targets: usize) -> usize {
-    match (encoding, targets) {
-        (_, 0) => 1,
-        (_, 1) => 1,
-        (_, 2) => 2,
-        (ExactlyOneEncoding::Pairwise, k) => 1 + k * (k - 1) / 2,
-        // 1 ALO + (1 + 3(k-2) + 1) register clauses.
-        (ExactlyOneEncoding::Sequential, k) => 3 * (k - 1),
-    }
-}
-
-/// Emits the exactly-one clauses of every edge (`aux_base` has one entry
-/// per edge), in edge order, reading endpoints straight from the dense
-/// handle tables.
-fn emit_edges(
-    g: &HyperGraph,
-    encoding: ExactlyOneEncoding,
-    aux_base: &[u32],
-    out: &mut Vec<Clause>,
-) {
-    for (e, &aux) in aux_base.iter().enumerate() {
+    // The edge clauses, reading endpoints straight from the dense handle
+    // tables.
+    for e in 0..edges.len() {
         let source = g.edge_source_handle(e);
         debug_assert_ne!(source, crate::graph::HANDLE_NONE, "edge source is a node");
-        let guard = Var(source).negative();
         let targets = g.edge_target_handles(e);
         debug_assert!(
             targets.iter().all(|&t| t != crate::graph::HANDLE_NONE),
             "edge targets are nodes"
         );
-        emit_implied_exactly_one(out, guard, targets, encoding, aux);
+        emit_implied_exactly_one(&mut clauses, Var(source).negative(), targets);
+    }
+
+    Constraints {
+        cnf: Cnf::from_parts(g.nodes().len() as u32, clauses),
+        vars: VarMap::from_graph(g),
     }
 }
 
+/// Clauses one hyperedge with `targets` targets emits (capacity sizing
+/// for the clause store, and how the diagnosis finds an edge's clauses in
+/// the stream; mirrors [`emit_implied_exactly_one`] exactly).
+pub(crate) fn clause_count(targets: usize) -> usize {
+    1 + targets * targets.saturating_sub(1) / 2
+}
+
 /// `¬guard → ⊕ targets` over node handles, clause-for-clause identical
-/// to [`add_implied_exactly_one`] but with the sequential registers
-/// pre-numbered from `aux_base` instead of allocated from the formula.
-fn emit_implied_exactly_one(
-    out: &mut Vec<Clause>,
-    guard: Lit,
-    targets: &[u32],
-    encoding: ExactlyOneEncoding,
-    aux_base: u32,
-) {
+/// to [`add_implied_exactly_one`].
+fn emit_implied_exactly_one(out: &mut Vec<Clause>, guard: Lit, targets: &[u32]) {
     let lit = |h: u32| Var(h).positive();
     if targets.is_empty() {
         // Source deployable only if its dependency has a satisfier; none
@@ -230,31 +185,10 @@ fn emit_implied_exactly_one(
     alo.push(guard);
     alo.extend(targets.iter().map(|&t| lit(t)));
     out.push(alo);
-    // At most one.
-    match encoding {
-        ExactlyOneEncoding::Pairwise => {
-            for i in 0..targets.len() {
-                for j in i + 1..targets.len() {
-                    out.push(vec![guard, !lit(targets[i]), !lit(targets[j])]);
-                }
-            }
-        }
-        ExactlyOneEncoding::Sequential => {
-            if targets.len() <= 2 {
-                if targets.len() == 2 {
-                    out.push(vec![guard, !lit(targets[0]), !lit(targets[1])]);
-                }
-                return;
-            }
-            let n = targets.len();
-            let reg = |i: usize| Var(aux_base + i as u32).positive();
-            out.push(vec![guard, !lit(targets[0]), reg(0)]);
-            for (i, &t) in targets.iter().enumerate().take(n - 1).skip(1) {
-                out.push(vec![guard, !lit(t), reg(i)]);
-                out.push(vec![guard, !reg(i - 1), reg(i)]);
-                out.push(vec![guard, !lit(t), !reg(i - 1)]);
-            }
-            out.push(vec![guard, !lit(targets[n - 1]), !reg(n - 2)]);
+    // At most one, pairwise.
+    for i in 0..targets.len() {
+        for j in i + 1..targets.len() {
+            out.push(vec![guard, !lit(targets[i]), !lit(targets[j])]);
         }
     }
 }
@@ -266,6 +200,7 @@ fn emit_implied_exactly_one(
 /// byte-identical to [`generate`]'s. Do not use outside tests and
 /// benchmarks.
 pub fn generate_legacy(g: &HyperGraph, encoding: ExactlyOneEncoding) -> Constraints {
+    let ExactlyOneEncoding::Pairwise = encoding;
     let mut cnf = Cnf::new();
     let mut vars = BTreeMap::new();
     // Allocate the node variables first so enumeration projections are
@@ -281,7 +216,7 @@ pub fn generate_legacy(g: &HyperGraph, encoding: ExactlyOneEncoding) -> Constrai
     for e in g.edges() {
         let guard = vars[e.source()].negative();
         let targets: Vec<Lit> = e.targets().iter().map(|t| vars[t].positive()).collect();
-        add_implied_exactly_one(&mut cnf, guard, &targets, encoding);
+        add_implied_exactly_one(&mut cnf, guard, &targets);
     }
     Constraints {
         cnf,
@@ -292,7 +227,7 @@ pub fn generate_legacy(g: &HyperGraph, encoding: ExactlyOneEncoding) -> Constrai
 /// Adds `¬guard → ⊕ lits`, i.e. every clause of the exactly-one encoding is
 /// weakened with the `guard` literal. (`guard` is the *negation* of the
 /// source proposition.)
-fn add_implied_exactly_one(cnf: &mut Cnf, guard: Lit, lits: &[Lit], encoding: ExactlyOneEncoding) {
+fn add_implied_exactly_one(cnf: &mut Cnf, guard: Lit, lits: &[Lit]) {
     if lits.is_empty() {
         // Source deployable only if its dependency has a satisfier; none
         // exist, so the source must be off.
@@ -303,31 +238,10 @@ fn add_implied_exactly_one(cnf: &mut Cnf, guard: Lit, lits: &[Lit], encoding: Ex
     let mut alo = vec![guard];
     alo.extend_from_slice(lits);
     cnf.add_clause(alo);
-    // At most one.
-    match encoding {
-        ExactlyOneEncoding::Pairwise => {
-            for i in 0..lits.len() {
-                for j in i + 1..lits.len() {
-                    cnf.add_clause(vec![guard, !lits[i], !lits[j]]);
-                }
-            }
-        }
-        ExactlyOneEncoding::Sequential => {
-            if lits.len() <= 2 {
-                if lits.len() == 2 {
-                    cnf.add_clause(vec![guard, !lits[0], !lits[1]]);
-                }
-                return;
-            }
-            let n = lits.len();
-            let regs: Vec<Lit> = (0..n - 1).map(|_| cnf.fresh_var().positive()).collect();
-            cnf.add_clause(vec![guard, !lits[0], regs[0]]);
-            for i in 1..n - 1 {
-                cnf.add_clause(vec![guard, !lits[i], regs[i]]);
-                cnf.add_clause(vec![guard, !regs[i - 1], regs[i]]);
-                cnf.add_clause(vec![guard, !lits[i], !regs[i - 1]]);
-            }
-            cnf.add_clause(vec![guard, !lits[n - 1], !regs[n - 2]]);
+    // At most one, pairwise.
+    for i in 0..lits.len() {
+        for j in i + 1..lits.len() {
+            cnf.add_clause(vec![guard, !lits[i], !lits[j]]);
         }
     }
 }
@@ -347,40 +261,23 @@ mod tests {
     fn openmrs_constraints_are_satisfiable() {
         let u = openmrs_universe();
         let g = graph_gen(&u, &figure_2()).unwrap();
-        for enc in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
-            let c = generate(&g, enc);
-            let r = solve(&c);
-            let m = r.model().expect("satisfiable");
-            // Spec instances deployed.
-            for id in ["server", "tomcat", "openmrs"] {
-                assert!(
-                    m.value(c.var(&id.into()).unwrap()),
-                    "{id} not deployed ({enc})"
-                );
-            }
-            // Exactly one of JDK/JRE.
-            let jdk = m.value(c.var(&"jdk-1.6".into()).unwrap());
-            let jre = m.value(c.var(&"jre-1.6".into()).unwrap());
-            assert!(jdk ^ jre, "exactly one Java implementation expected");
-            // MySQL deployed (peer of OpenMRS).
-            assert!(m.value(c.var(&"mysql-5.1".into()).unwrap()));
+        let enc = ExactlyOneEncoding::Pairwise;
+        let c = generate(&g, enc);
+        let r = solve(&c);
+        let m = r.model().expect("satisfiable");
+        // Spec instances deployed.
+        for id in ["server", "tomcat", "openmrs"] {
+            assert!(
+                m.value(c.var(&id.into()).unwrap()),
+                "{id} not deployed ({enc})"
+            );
         }
-    }
-
-    #[test]
-    fn encodings_agree_on_projected_model_count() {
-        let u = openmrs_universe();
-        let g = graph_gen(&u, &figure_2()).unwrap();
-        let counts: Vec<usize> = [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential]
-            .into_iter()
-            .map(|enc| {
-                let c = generate(&g, enc);
-                engage_sat::count_models(c.cnf(), &c.node_vars(), 1000)
-            })
-            .collect();
-        assert_eq!(counts[0], counts[1]);
-        // Exactly 2 deployments: JDK-based and JRE-based.
-        assert_eq!(counts[0], 2);
+        // Exactly one of JDK/JRE.
+        let jdk = m.value(c.var(&"jdk-1.6".into()).unwrap());
+        let jre = m.value(c.var(&"jre-1.6".into()).unwrap());
+        assert!(jdk ^ jre, "exactly one Java implementation expected");
+        // MySQL deployed (peer of OpenMRS).
+        assert!(m.value(c.var(&"mysql-5.1".into()).unwrap()));
     }
 
     #[test]
@@ -399,43 +296,41 @@ mod tests {
             .map(|(h, _)| Var(h as u32).positive())
             .collect();
         assert_eq!(spec_units.len(), figure_2().len());
-        for enc in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
-            let full = generate(&g, enc);
-            let (units, edges) = full.cnf().clauses().split_at(spec_units.len());
-            assert!(units.iter().all(|c| c.len() == 1), "{enc}");
-            let leading: Vec<Lit> = units.iter().map(|c| c[0]).collect();
-            assert_eq!(leading, spec_units, "{enc}");
-            // Edge clauses are units only when they switch a source off.
-            assert!(
-                edges.iter().all(|c| c.len() > 1 || !c[0].is_positive()),
-                "{enc}"
-            );
-            let mut s = Solver::new();
-            for _ in 0..full.cnf().num_vars() {
-                s.new_var();
-            }
-            edges.iter().for_each(|c| s.add_clause(c.clone()));
-            let m = s.solve_with_assumptions(&spec_units);
-            let m = m.model().expect("satisfiable under the spec assumptions");
-            assert!(m.satisfies_all(full.cnf().clauses()), "{enc}");
+        let enc = ExactlyOneEncoding::Pairwise;
+        let full = generate(&g, enc);
+        let (units, edges) = full.cnf().clauses().split_at(spec_units.len());
+        assert!(units.iter().all(|c| c.len() == 1), "{enc}");
+        let leading: Vec<Lit> = units.iter().map(|c| c[0]).collect();
+        assert_eq!(leading, spec_units, "{enc}");
+        // Edge clauses are units only when they switch a source off.
+        assert!(
+            edges.iter().all(|c| c.len() > 1 || !c[0].is_positive()),
+            "{enc}"
+        );
+        let mut s = Solver::new();
+        for _ in 0..full.cnf().num_vars() {
+            s.new_var();
         }
+        edges.iter().for_each(|c| s.add_clause(c.clone()));
+        let m = s.solve_with_assumptions(&spec_units);
+        let m = m.model().expect("satisfiable under the spec assumptions");
+        assert!(m.satisfies_all(full.cnf().clauses()), "{enc}");
     }
 
     #[test]
     fn handle_generator_matches_legacy_byte_for_byte() {
         let u = openmrs_universe();
         let g = graph_gen(&u, &figure_2()).unwrap();
-        for enc in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
-            let flat = generate(&g, enc);
-            let legacy = generate_legacy(&g, enc);
-            assert_eq!(flat.cnf().num_vars(), legacy.cnf().num_vars(), "{enc}");
-            assert_eq!(flat.cnf().clauses(), legacy.cnf().clauses(), "{enc}");
-            assert!(flat
-                .vars()
-                .zip(legacy.vars())
-                .all(|((ida, va), (idb, vb))| ida == idb && va == vb));
-            assert_eq!(flat.node_vars(), legacy.node_vars(), "{enc}");
-        }
+        let enc = ExactlyOneEncoding::Pairwise;
+        let flat = generate(&g, enc);
+        let legacy = generate_legacy(&g, enc);
+        assert_eq!(flat.cnf().num_vars(), legacy.cnf().num_vars(), "{enc}");
+        assert_eq!(flat.cnf().clauses(), legacy.cnf().clauses(), "{enc}");
+        assert!(flat
+            .vars()
+            .zip(legacy.vars())
+            .all(|((ida, va), (idb, vb))| ida == idb && va == vb));
+        assert_eq!(flat.node_vars(), legacy.node_vars(), "{enc}");
     }
 
     #[test]
@@ -459,7 +354,7 @@ mod tests {
         let mut cnf = Cnf::new();
         let v = cnf.fresh_var();
         cnf.add_unit(v.positive());
-        add_implied_exactly_one(&mut cnf, v.negative(), &[], ExactlyOneEncoding::Pairwise);
+        add_implied_exactly_one(&mut cnf, v.negative(), &[]);
         assert_eq!(Solver::from_cnf(&cnf).solve(), SatResult::Unsat);
     }
 
@@ -469,12 +364,7 @@ mod tests {
         let v = cnf.fresh_var();
         let a = cnf.fresh_var();
         let b = cnf.fresh_var();
-        add_implied_exactly_one(
-            &mut cnf,
-            v.negative(),
-            &[a.positive(), b.positive()],
-            ExactlyOneEncoding::Pairwise,
-        );
+        add_implied_exactly_one(&mut cnf, v.negative(), &[a.positive(), b.positive()]);
         // v off: both a and b may be true simultaneously.
         cnf.add_unit(v.negative());
         cnf.add_unit(a.positive());

@@ -88,7 +88,8 @@ impl Diagnosis {
 
 /// Checks satisfiability and, if UNSAT, extracts a minimal unsatisfiable
 /// subset of the constraint groups: [`ConfigEngine::diagnose`] on a
-/// throwaway engine with the given encoding.
+/// throwaway engine. There is one encoding; the parameter stays because
+/// the benchmark package passes it.
 ///
 /// Returns `Ok(None)` when a full installation specification exists.
 ///
@@ -99,18 +100,16 @@ impl Diagnosis {
 pub fn diagnose(
     universe: &Universe,
     partial: &PartialInstallSpec,
-    encoding: ExactlyOneEncoding,
+    _encoding: ExactlyOneEncoding,
 ) -> Result<Option<(Diagnosis, HyperGraph)>, ModelError> {
-    ConfigEngine::new(universe)
-        .with_encoding(encoding)
-        .diagnose(partial)
+    ConfigEngine::new(universe).diagnose(partial)
 }
 
 impl ConfigEngine<'_> {
     /// Checks satisfiability and, if UNSAT, extracts a minimal
     /// unsatisfiable subset of the constraint groups — one group per spec
     /// instance and one per hyperedge, listed in that order — on the
-    /// engine's index and encoding.
+    /// engine's index.
     ///
     /// One solver holds the whole formula. A spec instance's group is its
     /// `rsrc(id)` literal; a hyperedge's clauses each carry the negation
@@ -132,7 +131,7 @@ impl ConfigEngine<'_> {
     ) -> Result<Option<(Diagnosis, HyperGraph)>, ModelError> {
         let _span = self.obs.span("config.diagnose");
         let graph = graph_gen_indexed(&self.index, partial)?;
-        let cnf = generate(&graph, self.encoding).into_cnf();
+        let cnf = generate(&graph, ExactlyOneEncoding::Pairwise).into_cnf();
         let selector_base = cnf.num_vars();
 
         let mut solver = Solver::new();
@@ -149,10 +148,7 @@ impl ConfigEngine<'_> {
         for (e, edge) in graph.edges().iter().enumerate() {
             let selector = Var(selector_base + e as u32).positive();
             assumptions.push(selector);
-            for mut clause in clauses
-                .by_ref()
-                .take(clause_count(self.encoding, edge.targets().len()))
-            {
+            for mut clause in clauses.by_ref().take(clause_count(edge.targets().len())) {
                 clause.push(!selector);
                 solver.add_clause(clause);
             }
@@ -352,9 +348,9 @@ mod tests {
     fn empty_partial_spec_has_no_groups_and_no_conflict() {
         let u = django_like_universe();
         let empty = PartialInstallSpec::default();
-        for enc in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
-            assert!(diagnose(&u, &empty, enc).unwrap().is_none(), "{enc}");
-        }
+        assert!(diagnose(&u, &empty, ExactlyOneEncoding::Pairwise)
+            .unwrap()
+            .is_none());
     }
 
     #[test]
@@ -375,10 +371,8 @@ mod tests {
     #[test]
     fn both_encodings_find_a_core() {
         let u = django_like_universe();
-        for enc in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
-            let got = diagnose(&u, &conflicting_partial(), enc).unwrap();
-            assert!(got.is_some(), "{enc}");
-        }
+        let got = diagnose(&u, &conflicting_partial(), ExactlyOneEncoding::Pairwise).unwrap();
+        assert!(got.is_some());
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub enum SolverMode {
 /// plan's structure — hypergraph and constraints — and the live solver
 /// loaded with it, under one key. A reconfigure whose partial spec has
 /// the same *shape* (ids, keys, inside links; config-value edits keep
-/// it) against the same universe index and encoding reuses all of it;
+/// it) against the same universe index reuses all of it;
 /// anything else replaces all of it. Cheap to create; a fresh session
 /// simply makes the first solve a build.
 ///
@@ -56,7 +56,6 @@ struct Live {
     /// The index the graph was generated against; holding the `Arc`
     /// keeps its address from being reused by another universe's index.
     index: Arc<UniverseIndex>,
-    encoding: ExactlyOneEncoding,
     graph: Arc<HyperGraph>,
     constraints: Arc<Constraints>,
     /// Loaded with `constraints`, spec units included: the shape key
@@ -179,14 +178,12 @@ pub struct ConfigEngine<'a> {
     /// shared by every configure/reconfigure through this engine (clones
     /// share it too). GraphGen runs against this, not the raw universe.
     pub(crate) index: Arc<UniverseIndex>,
-    pub(crate) encoding: ExactlyOneEncoding,
     verify: bool,
     pub(crate) obs: Obs,
 }
 
 impl<'a> ConfigEngine<'a> {
-    /// Creates an engine with the default (pairwise) exactly-one encoding.
-    /// Builds the [`UniverseIndex`] eagerly — one pass over the universe —
+    /// Creates an engine. Builds the [`UniverseIndex`] eagerly — one pass over the universe —
     /// so repeated configure calls pay only O(1)–O(answer) query costs.
     pub fn new(universe: &'a Universe) -> Self {
         Self::new_with_index(universe, Arc::new(UniverseIndex::new(universe)))
@@ -200,18 +197,9 @@ impl<'a> ConfigEngine<'a> {
         ConfigEngine {
             universe,
             index,
-            encoding: ExactlyOneEncoding::Pairwise,
             verify: true,
             obs: Obs::disabled(),
         }
-    }
-
-    /// Selects the exactly-one encoding. Every product path takes the
-    /// pairwise default; the Sinz sequential encoder is reached only by
-    /// tests, and leaves with ROADMAP's native exactly-one groups.
-    pub fn with_encoding(mut self, encoding: ExactlyOneEncoding) -> Self {
-        self.encoding = encoding;
-        self
     }
 
     /// Does nothing: there is one solver mode. Kept only for the
@@ -338,12 +326,10 @@ impl<'a> ConfigEngine<'a> {
         let mut local = ConfigSession::new();
         let session = session.unwrap_or(&mut local);
         // A shape-preserving spec edit (config values only) against the
-        // same index and encoding keeps the structure and its solver.
+        // same index keeps the structure and its solver.
         let reused = match &mut session.live {
             Some(live)
-                if Arc::ptr_eq(&live.index, &self.index)
-                    && live.encoding == self.encoding
-                    && live.graph.has_shape_of(partial) =>
+                if Arc::ptr_eq(&live.index, &self.index) && live.graph.has_shape_of(partial) =>
             {
                 HyperGraph::refresh_config_overrides(&mut live.graph, partial);
                 self.obs.counter("config.structure_reuses").incr();
@@ -464,13 +450,12 @@ impl<'a> ConfigEngine<'a> {
         self.report_index_stats();
         let constraints = {
             let _s = self.obs.span("config.constraint_gen");
-            generate(&graph, self.encoding)
+            generate(&graph, ExactlyOneEncoding::Pairwise)
         };
         let mut solver = Solver::from_cnf(constraints.cnf());
         solver.set_obs(&self.obs);
         Ok(Live {
             index: Arc::clone(&self.index),
-            encoding: self.encoding,
             graph: Arc::new(graph),
             constraints: Arc::new(constraints),
             solver,
@@ -493,7 +478,7 @@ impl<'a> ConfigEngine<'a> {
         limit: usize,
     ) -> Result<usize, ConfigError> {
         let graph = graph_gen_indexed(&self.index, partial)?;
-        let constraints: Constraints = generate(&graph, self.encoding);
+        let constraints: Constraints = generate(&graph, ExactlyOneEncoding::Pairwise);
         // The minimal core of each model, as its bitmap; each counts once.
         let mut seen_minimal: BTreeSet<Vec<bool>> = BTreeSet::new();
         engage_sat::for_each_model(
@@ -923,17 +908,5 @@ mod tests {
         let u = openmrs_universe();
         let engine = ConfigEngine::new(&u);
         assert_eq!(engine.count_configurations(&figure_2(), 100).unwrap(), 2);
-    }
-
-    #[test]
-    fn encodings_produce_equivalent_specs() {
-        let u = openmrs_universe();
-        let a = ConfigEngine::new(&u).configure(&figure_2()).unwrap();
-        let b = ConfigEngine::new(&u)
-            .with_encoding(ExactlyOneEncoding::Sequential)
-            .configure(&figure_2())
-            .unwrap();
-        // Same instance count; specific Java choice may differ.
-        assert_eq!(a.spec.len(), b.spec.len());
     }
 }

@@ -124,8 +124,8 @@ enum MachineMemo {
 ///
 /// Nodes are stored densely and addressed by `u32` handles internally;
 /// an id→handle hash index makes [`HyperGraph::node`] O(1), a per-node
-/// memo makes [`HyperGraph::machine_of`] O(1) once
-/// [`HyperGraph::resolve_machines`] has run (GraphGen runs it), and a
+/// memo makes [`HyperGraph::machine_of`] O(1) once GraphGen has
+/// resolved every node's machine, and a
 /// per-source edge index backs [`HyperGraph::edges_from`]. Equality
 /// compares nodes and edges only — the indexes are derived data.
 #[derive(Debug, Clone, Default)]

@@ -2,7 +2,7 @@
 //! driver to `active` in dependency order, manages shutdown in reverse
 //! order, and integrates the process monitor.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -17,11 +17,10 @@ use engage_util::obs::Obs;
 use crate::action::{service_name, ActionCtx, DriverRegistry};
 use crate::error::{DeployError, DeployFailure};
 use crate::journal::{parse_driver_state, parse_os, DeployJournal, JournalRecord};
-use crate::parallel::ParallelOutcome;
 use crate::retry::RetryPolicy;
 
 /// How an interrupted deployment's journal is brought back to life by
-/// [`DeploymentEngine::resume`].
+/// [`DeploymentEngine::replay`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResumeMode {
     /// The simulated data center survived the crash (only the engine
@@ -111,8 +110,8 @@ pub struct Deployment {
 }
 
 impl Deployment {
-    /// A deployment of `spec` with nothing provisioned or installed yet.
-    pub(crate) fn fresh(spec: &InstallSpec) -> Self {
+    /// The empty estate of `spec`: nothing provisioned or installed yet.
+    pub fn new(spec: &InstallSpec) -> Self {
         let mut dep = Deployment::default();
         dep.rebase(spec.clone());
         dep
@@ -176,11 +175,6 @@ impl Deployment {
     /// The process monitor attached to this deployment.
     pub fn monitor(&self) -> &Monitor {
         &self.monitor
-    }
-
-    /// Mutable access to the monitor (to run ticks).
-    pub fn monitor_mut(&mut self) -> &mut Monitor {
-        &mut self.monitor
     }
 
     /// Per-host instance lists (the per-node specifications of the
@@ -299,6 +293,54 @@ pub(crate) fn ordered(dependents: &[Vec<usize>]) -> Result<Vec<usize>, DeployErr
     })
 }
 
+/// What a [`DeploymentEngine::run`] drives, and where to: a basic state
+/// for every instance of the deployment ([`Target::all`]) or for some of
+/// them ([`Target::only`]), the rest staying where they are.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Target {
+    state: BasicState,
+    only: Option<Vec<InstanceId>>,
+}
+
+impl Target {
+    /// Every instance to `state`: deploy and start (`active`), stop
+    /// (`inactive`), uninstall (`uninstalled`).
+    pub fn all(state: BasicState) -> Self {
+        Target { state, only: None }
+    }
+
+    /// Just the instances `ids` to `state`.
+    pub fn only(ids: impl IntoIterator<Item = InstanceId>, state: BasicState) -> Self {
+        let only = Some(ids.into_iter().collect());
+        Target { state, only }
+    }
+
+    /// The admitted mask over `spec`'s positions (`None`: all of them).
+    fn admitted(&self, spec: &InstallSpec) -> Result<Option<Vec<bool>>, DeployError> {
+        let Some(ids) = &self.only else {
+            return Ok(None);
+        };
+        let mut admitted = vec![false; spec.len()];
+        for id in ids {
+            let unknown = || DeployError::UnknownInstance {
+                instance: id.clone(),
+            };
+            admitted[spec.position(id).ok_or_else(unknown)?] = true;
+        }
+        Ok(Some(admitted))
+    }
+}
+
+/// A deployment with the host wall-clock its run took (the simulated
+/// durations live in its timeline). Kept for the benchmark package.
+#[derive(Debug)]
+pub struct ParallelOutcome {
+    /// The resulting deployment (all drivers `active`).
+    pub deployment: Deployment,
+    /// Real (host) wall-clock the run took.
+    pub wall: Duration,
+}
+
 /// The deployment engine: executes driver state machines against the
 /// simulated data center.
 ///
@@ -324,7 +366,7 @@ pub struct DeploymentEngine<'a> {
     /// installed). And a walk is best-effort: a transition that fails, or
     /// whose guard can never hold, skips only its DAG descendants.
     pub(crate) teardown: bool,
-    workers: Option<usize>,
+    pub(crate) workers: usize,
 }
 
 impl<'a> DeploymentEngine<'a> {
@@ -341,7 +383,7 @@ impl<'a> DeploymentEngine<'a> {
             rollback_on_failure: false,
             kill: None,
             teardown: false,
-            workers: None,
+            workers: 1,
         }
     }
 
@@ -377,17 +419,19 @@ impl<'a> DeploymentEngine<'a> {
 
     /// Attaches a write-ahead [`DeployJournal`] (builder-style): machine
     /// provisioning and every attempted/committed transition are logged,
-    /// enabling [`DeploymentEngine::resume`] after a crash.
+    /// so [`DeploymentEngine::replay`] can rebuild the estate after a
+    /// crash.
     pub fn with_journal(mut self, journal: DeployJournal) -> Self {
         self.journal = Some(journal);
         self
     }
 
-    /// Enables automatic rollback (builder-style): when a deployment
-    /// fails permanently, `deploy_with_recovery` drives every partially
-    /// deployed instance back to `uninstalled` in reverse dependency
-    /// order before returning. Not triggered by engine kills — a crashed
-    /// engine cannot clean up; that is what the journal is for.
+    /// Enables automatic rollback (builder-style): when a bring-up from
+    /// the empty estate fails permanently, [`DeploymentEngine::run`]
+    /// drives every partially deployed instance back to `uninstalled` in
+    /// reverse dependency order before returning. Not triggered by
+    /// engine kills — a crashed engine cannot clean up; that is what the
+    /// journal is for.
     pub fn with_auto_rollback(mut self, on: bool) -> Self {
         self.rollback_on_failure = on;
         self
@@ -401,16 +445,13 @@ impl<'a> DeploymentEngine<'a> {
         self
     }
 
-    /// Overrides the wavefront scheduler's worker count (builder-style;
-    /// default: one worker per machine, capped at 8).
+    /// Sets the wavefront scheduler's worker count for
+    /// [`DeploymentEngine::run`] and the reconciler's repairs
+    /// (builder-style; default 1, the only count at which journals, kill
+    /// points and resume are reproducible).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers.max(1));
+        self.workers = workers.max(1);
         self
-    }
-
-    /// The attached retry policy.
-    pub fn retry_policy(&self) -> &RetryPolicy {
-        &self.retry
     }
 
     /// The attached journal, if any.
@@ -420,13 +461,6 @@ impl<'a> DeploymentEngine<'a> {
 
     pub(crate) fn obs(&self) -> &Obs {
         &self.obs
-    }
-
-    /// The wavefront pool's size for a deployment over `machines`
-    /// machines: the `with_workers` override, else one worker per
-    /// machine capped at 8.
-    pub(crate) fn pool_size(&self, machines: usize) -> usize {
-        self.workers.unwrap_or_else(|| machines.clamp(1, 8))
     }
 
     /// The simulated data center.
@@ -439,86 +473,167 @@ impl<'a> DeploymentEngine<'a> {
         self.universe
     }
 
-    /// Deploys a full installation specification: provisions machines,
-    /// then drives every instance's driver to `active` in dependency order
-    /// and registers running services with the monitor.
-    ///
-    /// # Errors
-    ///
-    /// Provisioning, pathing, guard, or action failures. This wrapper
-    /// drops the partial-deployment report; use
-    /// [`DeploymentEngine::deploy_with_recovery`] to keep it (completed
-    /// timeline, per-instance states, auto-rollback).
+    /// `run(Deployment::new(spec), Target::all(Active))` on one worker,
+    /// without the recovery report. Kept for the benchmark package.
     pub fn deploy(&self, spec: &InstallSpec) -> Result<Deployment, DeployError> {
-        self.deploy_with_recovery(spec).map_err(|f| f.error)
+        Ok(self.bring_up(Deployment::new(spec), 1)?.deployment)
     }
 
-    /// Deploys like [`DeploymentEngine::deploy`], but a failure returns a
-    /// [`DeployFailure`] carrying the partial deployment state — the
-    /// transitions that completed, every driver's state at the moment of
-    /// failure — and, when [`DeploymentEngine::with_auto_rollback`] is
-    /// enabled and the failure is not an engine kill, rolls the partial
-    /// deployment back to `uninstalled` in reverse dependency order.
-    ///
-    /// # Errors
-    ///
-    /// Provisioning, pathing, guard, or action failures, boxed with the
-    /// recovery report.
-    pub fn deploy_with_recovery(
-        &self,
-        spec: &InstallSpec,
-    ) -> Result<Deployment, Box<DeployFailure>> {
-        self.deploy_on(spec, false)
-            .map(|outcome| outcome.deployment)
+    /// `run(Deployment::new(spec), Target::all(Active))`, timed, without
+    /// the recovery report. Kept for the benchmark package.
+    pub fn deploy_parallel(&self, spec: &InstallSpec) -> Result<ParallelOutcome, DeployError> {
+        self.bring_up(Deployment::new(spec), self.workers)
     }
 
-    /// The one deploy body, under `deploy` (one worker) and
-    /// `deploy_parallel` (the pool): provisions the machines, runs the
-    /// bring-up DAG and registers the running services — or builds the
-    /// failure report, rolling back when enabled.
-    pub(crate) fn deploy_on(
+    /// `run(replay(spec, records, mode), Target::all(Active))` on one
+    /// worker, without the recovery report. Kept for the benchmark package.
+    pub fn resume(
         &self,
         spec: &InstallSpec,
-        parallel: bool,
-    ) -> Result<ParallelOutcome, Box<DeployFailure>> {
-        let machines = spec.iter().filter(|i| i.inside_link().is_none()).count();
-        let (name, workers) = if parallel {
-            ("deploy.parallel", self.pool_size(machines))
-        } else {
-            ("deploy.deploy", 1)
-        };
-        let (instances, slaves) = (spec.len().to_string(), workers.to_string());
-        let fields = [("instances", instances.as_str()), ("slaves", &slaves)];
-        let _span = self.obs.span_with(name, &fields);
-        let mut dep = Deployment::fresh(spec);
-        self.provision_machines(&mut dep);
+        records: &[JournalRecord],
+        mode: ResumeMode,
+    ) -> Result<Deployment, DeployError> {
+        Ok(self
+            .bring_up(self.replay(spec, records, mode)?, 1)?
+            .deployment)
+    }
+
+    /// `run(dep, Target::all(Inactive))` on one worker, without the
+    /// recovery report. Kept for the benchmark package.
+    pub fn stop_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
+        self.run_one(dep, Target::all(BasicState::Inactive))
+    }
+
+    /// `run(dep, Target::all(Uninstalled))` on one worker, without the
+    /// recovery report. Kept for the benchmark package.
+    pub fn uninstall_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
+        self.run_one(dep, Target::all(BasicState::Uninstalled))
+    }
+
+    /// The wrappers' run: `to` on one worker, without the recovery report.
+    fn run_one(&self, dep: &mut Deployment, to: Target) -> Result<(), DeployError> {
+        self.run_on(dep, to, 1).map_err(|f| f.error)
+    }
+
+    /// The wrappers' bring-up: `dep` to `active` on `workers` workers,
+    /// timed, without the recovery report.
+    fn bring_up(
+        &self,
+        mut dep: Deployment,
+        workers: usize,
+    ) -> Result<ParallelOutcome, DeployError> {
         let started = Instant::now();
-        let run = self.execute(&mut dep, BasicState::Active, None, workers);
+        let run = self.run_on(&mut dep, Target::all(BasicState::Active), workers);
+        run.map_err(|f| f.error)?;
         let wall = started.elapsed();
-        // A static compile error (nothing ran) and a failed run recover
-        // alike, from whatever `dep` now holds.
-        if let Err(error) | Ok((_, Some(error))) = run {
-            return Err(self.recover(dep, error));
-        }
-        self.register_services(&mut dep);
         Ok(ParallelOutcome {
             deployment: dep,
             wall,
-            slaves: workers,
         })
     }
 
-    /// Builds the failure report for a partial deployment, running the
-    /// automatic rollback when enabled.
-    fn recover(&self, mut dep: Deployment, error: DeployError) -> Box<DeployFailure> {
-        let completed = dep.timeline.clone();
+    /// The one lifecycle command (§5.2): drives `dep` — the empty estate
+    /// of [`Deployment::new`], a [`DeploymentEngine::replay`]ed one or a
+    /// live one — to `to` on the [`DeploymentEngine::with_workers`] pool.
+    ///
+    /// In order: provisions every machine that has no host; compiles the
+    /// transitions into the DAG and runs them (`Target::all(Uninstalled)`
+    /// as two walks: stop what is active, then remove everything); brings
+    /// the monitor in line (an admitted instance's service is watched iff
+    /// its driver is `active` and the service runs); and on failure
+    /// builds the [`DeployFailure`] report, rolling back when
+    /// [`DeploymentEngine::with_auto_rollback`] is on, the run was a
+    /// bring-up from the empty estate (no machine, nothing committed) and
+    /// the engine was not killed.
+    ///
+    /// # Errors
+    ///
+    /// [`DeployError::UnknownInstance`] for an id `to` names outside the
+    /// spec (nothing runs then), what the DAG build rejects statically,
+    /// and the first action failure — with the partial state
+    /// ([`DeployFailure`]), which also stays in `dep`.
+    pub fn run(&self, dep: &mut Deployment, to: Target) -> Result<(), Box<DeployFailure>> {
+        self.run_on(dep, to, self.workers)
+    }
+
+    /// [`DeploymentEngine::run`] on `workers` workers.
+    fn run_on(
+        &self,
+        dep: &mut Deployment,
+        to: Target,
+        workers: usize,
+    ) -> Result<(), Box<DeployFailure>> {
+        let (n, target, w) = (
+            dep.spec.len().to_string(),
+            to.state.to_string(),
+            workers.to_string(),
+        );
+        let fields = [
+            ("instances", n.as_str()),
+            ("target", &target),
+            ("workers", &w),
+        ];
+        let _span = self.obs.span_with("deploy.run", &fields);
+        let empty = dep.machines.is_empty() && dep.timeline.is_empty();
+        let mark = dep.timeline.len();
+        let admitted = match to.admitted(&dep.spec) {
+            Ok(admitted) => admitted,
+            Err(error) => return Err(self.recover(dep, error, mark, false)),
+        };
+        let admitted = admitted.as_deref();
+        self.provision_machines(dep);
+        // One walk: the static rejection, or the run's first failure.
+        let walk = |dep: &mut Deployment, state, admitted: Option<&[bool]>| match self
+            .execute(dep, state, admitted, workers)
+        {
+            Ok((_, error)) => error,
+            Err(error) => Some(error),
+        };
+        let mut error = None;
+        if to.only.is_none() && to.state == BasicState::Uninstalled {
+            let active = DriverState::Basic(BasicState::Active);
+            let running: Vec<bool> = dep
+                .spec
+                .iter()
+                .map(|i| dep.states[i.id()] == active)
+                .collect();
+            error = walk(dep, BasicState::Inactive, Some(&running));
+        }
+        // A teardown is best-effort: it removes what it can after a
+        // failed stop walk too.
+        if error.is_none() || self.teardown {
+            error = error.or(walk(dep, to.state, admitted));
+        }
+        self.watch_running(dep, admitted);
+        match error {
+            None => Ok(()),
+            Some(error) => {
+                let bring_up = empty && to == Target::all(BasicState::Active);
+                Err(self.recover(dep, error, mark, bring_up))
+            }
+        }
+    }
+
+    /// Builds the failure report for a run that committed `dep`'s
+    /// timeline from `mark` on, running the automatic rollback when
+    /// `bring_up` allows it and it is enabled.
+    fn recover(
+        &self,
+        dep: &mut Deployment,
+        error: DeployError,
+        mark: usize,
+        bring_up: bool,
+    ) -> Box<DeployFailure> {
+        let completed = dep.timeline[mark..].to_vec();
         let states = dep.states.clone();
-        let rolled_back =
-            if self.rollback_on_failure && !matches!(error, DeployError::EngineKilled { .. }) {
-                Some(self.rollback_partial(&mut dep))
-            } else {
-                None
-            };
+        let killed = matches!(error, DeployError::EngineKilled { .. });
+        let rolled_back = (bring_up && self.rollback_on_failure && !killed).then(|| {
+            self.obs.counter("deploy.rollbacks").incr();
+            // Two walks, stopping only what runs: driving an instance the
+            // failure left `uninstalled` to `inactive` would install it.
+            let all = Target::all(BasicState::Uninstalled);
+            self.teardown_clone().run(dep, all).is_ok()
+        });
         Box::new(DeployFailure {
             error,
             completed,
@@ -527,45 +642,50 @@ impl<'a> DeploymentEngine<'a> {
         })
     }
 
-    /// Drives every instance of a partial deployment back to
-    /// `uninstalled` in reverse dependency order (the journal-powered
-    /// automatic rollback). Best-effort: returns whether every instance
-    /// ended clean. Retries still apply; the kill switch does not (a
-    /// rollback must not die at the kill-point that just fired).
-    pub(crate) fn rollback_partial(&self, dep: &mut Deployment) -> bool {
-        self.obs.counter("deploy.rollbacks").incr();
-        let quiet = self.teardown_clone();
-        // Two walks, like `uninstall_all` — but the first stops only what
-        // is running: driving an instance the failure left `uninstalled`
-        // to `inactive` would install it.
-        let running = |dep: &Deployment, id: &InstanceId| {
-            dep.states[id] == DriverState::Basic(BasicState::Active)
-        };
-        let stopped = quiet.sweep(dep, BasicState::Inactive, running);
-        let removed = quiet.sweep(dep, BasicState::Uninstalled, |_, _| true);
-        stopped.and(removed).is_ok()
-    }
-
-    /// Clones the engine with teardown semantics: no kill switch, relaxed
-    /// guards, best-effort walks. Rollback and the reconciler's orphan
-    /// teardown sweep through this.
+    /// Clones the engine with teardown semantics: no kill switch (a
+    /// rollback must not die at the kill-point that just fired), relaxed
+    /// guards, best-effort walks, one worker. Rollback and the
+    /// reconciler's orphan teardown run through this.
     pub(crate) fn teardown_clone(&self) -> DeploymentEngine<'a> {
         DeploymentEngine {
             kill: None,
             teardown: true,
+            workers: 1,
             ..self.clone()
         }
     }
 
-    /// Registers every running service with the monitor (the monit
-    /// plugin's post-deploy configuration generation, §5.2). Shared by
-    /// the deploy and resume paths.
-    pub(crate) fn register_services(&self, dep: &mut Deployment) {
-        for inst in dep.spec.iter() {
-            if let Some(host) = dep.host_of(inst.id()) {
-                self.watch_if_running(&mut dep.monitor, host, inst.key());
+    /// Brings the monitor in line with a run (the monit plugin's
+    /// configuration generation, §5.2): an `admitted` instance's service
+    /// is watched iff its driver is `active` and the service runs, in spec
+    /// order. A watch no longer wanted goes only when no `active`
+    /// instance on its host maps to it (two instances can share one), and
+    /// all such watches go in one pass over the list.
+    fn watch_running(&self, dep: &mut Deployment, admitted: Option<&[bool]>) {
+        let active = DriverState::Basic(BasicState::Active);
+        let mut stale: Vec<(HostId, String)> = Vec::new();
+        for (pos, inst) in dep.spec.iter().enumerate() {
+            let admitted = admitted.is_none_or(|a| a[pos]);
+            match dep.host_of(inst.id()).filter(|_| admitted) {
+                Some(host) if dep.states[inst.id()] == active => {
+                    self.watch_if_running(&mut dep.monitor, host, inst.key());
+                }
+                Some(host) => stale.push((host, service_name(inst.key()))),
+                None => {}
             }
         }
+        if stale.is_empty() {
+            return;
+        }
+        // An active instance keeps its watch even when its service is
+        // down: the monitor exists to restart it.
+        let shared: HashSet<(HostId, String)> = (dep.spec.iter())
+            .filter(|i| dep.states[i.id()] == active)
+            .filter_map(|i| Some((dep.host_of(i.id())?, service_name(i.key()))))
+            .collect();
+        let stale = stale.iter().filter(|pair| !shared.contains(pair));
+        dep.monitor
+            .unwatch(stale.map(|(host, name)| (*host, name.as_str())));
     }
 
     /// Watches the service of a `key`-typed instance on `host`, with the
@@ -578,11 +698,12 @@ impl<'a> DeploymentEngine<'a> {
         }
     }
 
-    /// Resumes an interrupted deployment from its journal: rebuilds the
-    /// machine map and driver states from the journaled records, then
-    /// drives the remaining instances to `active` — completed instances
-    /// are no-ops, the in-flight one (a trailing `Attempt` with no
-    /// `Commit`) is re-driven from its last committed state.
+    /// Rebuilds an interrupted deployment's estate from its journal: the
+    /// machines and driver states the records leave behind. A run to
+    /// `Target::all(Active)` on it finishes the deployment: the in-flight
+    /// transition (an `Attempt` with no `Commit`) is re-driven from its
+    /// last committed state, and machines the crash came too early to
+    /// journal are provisioned, as an uninterrupted run would have.
     ///
     /// With [`ResumeMode::Attach`] the surviving simulated data center is
     /// trusted; with [`ResumeMode::Replay`] machines are re-provisioned
@@ -591,9 +712,8 @@ impl<'a> DeploymentEngine<'a> {
     /// # Errors
     ///
     /// [`DeployError::ResumeFailed`] when the journal does not match the
-    /// spec or the data center, plus the usual deployment failures while
-    /// finishing the run.
-    pub fn resume(
+    /// spec or the data center, and a replayed action's failure.
+    pub fn replay(
         &self,
         spec: &InstallSpec,
         records: &[JournalRecord],
@@ -603,7 +723,7 @@ impl<'a> DeploymentEngine<'a> {
             .obs
             .span_with("deploy.resume", &[("records", &records.len().to_string())]);
         let resume_failed = |detail: String| DeployError::ResumeFailed { detail };
-        let mut dep = Deployment::fresh(spec);
+        let mut dep = Deployment::new(spec);
         for record in records {
             match record {
                 JournalRecord::Provisioned {
@@ -629,10 +749,7 @@ impl<'a> DeploymentEngine<'a> {
                             let os = parse_os(os).ok_or_else(|| {
                                 resume_failed(format!("unknown journaled OS `{os}`"))
                             })?;
-                            let fresh = match self.mode {
-                                ProvisionMode::Local => self.sim.provision_local(hostname, os),
-                                ProvisionMode::Cloud => self.sim.provision_cloud(hostname, os),
-                            };
+                            let fresh = self.provision(hostname, os);
                             if fresh != *host {
                                 return Err(resume_failed(format!(
                                     "replay provisioned {fresh} where the journal expects {host} \
@@ -646,7 +763,7 @@ impl<'a> DeploymentEngine<'a> {
                 JournalRecord::Attempt { .. } => {
                     // Write-ahead marker: an Attempt without a matching
                     // Commit is the in-flight transition — nothing to
-                    // restore, activate_all re-drives it below.
+                    // restore, a run to `active` re-drives it.
                 }
                 JournalRecord::Commit {
                     instance,
@@ -700,9 +817,6 @@ impl<'a> DeploymentEngine<'a> {
                 }
             }
         }
-        // Machines the crash happened too early to journal: provision
-        // them now, exactly as an uninterrupted run would have.
-        self.provision_machines(&mut dep);
         self.obs.counter("deploy.resumes").incr();
         if self.obs.is_enabled() {
             self.obs.event(
@@ -713,86 +827,7 @@ impl<'a> DeploymentEngine<'a> {
                 ],
             );
         }
-        self.activate_all(&mut dep)?;
-        self.register_services(&mut dep);
         Ok(dep)
-    }
-
-    /// Drives every instance to `active` in dependency order (also used to
-    /// restart a stopped deployment).
-    ///
-    /// # Errors
-    ///
-    /// Pathing, guard, or action failures.
-    pub fn activate_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
-        self.sweep(dep, BasicState::Active, |_, _| true)
-    }
-
-    /// Stops the whole stack: drives every instance to `inactive` in
-    /// *reverse* dependency order ("shutting down an application goes in
-    /// the reverse dependency order", §5.2).
-    ///
-    /// # Errors
-    ///
-    /// Pathing, guard, or action failures.
-    pub fn stop_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
-        self.sweep(dep, BasicState::Inactive, |_, _| true)
-    }
-
-    /// Uninstalls the whole stack (reverse dependency order).
-    ///
-    /// # Errors
-    ///
-    /// Pathing, guard, or action failures.
-    pub fn uninstall_all(&self, dep: &mut Deployment) -> Result<(), DeployError> {
-        self.stop_all(dep)?;
-        self.sweep(dep, BasicState::Uninstalled, |_, _| true)
-    }
-
-    /// The one stack walk every lifecycle operation is made of (§5.2):
-    /// drives each instance `only` admits (asked once, before the DAG is
-    /// built) to `target` on the executor's one worker. The first failure
-    /// ends the walk; on a [`DeploymentEngine::teardown_clone`] it skips
-    /// only its DAG descendants and is reported after the rest.
-    ///
-    /// # Errors
-    ///
-    /// What the DAG build rejects (nothing is driven then), else the
-    /// first action failure in DAG order.
-    pub(crate) fn sweep(
-        &self,
-        dep: &mut Deployment,
-        target: BasicState,
-        only: impl Fn(&Deployment, &InstanceId) -> bool,
-    ) -> Result<(), DeployError> {
-        let admitted: Vec<bool> = dep.spec.iter().map(|i| only(dep, i.id())).collect();
-        match self.execute(dep, target, Some(&admitted), 1)? {
-            (_, Some(error)) => Err(error),
-            (_, None) => Ok(()),
-        }
-    }
-
-    /// Drives one instance's driver to a basic state along its shortest
-    /// path, every other instance staying where it is.
-    ///
-    /// # Errors
-    ///
-    /// [`DeployError::UnknownInstance`], [`DeployError::NoPath`] if the
-    /// driver cannot reach the state, [`DeployError::GuardFailed`] if a
-    /// guard on the path can never hold against the other instances'
-    /// states (nothing runs then), or the action's own failure.
-    pub fn drive_to(
-        &self,
-        dep: &mut Deployment,
-        id: &InstanceId,
-        target: BasicState,
-    ) -> Result<(), DeployError> {
-        if dep.spec.get(id).is_none() {
-            return Err(DeployError::UnknownInstance {
-                instance: id.clone(),
-            });
-        }
-        self.sweep(dep, target, |_, other| other == id)
     }
 
     /// One driver transition, the unit the executor commits: the kill
@@ -919,6 +954,14 @@ impl<'a> DeploymentEngine<'a> {
         }
     }
 
+    /// A host named `hostname` running `os`, declared or from the cloud.
+    fn provision(&self, hostname: &str, os: Os) -> HostId {
+        match self.mode {
+            ProvisionMode::Local => self.sim.provision_local(hostname, os),
+            ProvisionMode::Cloud => self.sim.provision_cloud(hostname, os),
+        }
+    }
+
     /// Provisions one machine instance and journals the mapping (also
     /// used by the reconciler to replace lost hosts).
     pub(crate) fn provision_one(&self, inst: &ResourceInstance) -> HostId {
@@ -929,10 +972,7 @@ impl<'a> DeploymentEngine<'a> {
             .and_then(engage_model::Value::as_str)
             .unwrap_or(inst.id().as_str())
             .to_owned();
-        let host = match self.mode {
-            ProvisionMode::Local => self.sim.provision_local(&hostname, os),
-            ProvisionMode::Cloud => self.sim.provision_cloud(&hostname, os),
-        };
+        let host = self.provision(&hostname, os);
         if let Some(journal) = &self.journal {
             journal.append(JournalRecord::Provisioned {
                 instance: inst.id().clone(),
@@ -1088,7 +1128,7 @@ mod tests {
         let host = dep.host_of(&"db".into()).unwrap();
         assert!(!e.sim().service_running(host, "mysql"));
         // Restartable.
-        e.activate_all(&mut dep).unwrap();
+        e.run(&mut dep, Target::all(BasicState::Active)).unwrap();
         assert!(dep.is_deployed());
     }
 
@@ -1123,11 +1163,9 @@ mod tests {
         let (u, spec) = fixture();
         let e = engine(&u);
         // Manually drive the app before its dependencies are active.
-        let mut dep = Deployment::fresh(&spec);
-        e.provision_machines(&mut dep);
-        let err = e
-            .drive_to(&mut dep, &"app".into(), BasicState::Active)
-            .unwrap_err();
+        let mut dep = Deployment::new(&spec);
+        let app = Target::only(["app".into()], BasicState::Active);
+        let err = e.run(&mut dep, app).unwrap_err().error;
         assert!(matches!(err, DeployError::GuardFailed { .. }), "{err}");
         // The guard is read before anything runs: not even the install.
         assert_eq!(
@@ -1148,12 +1186,8 @@ mod tests {
         let e = engine(&u);
         let mut dep = e.deploy(&spec).unwrap();
         let orphans: [InstanceId; 2] = ["db".into(), "spare".into()];
-        let err = e
-            .teardown_clone()
-            .sweep(&mut dep, BasicState::Uninstalled, |_, id| {
-                orphans.contains(id)
-            })
-            .unwrap_err();
+        let orphans = Target::only(orphans, BasicState::Uninstalled);
+        let err = e.teardown_clone().run(&mut dep, orphans).unwrap_err().error;
         assert!(
             matches!(&err, DeployError::GuardFailed { instance, .. } if instance.as_str() == "db"),
             "{err}"
@@ -1183,12 +1217,8 @@ mod tests {
         let e = engine(&u);
         let mut dep = e.deploy(&spec).unwrap();
         let orphans: [InstanceId; 2] = ["db".into(), "app".into()];
-        let err = e
-            .teardown_clone()
-            .sweep(&mut dep, BasicState::Uninstalled, |_, id| {
-                orphans.contains(id)
-            })
-            .unwrap_err();
+        let orphans = Target::only(orphans, BasicState::Uninstalled);
+        let err = e.teardown_clone().run(&mut dep, orphans).unwrap_err().error;
         assert!(
             matches!(&err, DeployError::GuardFailed { instance, .. } if instance.as_str() == "db"),
             "{err}"
@@ -1199,6 +1229,35 @@ mod tests {
             Some(DriverState::Basic(BasicState::Uninstalled))
         );
         assert_eq!(state("db"), Some(DriverState::Basic(BasicState::Active)));
+    }
+
+    /// Two instances of one type share one service and so one watch:
+    /// stopping one of them keeps the watch while the other is active.
+    #[test]
+    fn a_shared_watch_stays_while_one_instance_is_active() {
+        let (u, mut spec) = fixture();
+        let mut app2 = ResourceInstance::new("app2", "App 1.0");
+        app2.set_inside_link("server");
+        app2.add_peer_link("db");
+        app2.set_input("mysql", Value::structure([("port", Value::from(3306i64))]));
+        app2.set_config("port", Value::from(8001i64));
+        spec.push(app2).unwrap();
+        let e = engine(&u);
+        let mut dep = e.deploy(&spec).unwrap();
+        let watched = |dep: &Deployment| {
+            let watches = dep.monitor().watches().iter();
+            watches.map(|w| w.service.clone()).collect::<Vec<_>>()
+        };
+        assert_eq!(watched(&dep), ["mysql", "app"]);
+        let app = Target::only(["app".into()], BasicState::Inactive);
+        e.run(&mut dep, app).unwrap();
+        assert_eq!(watched(&dep), ["mysql", "app"], "app2 still maps to it");
+        let app2 = Target::only(["app2".into()], BasicState::Inactive);
+        e.run(&mut dep, app2).unwrap();
+        assert_eq!(watched(&dep), ["mysql"]);
+        let unknown = Target::only(["nope".into()], BasicState::Active);
+        let err = e.run(&mut dep, unknown).unwrap_err().error;
+        assert!(matches!(err, DeployError::UnknownInstance { .. }), "{err}");
     }
 
     #[test]
@@ -1282,7 +1341,9 @@ mod tests {
         let (u, spec) = fixture();
         let journal = crate::DeployJournal::in_memory();
         let e = engine(&u).with_journal(journal.clone()).with_kill_point(3);
-        let failure = e.deploy_with_recovery(&spec).unwrap_err();
+        let failure = e
+            .run(&mut Deployment::new(&spec), Target::all(BasicState::Active))
+            .unwrap_err();
         assert!(matches!(
             failure.error,
             DeployError::EngineKilled { after: 3 }
@@ -1335,12 +1396,18 @@ mod tests {
         // The app's start always fails; mysql is already active by then.
         sim.inject_fault(FaultOp::Start, "app", 9, FaultKind::Permanent);
         let e = DeploymentEngine::new(sim.clone(), &u).with_auto_rollback(true);
-        let failure = e.deploy_with_recovery(&spec).unwrap_err();
+        let mut dep = Deployment::new(&spec);
+        let failure = e
+            .run(&mut dep, Target::all(BasicState::Active))
+            .unwrap_err();
         assert_eq!(failure.rolled_back, Some(true), "{:?}", failure.error);
         let host = HostId(0);
         assert!(!sim.has_package(host, "mysql-5.1"));
         assert!(!sim.has_package(host, "app-1.0"));
         assert!(!sim.service_running(host, "mysql"));
+        // The rollback ran on the caller's estate.
+        let uninstalled = DriverState::Basic(BasicState::Uninstalled);
+        assert!(dep.states.values().all(|s| *s == uninstalled));
     }
 
     #[test]

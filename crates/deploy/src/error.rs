@@ -138,14 +138,10 @@ impl fmt::Display for DeployError {
 
 impl std::error::Error for DeployError {}
 
-/// A deployment failure that keeps the partial state instead of dropping
-/// it: what had completed, where every driver stood, and whether the
-/// automatic rollback ran — the structured report the CLI prints and the
-/// material `resume` works from.
-///
-/// Returned (boxed — it is much larger than the happy path) by
-/// `DeploymentEngine::deploy_with_recovery` and
-/// `deploy_parallel_with_recovery`.
+/// A failed run that keeps the partial state instead of dropping it: what
+/// the run completed, where every driver stood, and whether the automatic
+/// rollback ran — the structured report the CLI prints. Returned (boxed —
+/// it is much larger than the happy path) by `DeploymentEngine::run`.
 #[derive(Debug, Clone)]
 pub struct DeployFailure {
     /// The underlying error.

@@ -3,20 +3,21 @@
 //! The Engage runtime (PLDI 2012, §5): resource **drivers** as guarded
 //! state machines over `{uninstalled, inactive, active}`, a **driver
 //! registry** binding resource keys to action implementations (generic
-//! package/service actions by default), the **deployment engine** that
-//! provisions machines and drives every driver to `active` in dependency
-//! order (reverse order for shutdown), per-node spec splitting for
-//! master/slave multi-host installs, **monit**-style monitoring
-//! integration, and the **upgrade engine** with backup and automatic
-//! rollback.
+//! package/service actions by default), the **deployment engine** whose
+//! one command, [`DeploymentEngine::run`], drives a starting estate to a
+//! [`Target`] — provisioning machines, every driver to `active` in
+//! dependency order (reverse order for shutdown) — per-node spec
+//! splitting for master/slave multi-host installs, **monit**-style
+//! monitoring integration, and the **upgrade engine** with backup and
+//! automatic rollback.
 //!
 //! Everything executes against the simulated data center of `engage-sim`.
 //!
 //! # Examples
 //!
 //! ```
-//! use engage_deploy::{DeploymentEngine};
-//! use engage_model::{InstallSpec, ResourceInstance, Value};
+//! use engage_deploy::{Deployment, DeploymentEngine, Target};
+//! use engage_model::{BasicState, InstallSpec, ResourceInstance, Value};
 //! use engage_sim::{Sim, DownloadSource};
 //!
 //! let universe = engage_dsl::parse_universe(r#"
@@ -44,7 +45,8 @@
 //! spec.push(redis).unwrap();
 //!
 //! let engine = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &universe);
-//! let dep = engine.deploy(&spec).unwrap();
+//! let mut dep = Deployment::new(&spec);
+//! engine.run(&mut dep, Target::all(BasicState::Active)).unwrap();
 //! assert!(dep.is_deployed());
 //! ```
 
@@ -56,7 +58,6 @@ mod discovery;
 mod engine;
 mod error;
 mod journal;
-mod parallel;
 mod reconcile;
 mod retry;
 mod schedule;
@@ -67,15 +68,18 @@ pub use action::{
 };
 pub use discovery::{discover_all, discover_machine};
 pub use engine::{
-    os_for_key, Deployment, DeploymentEngine, ProvisionMode, ResumeMode, TimelineEntry,
+    os_for_key, Deployment, DeploymentEngine, ParallelOutcome, ProvisionMode, ResumeMode, Target,
+    TimelineEntry,
 };
 pub use error::{DeployError, DeployFailure};
 pub use journal::{
     load_jsonl, parse_driver_state, parse_os, DeployJournal, JournalError, JournalRecord,
 };
-pub use parallel::ParallelOutcome;
 pub use reconcile::{
     InstanceHealth, ReconcileLoop, ReconcileOptions, ReconcileRound, ReconcileStats,
 };
 pub use retry::RetryPolicy;
 pub use upgrade::{plan_upgrade, ReplanInfo, UpgradePlanEntry, UpgradeReport, UpgradeStrategy};
+
+#[cfg(test)]
+mod parallel;

@@ -1,83 +1,16 @@
-//! Parallel multi-host deployment — the §5.2 master/slave architecture,
-//! executed by a wavefront DAG scheduler.
-//!
-//! "We can break the overall install specification into per-node
-//! specifications and run a slave instance of Engage on each target host.
-//! The entire deployment is then coordinated from a master host ... Slave
-//! deployments can run in parallel when the slaves have no
-//! inter-dependencies."
-//!
-//! The whole deployment is compiled into an explicit transition DAG and
-//! executed as topological wavefronts on a work-stealing pool (see
-//! [`crate::schedule`]'s module docs). Guards become reverse-dependency
-//! counters released with O(1) decrements, so the engine scales to tens
-//! of thousands of hosts; the "slaves" are the pool's workers. A
-//! parallel deploy is `deploy` with the pool instead of one worker: the
-//! same body, the same DAG.
-
-use std::time::Duration;
-
-use engage_model::InstallSpec;
-
-use crate::engine::{Deployment, DeploymentEngine};
-use crate::error::{DeployError, DeployFailure};
-
-/// Outcome of a parallel deployment: the deployment plus the *host*
-/// wall-clock the workers took (the simulated install durations live in
-/// the deployment's timeline, as usual).
-#[derive(Debug)]
-pub struct ParallelOutcome {
-    /// The resulting deployment (all drivers `active`).
-    pub deployment: Deployment,
-    /// Real (host) wall-clock spent in the worker threads.
-    pub wall: Duration,
-    /// Degree of parallelism used: the wavefront pool's worker threads.
-    pub slaves: usize,
-}
-
-impl DeploymentEngine<'_> {
-    /// Deploys `spec` on the wavefront worker pool (§5.2). Equivalent to
-    /// [`DeploymentEngine::deploy`] in effect; transitions on different
-    /// machines make progress concurrently, ordered only by driver
-    /// guards.
-    ///
-    /// # Errors
-    ///
-    /// The same failures as [`DeploymentEngine::deploy`], including
-    /// [`DeployError::GuardFailed`] if the deployment would deadlock on
-    /// its guards — detected statically, before anything runs. This
-    /// wrapper drops the partial-deployment report; use
-    /// [`DeploymentEngine::deploy_parallel_with_recovery`] to keep it.
-    pub fn deploy_parallel(&self, spec: &InstallSpec) -> Result<ParallelOutcome, DeployError> {
-        self.deploy_parallel_with_recovery(spec)
-            .map_err(|f| f.error)
-    }
-
-    /// Parallel deployment with the same recovery semantics as
-    /// [`DeploymentEngine::deploy_with_recovery`]: a failure returns the
-    /// partial state assembled from every worker's progress (preferring
-    /// an engine kill over secondary errors), and auto-rollback — when
-    /// enabled and the engine was not killed — unwinds it on the same
-    /// executor, one worker, dependents first.
-    ///
-    /// # Errors
-    ///
-    /// As [`DeploymentEngine::deploy_parallel`], boxed with the recovery
-    /// report.
-    pub fn deploy_parallel_with_recovery(
-        &self,
-        spec: &InstallSpec,
-    ) -> Result<ParallelOutcome, Box<DeployFailure>> {
-        self.deploy_on(spec, true)
-    }
-}
+//! The wavefront pool above one worker — the §5.2 master/slave
+//! architecture: "slave deployments can run in parallel when the slaves
+//! have no inter-dependencies". A run on `n` workers is the one-worker
+//! run's DAG with transitions on different machines in flight at once,
+//! ordered only by the guard edges (see [`crate::schedule`]).
 
 #[cfg(test)]
 mod tests {
-    use std::time::Instant;
+    use std::time::{Duration, Instant};
 
-    use super::*;
-    use engage_model::{BasicState, ResourceInstance, Universe, Value};
+    use crate::engine::{Deployment, DeploymentEngine, Target};
+    use crate::error::{DeployError, DeployFailure};
+    use engage_model::{BasicState, InstallSpec, ResourceInstance, Universe, Value};
     use engage_sim::{DownloadSource, Sim};
 
     fn universe() -> Universe {
@@ -103,6 +36,16 @@ mod tests {
         }"#,
         )
         .unwrap()
+    }
+
+    /// `spec` brought up from the empty estate by `e`.
+    fn deployed(
+        e: &DeploymentEngine<'_>,
+        spec: &InstallSpec,
+    ) -> Result<Deployment, Box<DeployFailure>> {
+        let mut dep = Deployment::new(spec);
+        e.run(&mut dep, Target::all(BasicState::Active))?;
+        Ok(dep)
     }
 
     /// Two machines: db on one, app (peer-depending on db) on the other.
@@ -138,27 +81,27 @@ mod tests {
     #[test]
     fn parallel_deploy_reaches_active_across_hosts() {
         let u = universe();
-        let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
-        let outcome = e.deploy_parallel(&two_host_spec()).unwrap();
-        assert_eq!(outcome.slaves, 2);
-        assert!(outcome.deployment.is_deployed());
-        let app_host = outcome.deployment.host_of(&"app".into()).unwrap();
-        let db_host = outcome.deployment.host_of(&"db".into()).unwrap();
+        let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u).with_workers(2);
+        let dep = deployed(&e, &two_host_spec()).unwrap();
+        assert!(dep.is_deployed());
+        let app_host = dep.host_of(&"app".into()).unwrap();
+        let db_host = dep.host_of(&"db".into()).unwrap();
         assert_ne!(app_host, db_host);
         assert!(e.sim().service_running(db_host, "mysql"));
         assert!(e.sim().service_running(app_host, "app"));
     }
 
-    /// `deploy` is the one-worker run of the same DAG: same effects, and
-    /// both orders put the db's start before the app's.
+    /// One worker and the pool run the same DAG: same effects, and both
+    /// orders put the db's start before the app's.
     #[test]
     fn parallel_matches_sequential_effects() {
         let u = universe();
         let spec = two_host_spec();
         let seq_engine = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
         let seq = seq_engine.deploy(&spec).unwrap();
-        let par_engine = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
-        let par = par_engine.deploy_parallel(&spec).unwrap().deployment;
+        let par_engine =
+            DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u).with_workers(2);
+        let par = deployed(&par_engine, &spec).unwrap();
         // Same driver states, same services.
         for inst in spec.iter() {
             assert_eq!(seq.state(inst.id()), par.state(inst.id()));
@@ -181,12 +124,14 @@ mod tests {
         let u = universe();
         let sim = Sim::new(DownloadSource::local_cache());
         sim.inject_install_failure("mysql-5.1", 1);
-        let e = DeploymentEngine::new(sim, &u);
-        let err = e.deploy_parallel(&two_host_spec()).unwrap_err();
+        let e = DeploymentEngine::new(sim, &u).with_workers(2);
+        let err = deployed(&e, &two_host_spec()).unwrap_err().error;
         let msg = err.to_string();
         assert!(msg.contains("injected failure"), "{msg}");
     }
 
+    /// At the default worker count `deploy_parallel` is `deploy`: one
+    /// worker, the same committed timeline.
     #[test]
     fn single_host_parallel_degenerates_to_sequential() {
         let u = universe();
@@ -200,10 +145,11 @@ mod tests {
         db.set_config("port", Value::from(3306i64));
         db.set_output("mysql", Value::structure([("port", Value::from(3306i64))]));
         spec.push(db).unwrap();
-        let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
-        let outcome = e.deploy_parallel(&spec).unwrap();
-        assert_eq!(outcome.slaves, 1);
+        let engine = || DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
+        let outcome = engine().deploy_parallel(&spec).unwrap();
         assert!(outcome.deployment.is_deployed());
+        let sequential = engine().deploy(&spec).unwrap();
+        assert_eq!(outcome.deployment.timeline(), sequential.timeline());
     }
 
     /// One host's slow transient retries hold its cross-host dependent
@@ -236,8 +182,7 @@ mod tests {
             .with_registry(registry)
             .with_retry_policy(RetryPolicy::new(4))
             .with_obs(obs.clone());
-        let outcome = e.deploy_parallel(&spec).unwrap();
-        assert!(outcome.deployment.is_deployed());
+        assert!(deployed(&e, &spec).unwrap().is_deployed());
         let m = obs.metrics();
         assert_eq!(m.counter("deploy.retries"), 3, "{m:?}");
     }
@@ -273,15 +218,15 @@ mod tests {
         )
         .unwrap();
         let spec = two_host_spec_with_db("WedgedSQL 5.1");
-        let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
+        let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u).with_workers(2);
         let started = Instant::now();
-        let err = e.deploy_parallel(&spec).unwrap_err();
+        let err = deployed(&e, &spec).unwrap_err().error;
         assert!(matches!(err, DeployError::GuardFailed { .. }), "{err}");
         // Static rejection: a clean error, not a hang.
         assert!(started.elapsed() < Duration::from_secs(5));
     }
 
-    /// Every worker count reaches the one-worker `deploy`'s final driver
+    /// Every worker count reaches the one-worker run's final driver
     /// states and commits, per instance, the same actions.
     #[test]
     fn wavefront_matches_sequential_at_every_worker_count() {
@@ -296,16 +241,12 @@ mod tests {
         for workers in [1usize, 2, 4, 8] {
             let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u)
                 .with_workers(workers);
-            let outcome = e.deploy_parallel(&spec).unwrap();
-            assert_eq!(outcome.slaves, workers);
+            let dep = deployed(&e, &spec).unwrap();
             for inst in spec.iter() {
                 let id = inst.id();
                 assert_eq!(
                     (sequential.state(id), actions(&sequential, id)),
-                    (
-                        outcome.deployment.state(id),
-                        actions(&outcome.deployment, id)
-                    ),
+                    (dep.state(id), actions(&dep, id)),
                     "workers={workers}"
                 );
             }

@@ -48,7 +48,7 @@ use engage_sim::{DriftEvent, HostId};
 use engage_util::obs::Obs;
 
 use crate::action::service_name;
-use crate::engine::{find_path, ordered, Deployment, DeploymentEngine};
+use crate::engine::{find_path, ordered, Deployment, DeploymentEngine, Target};
 use crate::error::DeployError;
 use crate::journal::JournalRecord;
 
@@ -105,7 +105,7 @@ impl Default for ReconcileOptions {
 }
 
 /// What one reconciliation round observed and did.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct ReconcileRound {
     /// 1-based round number.
     pub round: u64,
@@ -316,12 +316,6 @@ impl<'a> ReconcileLoop<'a> {
         &self.dep
     }
 
-    /// Mutable access to the managed deployment (e.g. to run plain
-    /// monitor ticks between reconcile rounds).
-    pub fn deployment_mut(&mut self) -> &mut Deployment {
-        &mut self.dep
-    }
-
     /// Surrenders the managed deployment.
     pub fn into_deployment(self) -> Deployment {
         self.dep
@@ -408,15 +402,8 @@ impl<'a> ReconcileLoop<'a> {
             return Ok(ReconcileRound {
                 round,
                 drift,
-                health: BTreeMap::new(),
-                actions: 0,
-                repaired: Vec::new(),
-                deferred: Vec::new(),
-                replaced_hosts: Vec::new(),
-                orphaned: Vec::new(),
-                replanned: false,
                 converged: true,
-                error: None,
+                ..ReconcileRound::default()
             });
         }
         if self.outage_since.is_none() {
@@ -476,8 +463,15 @@ impl<'a> ReconcileLoop<'a> {
             if !orphaned.is_empty() {
                 obs.counter("reconcile.orphans_removed")
                     .add(orphaned.len() as u64);
+                // Best-effort teardown (guards relaxed, like rollback) of
+                // the orphans whose host still lives; the run unwatches
+                // their services.
                 let dead_hosts: BTreeSet<HostId> = dead.iter().map(|(_, h)| *h).collect();
-                self.teardown_orphans(&orphaned, &dead_hosts);
+                let dep = &self.dep;
+                let live = (orphaned.iter())
+                    .filter(|id| dep.host_of(id).is_some_and(|h| !dead_hosts.contains(&h)));
+                let orphans = Target::only(live.cloned(), BasicState::Uninstalled);
+                let _ = self.engine.teardown_clone().run(&mut self.dep, orphans);
                 self.flap.retain(|id, _| new_spec.get(id).is_some());
             }
             // Carry the classification over to the new plan's positions.
@@ -578,7 +572,7 @@ impl<'a> ReconcileLoop<'a> {
         let held: Vec<DriverState> = (deferred.iter())
             .map(|id| std::mem::replace(states.get_mut(id).expect("managed"), active.clone()))
             .collect();
-        let workers = self.engine.pool_size(self.dep.machines.len());
+        let workers = self.engine.workers;
         let run = (self.engine).execute(&mut self.dep, BasicState::Active, None, workers);
         self.dep.states.extend(deferred.iter().cloned().zip(held));
         let (actions, failure) = run?;
@@ -607,21 +601,22 @@ impl<'a> ReconcileLoop<'a> {
 
         // ---- refresh watches, convergence, MTTR ----
         let _refresh = obs.span("reconcile.refresh");
-        if spec_changed {
-            // An orphan may have shared its watch with an instance that
-            // stays: look at the whole estate again.
-            self.engine.register_services(&mut self.dep);
+        // Only what the round drove can have started a service, unless the
+        // re-plan changed the spec: an orphan may have shared its watch
+        // with an instance that stays, so look at the whole estate again.
+        // In spec order, so new watches land where a whole-estate
+        // registration would put them.
+        selected.sort_unstable();
+        let refresh = if spec_changed {
+            (0..insts.len()).collect()
         } else {
-            // Only what the round drove can have started a service; in
-            // spec order, so new watches land where a whole-estate
-            // registration would put them.
-            selected.sort_unstable();
-            for &pos in &selected {
-                if let Some(host) = self.index.hosts[pos] {
-                    let key = self.dep.spec.instances()[pos].key();
-                    self.engine
-                        .watch_if_running(&mut self.dep.monitor, host, key);
-                }
+            selected
+        };
+        for pos in refresh {
+            if let Some(host) = self.index.hosts[pos] {
+                let key = self.dep.spec.instances()[pos].key();
+                self.engine
+                    .watch_if_running(&mut self.dep.monitor, host, key);
             }
         }
         let converged =
@@ -666,25 +661,6 @@ impl<'a> ReconcileLoop<'a> {
         };
         find_path(&driver, current, &DriverState::Basic(BasicState::Active))
             .map_or(1, |path| path.len().max(1))
-    }
-
-    /// Best-effort teardown of instances the re-plan dropped: unwatch
-    /// their services and drive them to `uninstalled` (with teardown
-    /// guards relaxed, like rollback) where their host still lives.
-    fn teardown_orphans(&mut self, orphaned: &[InstanceId], dead_hosts: &BTreeSet<HostId>) {
-        for id in orphaned {
-            if let (Some(host), Some(inst)) = (self.dep.host_of(id), self.dep.spec.get(id)) {
-                self.dep.monitor.unwatch(host, &service_name(inst.key()));
-            }
-        }
-        let on_live_host = |dep: &Deployment, id: &InstanceId| {
-            orphaned.contains(id) && dep.host_of(id).is_some_and(|h| !dead_hosts.contains(&h))
-        };
-        let _ = self.engine.teardown_clone().sweep(
-            &mut self.dep,
-            BasicState::Uninstalled,
-            on_live_host,
-        );
     }
 }
 

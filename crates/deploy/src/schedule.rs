@@ -14,10 +14,11 @@
 //! finishing a transition releases its successors with O(1) atomic
 //! decrements — no guard is ever re-scanned. A worker keeps the released
 //! successor with the longest critical path as its continuation and
-//! publishes the rest for idle workers to steal. `deploy_parallel` and
-//! the reconciler's repair run the pool; every other operation runs one
-//! worker, which is deterministic, so its journal, kill points and
-//! resume are reproducible.
+//! publishes the rest for idle workers to steal.
+//! [`DeploymentEngine::run`] and the reconciler's repair run it on the
+//! engine's worker count; the default is one worker, which is
+//! deterministic, so its journal, kill points and resume are
+//! reproducible.
 //!
 //! **The static guard reading.** For each instance a guard `↑s` (`↓s`)
 //! names — the instance's links (dependents) — the compiler takes the
@@ -586,7 +587,7 @@ mod tests {
 
     /// A deployment of `spec` with every instance in `state`.
     fn all_in(spec: &InstallSpec, state: BasicState) -> Deployment {
-        let mut dep = Deployment::fresh(spec);
+        let mut dep = Deployment::new(spec);
         dep.states
             .values_mut()
             .for_each(|s| *s = DriverState::Basic(state));

@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use engage_model::{BasicState, InstallSpec, InstanceId};
 use engage_sim::Snapshot;
 
-use crate::engine::{ordered, Deployment, DeploymentEngine};
+use crate::engine::{ordered, Deployment, DeploymentEngine, Target};
 use crate::error::DeployError;
 
 /// What the diff between the old and new specifications decided for each
@@ -102,10 +102,12 @@ impl DeploymentEngine<'_> {
     /// Upgrades a running deployment to a new full installation
     /// specification, with backup and automatic rollback on failure.
     ///
-    /// The strategy is the paper's: snapshot every machine, stop the old
-    /// stack, uninstall removed/replaced components, deploy the new spec,
-    /// and on *any* failure restore the snapshots and reactivate the old
-    /// stack.
+    /// The paper's strategy ([`UpgradeStrategy::WorstCase`]) snapshots
+    /// every machine, stops the old stack, uninstalls removed/replaced
+    /// components, deploys the new spec, and on *any* failure restores
+    /// the snapshots and the old stack. [`UpgradeStrategy::Incremental`]
+    /// bounces only what changed and its dependents. Each phase is one
+    /// [`DeploymentEngine::run`].
     ///
     /// # Errors
     ///
@@ -114,19 +116,6 @@ impl DeploymentEngine<'_> {
     /// any mutation (planning) or — worst case — when the rollback itself
     /// fails (`ActionFailed` with detail).
     pub fn upgrade(
-        &self,
-        dep: &mut Deployment,
-        new_spec: &InstallSpec,
-    ) -> Result<UpgradeReport, DeployError> {
-        self.upgrade_with(dep, new_spec, UpgradeStrategy::WorstCase)
-    }
-
-    /// Upgrades with an explicit strategy (see [`UpgradeStrategy`]).
-    ///
-    /// # Errors
-    ///
-    /// As [`DeploymentEngine::upgrade`].
-    pub fn upgrade_with(
         &self,
         dep: &mut Deployment,
         new_spec: &InstallSpec,
@@ -170,8 +159,8 @@ impl DeploymentEngine<'_> {
                         })?;
                 }
                 // The snapshot was taken while the old stack was running,
-                // so service state is back; driver states in `dep` still
-                // say active, which now matches the restored hosts.
+                // so service state is back; driver states and watches in
+                // `dep` are the old ones, which match the restored hosts.
                 Err(DeployError::UpgradeRolledBack {
                     cause: cause.to_string(),
                 })
@@ -183,7 +172,7 @@ impl DeploymentEngine<'_> {
     /// all of them) in reverse dependency order, uninstall what the plan
     /// removes or replaces, swap in the new spec, and bring the affected
     /// instances back up in dependency order. Returns how many instances
-    /// were bounced. On failure `dep` is left mid-upgrade; `upgrade_with`
+    /// were bounced. On failure `dep` is left mid-upgrade; `upgrade`
     /// restores it.
     fn try_upgrade(
         &self,
@@ -192,17 +181,26 @@ impl DeploymentEngine<'_> {
         plan: &[UpgradePlanEntry],
         affected: Option<&BTreeSet<InstanceId>>,
     ) -> Result<usize, DeployError> {
-        let bounced = |_: &Deployment, id: &InstanceId| affected.is_none_or(|a| a.contains(id));
-        let removed: BTreeSet<&InstanceId> = plan
-            .iter()
-            .filter_map(|p| match p {
-                UpgradePlanEntry::Remove(id) | UpgradePlanEntry::Replace(id) => Some(id),
-                _ => None,
-            })
-            .collect();
-        self.sweep(dep, BasicState::Inactive, bounced)?;
-        let doomed = |_: &Deployment, id: &InstanceId| removed.contains(id);
-        self.sweep(dep, BasicState::Uninstalled, doomed)?;
+        // The affected instances of `dep`'s spec, driven to `state`.
+        let bounced = |dep: &Deployment, state: BasicState| match affected {
+            None => Target::all(state),
+            Some(a) => {
+                let ids = dep
+                    .spec()
+                    .iter()
+                    .map(|i| i.id())
+                    .filter(|id| a.contains(*id));
+                Target::only(ids.cloned(), state)
+            }
+        };
+        let doomed = plan.iter().filter_map(|p| match p {
+            UpgradePlanEntry::Remove(id) | UpgradePlanEntry::Replace(id) => Some(id.clone()),
+            _ => None,
+        });
+        let stop = bounced(dep, BasicState::Inactive);
+        self.run(dep, stop).map_err(|f| f.error)?;
+        let remove = Target::only(doomed, BasicState::Uninstalled);
+        self.run(dep, remove).map_err(|f| f.error)?;
 
         dep.rebase(new_spec.clone());
         // The upgrade provisions nothing: a machine the old stack did not
@@ -215,7 +213,8 @@ impl DeploymentEngine<'_> {
                 instance: machine.id().clone(),
             });
         }
-        self.sweep(dep, BasicState::Active, bounced)?;
+        let start = bounced(dep, BasicState::Active);
+        self.run(dep, start).map_err(|f| f.error)?;
         if !dep.is_deployed() {
             return Err(DeployError::ActionFailed {
                 instance: "upgrade".into(),
@@ -349,7 +348,9 @@ mod tests {
         let host = dep.host_of(&"fa".into()).unwrap();
         assert!(e.sim().has_package(host, "fa-1"));
 
-        let report = e.upgrade(&mut dep, &spec_v2(true)).unwrap();
+        let report = e
+            .upgrade(&mut dep, &spec_v2(true), UpgradeStrategy::WorstCase)
+            .unwrap();
         assert!(report.worst_case);
         assert!(dep.is_deployed());
         assert!(!e.sim().has_package(host, "fa-1"));
@@ -359,6 +360,24 @@ mod tests {
             dep.spec().get(&"fa".into()).unwrap().key().to_string(),
             "FA 2"
         );
+    }
+
+    /// The upgraded stack's services are watched: a crash of the new
+    /// redis is restarted by the next monitoring cycle.
+    #[test]
+    fn upgrade_watches_the_new_services() {
+        let u = universe();
+        let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
+        let mut dep = e.deploy(&spec_v1()).unwrap();
+        e.upgrade(&mut dep, &spec_v2(true), UpgradeStrategy::WorstCase)
+            .unwrap();
+        let watches = dep.monitor().watches().iter();
+        let watched: Vec<&str> = watches.map(|w| w.service.as_str()).collect();
+        assert_eq!(watched, ["fa", "redis"]);
+        let host = dep.host_of(&"redis".into()).unwrap();
+        e.sim().crash_service(host, "redis").unwrap();
+        assert_eq!(e.monitor_tick(&mut dep).unwrap().len(), 1);
+        assert!(e.sim().service_running(host, "redis"));
     }
 
     #[test]
@@ -371,7 +390,9 @@ mod tests {
 
         // Make the new version's install fail.
         sim.inject_install_failure("fa-2", 1);
-        let err = e.upgrade(&mut dep, &spec_v2(false)).unwrap_err();
+        let err = e
+            .upgrade(&mut dep, &spec_v2(false), UpgradeStrategy::WorstCase)
+            .unwrap_err();
         assert!(
             matches!(err, DeployError::UpgradeRolledBack { .. }),
             "{err}"
@@ -388,7 +409,9 @@ mod tests {
         assert!(dep.is_deployed());
 
         // A later retry (failure cleared) succeeds.
-        let report = e.upgrade(&mut dep, &spec_v2(false)).unwrap();
+        let report = e
+            .upgrade(&mut dep, &spec_v2(false), UpgradeStrategy::WorstCase)
+            .unwrap();
         assert!(!report.plan.is_empty());
         assert!(sim.has_package(host, "fa-2"));
     }
@@ -411,7 +434,7 @@ mod tests {
         v1_plus_redis.push(redis).unwrap();
 
         let report = e
-            .upgrade_with(&mut dep, &v1_plus_redis, UpgradeStrategy::Incremental)
+            .upgrade(&mut dep, &v1_plus_redis, UpgradeStrategy::Incremental)
             .unwrap();
         assert!(!report.worst_case);
         assert!(dep.is_deployed());
@@ -424,7 +447,7 @@ mod tests {
         // Contrast: the worst-case strategy bounces redis too.
         let mut dep2 = e.deploy(&spec_v2(true)).unwrap();
         let host2 = dep2.host_of(&"fa".into()).unwrap();
-        e.upgrade_with(&mut dep2, &v1_plus_redis, UpgradeStrategy::WorstCase)
+        e.upgrade(&mut dep2, &v1_plus_redis, UpgradeStrategy::WorstCase)
             .unwrap();
         assert!(e.sim().service_state(host2, "redis").unwrap().starts >= 2);
     }
@@ -435,7 +458,7 @@ mod tests {
         let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
         let mut dep = e.deploy(&spec_v1()).unwrap();
         let report = e
-            .upgrade_with(&mut dep, &spec_v1(), UpgradeStrategy::Incremental)
+            .upgrade(&mut dep, &spec_v1(), UpgradeStrategy::Incremental)
             .unwrap();
         assert_eq!(report.touched, 0);
         assert!(dep.is_deployed());
@@ -450,7 +473,7 @@ mod tests {
         let host = dep.host_of(&"fa".into()).unwrap();
         sim.inject_install_failure("fa-2", 1);
         let err = e
-            .upgrade_with(&mut dep, &spec_v2(false), UpgradeStrategy::Incremental)
+            .upgrade(&mut dep, &spec_v2(false), UpgradeStrategy::Incremental)
             .unwrap_err();
         assert!(
             matches!(err, DeployError::UpgradeRolledBack { .. }),
@@ -466,7 +489,8 @@ mod tests {
         let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
         let mut dep = e.deploy(&spec_v2(true)).unwrap();
         let host = dep.host_of(&"fa".into()).unwrap();
-        e.upgrade(&mut dep, &spec_v1()).unwrap();
+        e.upgrade(&mut dep, &spec_v1(), UpgradeStrategy::WorstCase)
+            .unwrap();
         assert!(!e.sim().has_package(host, "redis-2.4"));
         assert!(e.sim().has_package(host, "fa-1"));
         assert!(!e.sim().service_running(host, "redis"));

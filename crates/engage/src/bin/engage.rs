@@ -33,7 +33,8 @@
 //! journal; `--resume FILE.jsonl` resumes an interrupted deployment
 //! from its journal; `--rollback` uninstalls everything automatically
 //! when a deployment fails permanently; `--workers N` sets the
-//! `--parallel` scheduler's worker count;
+//! `--parallel` scheduler's worker count (default one per machine,
+//! capped at 8);
 //! `--kill-after N` kills the engine after `N` committed transitions
 //! (chaos testing); `--chaos P[:SEED]` injects transient install/start
 //! faults with probability `P` per operation.
@@ -42,7 +43,8 @@
 //! command deploys the spec, then runs `--ticks N` reconciliation
 //! rounds (default 10); between rounds `--chaos P[:SEED]` crashes each
 //! running service with probability `P` and occasionally loses a whole
-//! host; `--budget N` caps driver transitions per round; `--journal
+//! host; `--budget N` caps driver transitions per round; `--workers N`
+//! runs the repairs on `N` scheduler workers (default 1); `--journal
 //! FILE.jsonl` write-ahead journals provisioning, observations, and
 //! repairs for crash-resume.
 //!
@@ -58,9 +60,11 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 use std::sync::Arc;
 
-use engage::{load_jsonl, DeployFailure, DeployJournal, Engage, ResumeMode, RetryPolicy};
+use engage::{
+    load_jsonl, DeployFailure, DeployJournal, Deployment, Engage, ResumeMode, RetryPolicy, Target,
+};
 use engage_config::{generate, graph_gen, ConfigEngine, ConfigError};
-use engage_model::{PartialInstallSpec, Universe};
+use engage_model::{BasicState, PartialInstallSpec, Universe};
 use engage_sat::ExactlyOneEncoding;
 use engage_sim::FaultPlan;
 use engage_util::obs::{JsonlSink, Obs};
@@ -103,6 +107,22 @@ struct Options {
     max_line_bytes: Option<usize>,
     ticks: Option<u64>,
     budget: Option<usize>,
+}
+
+/// The integer after the option at `args[i]` (`missing` is the error
+/// when there is none); a `positive` option also rejects zero.
+fn integer<T: std::str::FromStr + Default + PartialEq>(
+    args: &[String],
+    i: usize,
+    missing: &str,
+    positive: bool,
+) -> Result<T, String> {
+    let value = args.get(i + 1).ok_or(missing)?;
+    match value.parse::<T>() {
+        Ok(n) if !(positive && n == T::default()) => Ok(n),
+        _ if positive => Err(format!("{} `{value}` is not a positive integer", args[i])),
+        _ => Err(format!("{} `{value}` is not an integer", args[i])),
+    }
 }
 
 fn parse_options(args: &[String]) -> Result<Options, String> {
@@ -174,21 +194,11 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 i += 1;
             }
             "--retries" => {
-                let value = args.get(i + 1).ok_or("--retries needs an attempt count")?;
-                opts.retries = value
-                    .parse::<u32>()
-                    .ok()
-                    .filter(|n| *n >= 1)
-                    .ok_or_else(|| format!("--retries `{value}` is not a positive integer"))?;
+                opts.retries = integer(args, i, "--retries needs an attempt count", true)?;
                 i += 2;
             }
             "--retry-seed" => {
-                let value = args.get(i + 1).ok_or("--retry-seed needs an integer")?;
-                opts.retry_seed = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("--retry-seed `{value}` is not an integer"))?,
-                );
+                opts.retry_seed = Some(integer(args, i, "--retry-seed needs an integer", false)?);
                 i += 2;
             }
             "--journal" => {
@@ -212,10 +222,7 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 i += 1;
             }
             "--workers" => {
-                let value = args.get(i + 1).ok_or("--workers needs a thread count")?;
-                let workers = value
-                    .parse::<usize>()
-                    .map_err(|_| format!("--workers `{value}` is not an integer"))?;
+                let workers = integer(args, i, "--workers needs a thread count", false)?;
                 if workers == 0 {
                     return Err("--workers must be at least 1".into());
                 }
@@ -235,73 +242,30 @@ fn parse_options(args: &[String]) -> Result<Options, String> {
                 i += 2;
             }
             "--queue" => {
-                let value = args.get(i + 1).ok_or("--queue needs a capacity")?;
-                opts.queue = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or_else(|| format!("--queue `{value}` is not a positive integer"))?,
-                );
+                opts.queue = Some(integer(args, i, "--queue needs a capacity", true)?);
                 i += 2;
             }
             "--sessions" => {
-                let value = args.get(i + 1).ok_or("--sessions needs a capacity")?;
-                opts.sessions = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or_else(|| format!("--sessions `{value}` is not a positive integer"))?,
-                );
+                opts.sessions = Some(integer(args, i, "--sessions needs a capacity", true)?);
                 i += 2;
             }
             "--max-line-bytes" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or("--max-line-bytes needs a byte count")?;
-                opts.max_line_bytes = Some(
-                    value
-                        .parse::<usize>()
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or_else(|| {
-                            format!("--max-line-bytes `{value}` is not a positive integer")
-                        })?,
-                );
+                let missing = "--max-line-bytes needs a byte count";
+                opts.max_line_bytes = Some(integer(args, i, missing, true)?);
                 i += 2;
             }
             "--ticks" => {
-                let value = args.get(i + 1).ok_or("--ticks needs a round count")?;
-                opts.ticks = Some(
-                    value
-                        .parse::<u64>()
-                        .ok()
-                        .filter(|n| *n >= 1)
-                        .ok_or_else(|| format!("--ticks `{value}` is not a positive integer"))?,
-                );
+                opts.ticks = Some(integer(args, i, "--ticks needs a round count", true)?);
                 i += 2;
             }
             "--budget" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or("--budget needs a transition count (0 = unbounded)")?;
-                opts.budget = Some(
-                    value
-                        .parse::<usize>()
-                        .map_err(|_| format!("--budget `{value}` is not an integer"))?,
-                );
+                let missing = "--budget needs a transition count (0 = unbounded)";
+                opts.budget = Some(integer(args, i, missing, false)?);
                 i += 2;
             }
             "--kill-after" => {
-                let value = args
-                    .get(i + 1)
-                    .ok_or("--kill-after needs a transition count")?;
-                opts.kill_after = Some(
-                    value
-                        .parse::<u64>()
-                        .map_err(|_| format!("--kill-after `{value}` is not an integer"))?,
-                );
+                let missing = "--kill-after needs a transition count";
+                opts.kill_after = Some(integer(args, i, missing, false)?);
                 i += 2;
             }
             "--chaos" => {
@@ -491,33 +455,12 @@ fn run(args: &[String]) -> Result<String, String> {
                 Some(path) => Some(load_jsonl(path).map_err(|e| e.to_string())?),
                 None => None,
             };
-            let mut system = Engage::new(u)
-                .with_packages(engage_library::package_universe())
-                .with_registry(engage_library::driver_registry())
-                .with_obs(obs.clone());
-            if opts.cloud {
-                system = system.with_cloud_provisioning();
-            }
-            if opts.retries > 1 {
-                let mut retry = RetryPolicy::new(opts.retries);
-                if let Some(seed) = opts.retry_seed {
-                    retry = retry.with_seed(seed);
-                }
-                system = system.with_retry_policy(retry);
-            }
-            if let Some(path) = &opts.journal {
-                let journal =
-                    DeployJournal::jsonl_create(path).map_err(|e| format!("{path}: {e}"))?;
-                system = system.with_journal(journal);
-            }
+            let mut system = runtime(u, &opts, &obs)?;
             if opts.rollback {
                 system = system.with_auto_rollback();
             }
             if let Some(after) = opts.kill_after {
                 system = system.with_kill_point(after);
-            }
-            if let Some(workers) = opts.workers {
-                system = system.with_workers(workers);
             }
             if let Some((probability, seed)) = opts.chaos {
                 system.sim().set_fault_plan(
@@ -529,50 +472,52 @@ fn run(args: &[String]) -> Result<String, String> {
             // Planning is deterministic, so a resumed run re-plans the
             // same full spec the journalled run deployed.
             let outcome = system.plan(&partial).map_err(|e| e.to_string())?;
+            // A resume and a plain deploy run one worker; `--parallel`
+            // defaults to one per machine, capped at 8.
+            let machines = outcome.spec.iter().filter(|i| i.inside_link().is_none());
+            let workers = match (&resume_records, opts.parallel) {
+                (None, true) => opts.workers.unwrap_or_else(|| machines.count().clamp(1, 8)),
+                _ => 1,
+            };
+            let system = system.with_workers(workers);
+            let mut deployment = match &resume_records {
+                Some(records) => system
+                    .replay(&outcome.spec, records, ResumeMode::Replay)
+                    .map_err(|e| e.to_string())?,
+                None => Deployment::new(&outcome.spec),
+            };
+            let run = system.run(&mut deployment, Target::all(BasicState::Active));
             let mut out = String::new();
             if let Some(records) = &resume_records {
-                let deployment = system
-                    .resume_spec(&outcome.spec, records, ResumeMode::Replay)
-                    .map_err(|e| e.to_string())?;
+                run.map_err(|failure| failure.error.to_string())?;
                 let _ = writeln!(
                     out,
                     "resumed deployment of {} instances from {} journal record(s)",
                     outcome.spec.len(),
                     records.len()
                 );
-                write_timeline(&mut out, &deployment);
-                for (id, state) in system.status(&deployment) {
-                    let _ = writeln!(out, "status {id}: {state}");
-                }
-            } else if opts.parallel {
-                let parallel = system
-                    .deploy_parallel_spec_with_recovery(&outcome.spec)
-                    .map_err(|failure| render_failure(&failure))?;
-                let _ = writeln!(
-                    out,
-                    "deployed {} instances on {} machine(s) with {} parallel slave(s)",
-                    outcome.spec.len(),
-                    parallel.deployment.machines().len(),
-                    parallel.slaves
-                );
-                write_timeline(&mut out, &parallel.deployment);
-                let _ = writeln!(
-                    out,
-                    "simulated install time: {:.1} min (sequential {:.1} min)",
-                    parallel.deployment.parallel_makespan().as_secs_f64() / 60.0,
-                    parallel.deployment.sequential_duration().as_secs_f64() / 60.0
-                );
             } else {
-                let deployment = system
-                    .deploy_spec_with_recovery(&outcome.spec)
-                    .map_err(|failure| render_failure(&failure))?;
-                let _ = writeln!(
+                run.map_err(|failure| render_failure(&failure))?;
+                let _ = write!(
                     out,
                     "deployed {} instances on {} machine(s)",
                     outcome.spec.len(),
                     deployment.machines().len()
                 );
-                write_timeline(&mut out, &deployment);
+                if opts.parallel {
+                    let _ = write!(out, " with {workers} parallel slave(s)");
+                }
+                out.push('\n');
+            }
+            write_timeline(&mut out, &deployment);
+            if opts.parallel && resume_records.is_none() {
+                let _ = writeln!(
+                    out,
+                    "simulated install time: {:.1} min (sequential {:.1} min)",
+                    deployment.parallel_makespan().as_secs_f64() / 60.0,
+                    deployment.sequential_duration().as_secs_f64() / 60.0
+                );
+            } else {
                 for (id, state) in system.status(&deployment) {
                     let _ = writeln!(out, "status {id}: {state}");
                 }
@@ -600,15 +545,10 @@ fn run(args: &[String]) -> Result<String, String> {
     Ok(output)
 }
 
-/// The `engage reconcile` command: deploy the spec, then run the
-/// self-healing reconcile loop for `--ticks` rounds while `--chaos`
-/// crashes services (and occasionally whole hosts) between rounds.
-fn run_reconcile(opts: &Options, obs: &Obs) -> Result<String, String> {
-    use engage::ReconcileOptions;
-    use engage_util::rand::{Rng, SeedableRng, StdRng};
-
-    let u = load_universe(opts)?;
-    let partial = load_spec(opts)?;
+/// The runtime `deploy` and `reconcile` share: `u` with the library's
+/// packages and drivers, reporting into `obs`, under the `--cloud`,
+/// `--retries` / `--retry-seed` and `--journal` options.
+fn runtime(u: Universe, opts: &Options, obs: &Obs) -> Result<Engage, String> {
     let mut system = Engage::new(u)
         .with_packages(engage_library::package_universe())
         .with_registry(engage_library::driver_registry())
@@ -626,6 +566,22 @@ fn run_reconcile(opts: &Options, obs: &Obs) -> Result<String, String> {
     if let Some(path) = &opts.journal {
         let journal = DeployJournal::jsonl_create(path).map_err(|e| format!("{path}: {e}"))?;
         system = system.with_journal(journal);
+    }
+    Ok(system)
+}
+
+/// The `engage reconcile` command: deploy the spec, then run the
+/// self-healing reconcile loop for `--ticks` rounds while `--chaos`
+/// crashes services (and occasionally whole hosts) between rounds.
+fn run_reconcile(opts: &Options, obs: &Obs) -> Result<String, String> {
+    use engage::ReconcileOptions;
+    use engage_util::rand::{Rng, SeedableRng, StdRng};
+
+    let u = load_universe(opts)?;
+    let partial = load_spec(opts)?;
+    let mut system = runtime(u, opts, obs)?;
+    if let Some(workers) = opts.workers {
+        system = system.with_workers(workers);
     }
     let (rate, seed) = opts.chaos.unwrap_or((0.0, 0));
     // Seed the sim's chaos RNG so crash_storm draws are reproducible.
@@ -793,7 +749,7 @@ fn build_obs(opts: &Options) -> Result<Obs, String> {
     Ok(obs)
 }
 
-fn write_timeline(out: &mut String, dep: &engage_deploy::Deployment) {
+fn write_timeline(out: &mut String, dep: &Deployment) {
     for t in dep.timeline() {
         let _ = writeln!(out, "t={:>6.0?} {:<10} {}", t.start, t.action, t.instance);
     }

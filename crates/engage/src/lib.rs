@@ -48,11 +48,9 @@ use std::fmt;
 use std::sync::Arc;
 
 use engage_config::{ConfigEngine, ConfigError, ConfigOutcome, ConfigSession};
-use engage_deploy::{
-    DeployError, Deployment, DeploymentEngine, DriverRegistry, ProvisionMode, ReplanInfo,
-};
+use engage_deploy::{DeployError, DeploymentEngine, DriverRegistry, ProvisionMode, ReplanInfo};
 use engage_model::{
-    BasicState, InstallSpec, InstanceId, ModelError, PartialInstallSpec, Universe, UniverseIndex,
+    InstallSpec, InstanceId, ModelError, PartialInstallSpec, Universe, UniverseIndex,
 };
 use engage_sim::{DownloadSource, PackageUniverse, RestartRecord, Sim};
 use engage_util::obs::Obs;
@@ -61,9 +59,9 @@ use engage_util::sync::Mutex;
 pub use engage_config::ConfigEngine as RawConfigEngine;
 pub use engage_config::SolverMode;
 pub use engage_deploy::{
-    load_jsonl, DeployFailure, DeployJournal, InstanceHealth, JournalRecord, ReconcileLoop,
-    ReconcileOptions, ReconcileRound, ReconcileStats, ResumeMode, RetryPolicy, UpgradeReport,
-    UpgradeStrategy,
+    load_jsonl, DeployFailure, DeployJournal, Deployment, InstanceHealth, JournalRecord,
+    ReconcileLoop, ReconcileOptions, ReconcileRound, ReconcileStats, ResumeMode, RetryPolicy,
+    Target, UpgradeReport, UpgradeStrategy,
 };
 
 /// Top-level error: configuration or deployment.
@@ -123,7 +121,7 @@ pub struct Engage {
     journal: Option<DeployJournal>,
     auto_rollback: bool,
     kill_point: Option<u64>,
-    workers: Option<usize>,
+    workers: usize,
     /// Live solver state, shared by every `plan`/`deploy`/`upgrade` on
     /// this instance. Interior mutability keeps the planning API
     /// `&self`; a `Mutex` (not `RefCell`) keeps `Engage: Sync`.
@@ -164,7 +162,7 @@ impl Engage {
             journal: None,
             auto_rollback: false,
             kill_point: None,
-            workers: None,
+            workers: 1,
             session: Mutex::new(ConfigSession::new()),
         }
     }
@@ -232,8 +230,8 @@ impl Engage {
     }
 
     /// Attaches a write-ahead [`DeployJournal`] to every deployment this
-    /// instance runs (builder-style), enabling [`Engage::resume_spec`]
-    /// after a crash.
+    /// instance runs (builder-style), so [`Engage::replay`] can rebuild
+    /// the estate after a crash.
     pub fn with_journal(mut self, journal: DeployJournal) -> Self {
         self.journal = Some(journal);
         self
@@ -255,10 +253,11 @@ impl Engage {
         self
     }
 
-    /// Overrides the wavefront scheduler's worker count (builder-style;
-    /// default: one worker per machine, capped at 8).
+    /// Sets the wavefront scheduler's worker count for [`Engage::run`]
+    /// and the reconciler (builder-style; default 1, see
+    /// [`DeploymentEngine::with_workers`]).
     pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = Some(workers);
+        self.workers = workers;
         self
     }
 
@@ -297,47 +296,36 @@ impl Engage {
         Ok(self.config_engine().reconfigure(&mut session, partial)?)
     }
 
-    /// Deploys an already-computed full installation specification.
-    ///
-    /// # Errors
-    ///
-    /// Deployment failures.
-    pub fn deploy_spec(&self, spec: &InstallSpec) -> Result<Deployment, EngageError> {
-        Ok(self.engine().deploy(spec)?)
-    }
-
-    /// Deploys a full specification, keeping the recovery report on
-    /// failure: completed transitions, per-instance states, and the
-    /// auto-rollback outcome (see
-    /// [`DeploymentEngine::deploy_with_recovery`]).
+    /// The one lifecycle command: drives `deployment` to `to` (see
+    /// [`DeploymentEngine::run`]). Deploying a full specification is
+    /// `run(&mut Deployment::new(&spec), Target::all(Active))`; stop,
+    /// start and uninstall are targets over a live deployment.
     ///
     /// # Errors
     ///
     /// Deployment failures, boxed with the recovery report.
-    pub fn deploy_spec_with_recovery(
-        &self,
-        spec: &InstallSpec,
-    ) -> Result<Deployment, Box<DeployFailure>> {
-        self.engine().deploy_with_recovery(spec)
+    pub fn run(&self, deployment: &mut Deployment, to: Target) -> Result<(), Box<DeployFailure>> {
+        self.engine().run(deployment, to)
     }
 
-    /// Resumes an interrupted deployment from its journal records (see
-    /// [`DeploymentEngine::resume`]).
+    /// Rebuilds an interrupted deployment's estate from its journal
+    /// records (see [`DeploymentEngine::replay`]); running
+    /// `Target::all(Active)` on it finishes the deployment.
     ///
     /// # Errors
     ///
-    /// [`DeployError::ResumeFailed`] on journal/spec mismatch, plus the
-    /// usual deployment failures while finishing the run.
-    pub fn resume_spec(
+    /// [`DeployError::ResumeFailed`] on journal/spec mismatch.
+    pub fn replay(
         &self,
         spec: &InstallSpec,
         records: &[JournalRecord],
         mode: ResumeMode,
     ) -> Result<Deployment, EngageError> {
-        Ok(self.engine().resume(spec, records, mode)?)
+        Ok(self.engine().replay(spec, records, mode)?)
     }
 
-    /// Plans and deploys in one step.
+    /// Plans `partial`, then `run(Deployment::new(spec), Target::all(Active))`
+    /// on one worker. Kept for the benchmark package, which calls it.
     ///
     /// # Errors
     ///
@@ -346,39 +334,8 @@ impl Engage {
         &self,
         partial: &PartialInstallSpec,
     ) -> Result<(ConfigOutcome, Deployment), EngageError> {
-        let outcome = self.plan(partial)?;
-        let deployment = self.deploy_spec(&outcome.spec)?;
-        Ok((outcome, deployment))
-    }
-
-    /// Plans and deploys in parallel on the wavefront worker pool (§5.2
-    /// master/slave); cross-host ordering is enforced by the driver
-    /// guards.
-    ///
-    /// # Errors
-    ///
-    /// Configuration or deployment failures.
-    pub fn deploy_parallel(
-        &self,
-        partial: &PartialInstallSpec,
-    ) -> Result<(ConfigOutcome, engage_deploy::ParallelOutcome), EngageError> {
-        let outcome = self.plan(partial)?;
-        let parallel = self.engine().deploy_parallel(&outcome.spec)?;
-        Ok((outcome, parallel))
-    }
-
-    /// Deploys a full specification on the wavefront worker pool, keeping
-    /// the recovery report on failure (see
-    /// [`DeploymentEngine::deploy_parallel_with_recovery`]).
-    ///
-    /// # Errors
-    ///
-    /// Deployment failures, boxed with the recovery report.
-    pub fn deploy_parallel_spec_with_recovery(
-        &self,
-        spec: &InstallSpec,
-    ) -> Result<engage_deploy::ParallelOutcome, Box<DeployFailure>> {
-        self.engine().deploy_parallel_with_recovery(spec)
+        self.plan(partial)
+            .and_then(|o| Ok(self.engine().deploy(&o.spec).map(|d| (o, d))?))
     }
 
     /// When `partial` has no full installation specification, explains why:
@@ -400,35 +357,11 @@ impl Engage {
         }
     }
 
-    /// Stops a running deployment (reverse dependency order).
-    ///
-    /// # Errors
-    ///
-    /// Driver failures.
-    pub fn stop(&self, deployment: &mut Deployment) -> Result<(), EngageError> {
-        Ok(self.engine().stop_all(deployment)?)
-    }
-
-    /// Restarts a stopped deployment (dependency order).
-    ///
-    /// # Errors
-    ///
-    /// Driver failures.
-    pub fn start(&self, deployment: &mut Deployment) -> Result<(), EngageError> {
-        Ok(self.engine().activate_all(deployment)?)
-    }
-
-    /// Uninstalls the whole stack.
-    ///
-    /// # Errors
-    ///
-    /// Driver failures.
-    pub fn uninstall(&self, deployment: &mut Deployment) -> Result<(), EngageError> {
-        Ok(self.engine().uninstall_all(deployment)?)
-    }
-
     /// Upgrades a running deployment to the stack described by a new
-    /// partial specification, with backup and automatic rollback (§5.2).
+    /// partial specification, with backup and automatic rollback (§5.2):
+    /// the paper's worst-case full redeploy, or the incremental
+    /// optimization it leaves as future work (only changed instances and
+    /// their dependents are bounced).
     ///
     /// # Errors
     ///
@@ -439,27 +372,10 @@ impl Engage {
         &self,
         deployment: &mut Deployment,
         new_partial: &PartialInstallSpec,
-    ) -> Result<UpgradeReport, EngageError> {
-        self.upgrade_with(deployment, new_partial, UpgradeStrategy::WorstCase)
-    }
-
-    /// Upgrades with an explicit strategy: the paper's worst-case
-    /// full-redeploy, or the incremental optimization it leaves as future
-    /// work (only changed instances and their dependents are bounced).
-    ///
-    /// # Errors
-    ///
-    /// As [`Engage::upgrade`].
-    pub fn upgrade_with(
-        &self,
-        deployment: &mut Deployment,
-        new_partial: &PartialInstallSpec,
         strategy: UpgradeStrategy,
     ) -> Result<UpgradeReport, EngageError> {
         let outcome = self.plan(new_partial)?;
-        let mut report = self
-            .engine()
-            .upgrade_with(deployment, &outcome.spec, strategy)?;
+        let mut report = self.engine().upgrade(deployment, &outcome.spec, strategy)?;
         report.replan = Some(ReplanInfo {
             reused_solver: outcome.reused_solver,
             decisions: outcome.solver_stats.decisions,
@@ -496,20 +412,6 @@ impl Engage {
         Ok(self.engine().monitor_tick(deployment)?)
     }
 
-    /// Drives a single instance to a basic state (expert API).
-    ///
-    /// # Errors
-    ///
-    /// Pathing, guard, or action failures.
-    pub fn drive_to(
-        &self,
-        deployment: &mut Deployment,
-        id: &InstanceId,
-        state: BasicState,
-    ) -> Result<(), EngageError> {
-        Ok(self.engine().drive_to(deployment, id, state)?)
-    }
-
     /// Wraps a running deployment in a self-healing [`ReconcileLoop`]:
     /// each tick scans for drift, re-plans the desired partial spec with
     /// healthy placements pinned, and repairs only the delta (see
@@ -541,10 +443,8 @@ impl Engage {
             .with_mode(self.mode)
             .with_obs(self.obs.clone())
             .with_retry_policy(self.retry.clone())
-            .with_auto_rollback(self.auto_rollback);
-        if let Some(workers) = self.workers {
-            engine = engine.with_workers(workers);
-        }
+            .with_auto_rollback(self.auto_rollback)
+            .with_workers(self.workers);
         if let Some(journal) = &self.journal {
             engine = engine.with_journal(journal.clone());
         }
@@ -558,6 +458,7 @@ impl Engage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use engage_model::BasicState;
 
     fn engage() -> Engage {
         Engage::new(engage_library::full_universe())
@@ -608,11 +509,29 @@ mod tests {
     fn stop_start_roundtrip() {
         let e = engage();
         let (_, mut dep) = e.deploy(&engage_library::openmrs_partial()).unwrap();
-        e.stop(&mut dep).unwrap();
+        e.run(&mut dep, Target::all(BasicState::Inactive)).unwrap();
         let host = dep.host_of(&"openmrs".into()).unwrap();
         assert!(!e.sim().service_running(host, "openmrs"));
-        e.start(&mut dep).unwrap();
+        e.run(&mut dep, Target::all(BasicState::Active)).unwrap();
         assert!(dep.is_deployed());
+    }
+
+    /// A stop unwatches what it stopped: the monitor does not restart a
+    /// service whose driver reads `inactive`, and a start watches it
+    /// again.
+    #[test]
+    fn monitor_leaves_a_stopped_stack_alone() {
+        let e = engage();
+        let (_, mut dep) = e.deploy(&engage_library::openmrs_partial()).unwrap();
+        let watched = dep.monitor().watches().to_vec();
+        assert!(!watched.is_empty());
+        e.run(&mut dep, Target::all(BasicState::Inactive)).unwrap();
+        assert!(dep.monitor().watches().is_empty());
+        assert!(e.monitor_tick(&mut dep).unwrap().is_empty());
+        let host = dep.host_of(&"openmrs".into()).unwrap();
+        assert!(!e.sim().service_running(host, "openmrs"));
+        e.run(&mut dep, Target::all(BasicState::Active)).unwrap();
+        assert_eq!(dep.monitor().watches(), watched);
     }
 
     #[test]
@@ -650,7 +569,11 @@ mod tests {
         let e = engage();
         let (_, mut dep) = e.deploy(&engage_library::openmrs_partial()).unwrap();
         let report = e
-            .upgrade(&mut dep, &engage_library::openmrs_partial())
+            .upgrade(
+                &mut dep,
+                &engage_library::openmrs_partial(),
+                UpgradeStrategy::WorstCase,
+            )
             .unwrap();
         let replan = report.replan.expect("facade upgrades attach replan info");
         assert!(replan.reused_solver, "deploy's plan warmed the session");

@@ -11,16 +11,16 @@ use std::time::Instant;
 
 use engage_config::{ConfigEngine, ConfigError, ConfigSession};
 use engage_deploy::{
-    Deployment, DeploymentEngine, DriverRegistry, ReconcileLoop, ReconcileOptions,
+    Deployment, DeploymentEngine, DriverRegistry, ReconcileLoop, ReconcileOptions, Target,
 };
 use engage_dsl::Json;
-use engage_model::{PartialInstallSpec, ResourceInstance, Universe, UniverseIndex};
+use engage_model::{BasicState, PartialInstallSpec, ResourceInstance, Universe, UniverseIndex};
 use engage_sim::{DownloadSource, FaultPlan, Sim};
 use engage_util::hash::fnv1a64;
 use engage_util::obs::Obs;
 use engage_util::sync::channel::{self, Sender};
 
-use super::pool::{SessionPool, TenantState};
+use super::pool::{Checkout, SessionPool, TenantState};
 use super::protocol::{self, ErrorKind, Op, Request};
 
 /// Daemon tuning knobs.
@@ -232,7 +232,7 @@ impl ServerState {
     /// the `serve.session_*` counters. Keyed on the universe *source*:
     /// same tenant + same source hits the warm entry; the built-in
     /// library gets a fixed key.
-    fn checkout_tenant(&self, req: &Request) -> Result<super::pool::Checkout, String> {
+    fn checkout_tenant(&self, req: &Request) -> Result<Checkout, String> {
         let checkout = match &req.universe {
             Some(src) => self
                 .pool
@@ -259,25 +259,24 @@ impl ServerState {
         Ok(checkout)
     }
 
-    fn plan(&self, req: &Request, deploy: bool) -> String {
-        let checkout = match self.checkout_tenant(req) {
-            Ok(c) => c,
-            Err(msg) => {
-                self.obs.counter("serve.errors").incr();
-                return protocol::error_line(&req.id, ErrorKind::Config, &msg);
-            }
+    /// The tenant's pool entry and the request's partial spec, or the
+    /// error line to answer with.
+    fn checkout_spec(&self, req: &Request) -> Result<(Checkout, PartialInstallSpec), String> {
+        let fail = |kind, message: &str| {
+            self.obs.counter("serve.errors").incr();
+            protocol::error_line(&req.id, kind, message)
         };
-        let spec_json = req.spec.as_ref().expect("parser requires spec for plan");
-        let partial = match engage_dsl::partial_spec_from_json(spec_json) {
-            Ok(p) => p,
-            Err(msg) => {
-                self.obs.counter("serve.errors").incr();
-                return protocol::error_line(
-                    &req.id,
-                    ErrorKind::BadRequest,
-                    &format!("spec: {msg}"),
-                );
-            }
+        let checkout = (self.checkout_tenant(req)).map_err(|msg| fail(ErrorKind::Config, &msg))?;
+        let spec_json = req.spec.as_ref().expect("the parser requires a spec");
+        let partial = engage_dsl::partial_spec_from_json(spec_json)
+            .map_err(|msg| fail(ErrorKind::BadRequest, &format!("spec: {msg}")))?;
+        Ok((checkout, partial))
+    }
+
+    fn plan(&self, req: &Request, deploy: bool) -> String {
+        let (checkout, partial) = match self.checkout_spec(req) {
+            Ok(found) => found,
+            Err(line) => return line,
         };
         // Holding the entry lock serializes requests within one
         // (tenant, universe) — the session is stateful — while other
@@ -326,12 +325,10 @@ impl ServerState {
             ),
         ];
         if deploy {
-            let (sim, registry) = fresh_data_center(req);
-            let engine = DeploymentEngine::new(sim, universe)
-                .with_registry(registry)
-                .with_obs(self.obs.clone());
-            match engine.deploy(&outcome.spec) {
-                Ok(dep) => {
+            let engine = fresh_data_center(req, universe, &self.obs);
+            let mut dep = Deployment::new(&outcome.spec);
+            match engine.run(&mut dep, Target::all(BasicState::Active)) {
+                Ok(()) => {
                     body.push(("deployed".to_owned(), Json::Bool(dep.is_deployed())));
                     body.push((
                         "machines".to_owned(),
@@ -339,9 +336,10 @@ impl ServerState {
                     ));
                     body.push(("states".to_owned(), states_json(&dep)));
                 }
-                Err(e) => {
+                Err(failure) => {
                     self.obs.counter("serve.errors").incr();
-                    return protocol::error_line(&req.id, ErrorKind::Deploy, &e.to_string());
+                    let detail = failure.error.to_string();
+                    return protocol::error_line(&req.id, ErrorKind::Deploy, &detail);
                 }
             }
         }
@@ -358,27 +356,9 @@ impl ServerState {
     /// (`TenantState::session`) is never touched, so concurrent `plan`
     /// requests for the same tenant keep hitting their warm session.
     fn reconcile(&self, req: &Request) -> String {
-        let checkout = match self.checkout_tenant(req) {
-            Ok(c) => c,
-            Err(msg) => {
-                self.obs.counter("serve.errors").incr();
-                return protocol::error_line(&req.id, ErrorKind::Config, &msg);
-            }
-        };
-        let spec_json = req
-            .spec
-            .as_ref()
-            .expect("parser requires spec for reconcile");
-        let partial = match engage_dsl::partial_spec_from_json(spec_json) {
-            Ok(p) => p,
-            Err(msg) => {
-                self.obs.counter("serve.errors").incr();
-                return protocol::error_line(
-                    &req.id,
-                    ErrorKind::BadRequest,
-                    &format!("spec: {msg}"),
-                );
-            }
+        let (checkout, partial) = match self.checkout_spec(req) {
+            Ok(found) => found,
+            Err(line) => return line,
         };
         let (universe, index, session) = {
             let mut entry = checkout.state.lock();
@@ -423,16 +403,14 @@ impl ServerState {
             }
             Err(e) => return (Err((ErrorKind::Config, e.to_string())), session),
         };
-        let (sim, registry) = fresh_data_center(req);
+        let engine = fresh_data_center(req, universe, &self.obs);
+        let sim = engine.sim().clone();
         // Seed the chaos RNG so crash storms replay per (seed, ticks).
         sim.set_fault_plan(FaultPlan::new(req.seed.unwrap_or(0)));
-        let engine = DeploymentEngine::new(sim.clone(), universe)
-            .with_registry(registry)
-            .with_obs(self.obs.clone());
-        let dep = match engine.deploy(&outcome.spec) {
-            Ok(d) => d,
-            Err(e) => return (Err((ErrorKind::Deploy, e.to_string())), session),
-        };
+        let mut dep = Deployment::new(&outcome.spec);
+        if let Err(failure) = engine.run(&mut dep, Target::all(BasicState::Active)) {
+            return (Err((ErrorKind::Deploy, failure.error.to_string())), session);
+        }
         let mut rl = ReconcileLoop::new(engine, config, partial, dep)
             .with_session(session)
             .with_options(ReconcileOptions {
@@ -508,24 +486,26 @@ impl ServerState {
     }
 }
 
-/// The fresh simulated data center every deploy gets: the library
-/// universe brings its packages and drivers along, a custom universe
-/// runs on the generic ones.
-fn fresh_data_center(req: &Request) -> (Sim, DriverRegistry) {
-    if req.universe.is_none() {
-        (
+/// A deployment engine over the fresh simulated data center every deploy
+/// gets, reporting into `obs`: the library universe brings its packages
+/// and drivers along, a custom universe runs on the generic ones.
+fn fresh_data_center<'u>(req: &Request, universe: &'u Universe, obs: &Obs) -> DeploymentEngine<'u> {
+    let (sim, registry) = match req.universe {
+        None => (
             Sim::with_packages(
                 engage_library::package_universe(),
                 DownloadSource::local_cache(),
             ),
             engage_library::driver_registry(),
-        )
-    } else {
-        (
+        ),
+        Some(_) => (
             Sim::new(DownloadSource::local_cache()),
             DriverRegistry::new(),
-        )
-    }
+        ),
+    };
+    DeploymentEngine::new(sim, universe)
+        .with_registry(registry)
+        .with_obs(obs.clone())
 }
 
 /// Final driver state per instance, for end-state differential checks

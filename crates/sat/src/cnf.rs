@@ -119,35 +119,10 @@ impl Cnf {
         // At least one.
         self.add_clause(lits.to_vec());
         // At most one.
-        match encoding {
-            ExactlyOneEncoding::Pairwise => {
-                for i in 0..lits.len() {
-                    for j in i + 1..lits.len() {
-                        self.add_clause(vec![!lits[i], !lits[j]]);
-                    }
-                }
-            }
-            ExactlyOneEncoding::Sequential => {
-                // Sinz's sequential counter for ≤1: registers s_i meaning
-                // "some literal among the first i+1 is true".
-                if lits.len() <= 2 {
-                    if lits.len() == 2 {
-                        self.add_clause(vec![!lits[0], !lits[1]]);
-                    }
-                    return;
-                }
-                let n = lits.len();
-                let regs: Vec<Lit> = (0..n - 1).map(|_| self.fresh_var().positive()).collect();
-                // lits[0] -> s_0
-                self.add_clause(vec![!lits[0], regs[0]]);
-                for i in 1..n - 1 {
-                    // lits[i] -> s_i ; s_{i-1} -> s_i ; lits[i] & s_{i-1} -> false
-                    self.add_clause(vec![!lits[i], regs[i]]);
-                    self.add_clause(vec![!regs[i - 1], regs[i]]);
-                    self.add_clause(vec![!lits[i], !regs[i - 1]]);
-                }
-                // lits[n-1] & s_{n-2} -> false
-                self.add_clause(vec![!lits[n - 1], !regs[n - 2]]);
+        let ExactlyOneEncoding::Pairwise = encoding;
+        for i in 0..lits.len() {
+            for j in i + 1..lits.len() {
+                self.add_clause(vec![!lits[i], !lits[j]]);
             }
         }
     }
@@ -237,22 +212,20 @@ impl Cnf {
     }
 }
 
-/// How [`Cnf::add_exactly_one`] encodes the at-most-one part.
+/// How [`Cnf::add_exactly_one`] encodes the at-most-one part. There is
+/// one encoding; the type stays because the benchmark package names it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExactlyOneEncoding {
     /// O(n²) binary clauses, no auxiliary variables. Best for the small
     /// disjunction widths of typical Engage dependencies.
     #[default]
     Pairwise,
-    /// Sinz sequential counter: O(n) clauses, n−1 auxiliary variables.
-    Sequential,
 }
 
 impl fmt::Display for ExactlyOneEncoding {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ExactlyOneEncoding::Pairwise => write!(f, "pairwise"),
-            ExactlyOneEncoding::Sequential => write!(f, "sequential"),
         }
     }
 }
@@ -292,31 +265,10 @@ mod tests {
     }
 
     #[test]
-    fn exactly_one_sequential_has_n_models() {
-        for n in 1..=5u32 {
-            let mut cnf = Cnf::new();
-            let lits: Vec<Lit> = (0..n).map(|_| cnf.fresh_var().positive()).collect();
-            cnf.add_exactly_one(&lits, ExactlyOneEncoding::Sequential);
-            assert_eq!(count_models(&cnf, n), n as usize, "n={n}");
-        }
-    }
-
-    #[test]
     fn exactly_one_of_nothing_is_unsat() {
         let mut cnf = Cnf::new();
         cnf.add_exactly_one(&[], ExactlyOneEncoding::Pairwise);
         assert!(cnf.clauses().iter().any(|c| c.is_empty()));
-    }
-
-    #[test]
-    fn sequential_uses_linear_clauses() {
-        let mut pw = Cnf::new();
-        let lits: Vec<Lit> = (0..40).map(|_| pw.fresh_var().positive()).collect();
-        pw.add_exactly_one(&lits, ExactlyOneEncoding::Pairwise);
-        let mut sq = Cnf::new();
-        let lits: Vec<Lit> = (0..40).map(|_| sq.fresh_var().positive()).collect();
-        sq.add_exactly_one(&lits, ExactlyOneEncoding::Sequential);
-        assert!(sq.num_clauses() < pw.num_clauses() / 3);
     }
 
     #[test]

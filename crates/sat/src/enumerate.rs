@@ -96,12 +96,15 @@ mod tests {
 
     #[test]
     fn projection_collapses_aux_vars() {
-        // Sequential encoding adds auxiliary variables; projecting onto the
-        // original vars must still give exactly n models.
+        // An auxiliary variable free whenever the first var is false
+        // doubles those models; projecting onto the original vars must
+        // still give exactly n models.
         let mut cnf = Cnf::new();
         let vars: Vec<Var> = (0..6).map(|_| cnf.fresh_var()).collect();
         let lits: Vec<Lit> = vars.iter().map(|v| v.positive()).collect();
-        cnf.add_exactly_one(&lits, ExactlyOneEncoding::Sequential);
+        cnf.add_exactly_one(&lits, ExactlyOneEncoding::Pairwise);
+        let aux = cnf.fresh_var();
+        cnf.add_clause(vec![!lits[0], aux.positive()]);
         assert_eq!(count_models(&cnf, &vars, 100), 6);
     }
 

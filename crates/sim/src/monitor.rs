@@ -108,13 +108,23 @@ impl Monitor {
         }
     }
 
-    /// Stops watching a service (used on shutdown/uninstall).
-    pub fn unwatch(&mut self, host: HostId, service: &str) {
-        let name = self.names.get(service);
-        if let Some(slot) = name.and_then(|&name| self.slots.remove(&(host, name))) {
-            self.watches.remove(slot as usize);
-            self.renumber();
+    /// Stops watching every `(host, service)` pair of `pairs` (used on
+    /// shutdown/uninstall), in one pass over the list however many go.
+    /// Pairs not watched are ignored.
+    pub fn unwatch<'s>(&mut self, pairs: impl IntoIterator<Item = (HostId, &'s str)>) {
+        let mut gone = vec![false; self.watches.len()];
+        for (host, service) in pairs {
+            let name = self.names.get(service);
+            if let Some(slot) = name.and_then(|&name| self.slots.remove(&(host, name))) {
+                gone[slot as usize] = true;
+            }
         }
+        let mut slot = 0;
+        self.watches.retain(|_| {
+            slot += 1;
+            !gone[slot - 1]
+        });
+        self.renumber();
     }
 
     /// Stops watching every service of `host` (the host is gone).
@@ -278,8 +288,7 @@ mod tests {
         for (host, service) in [(0, "a"), (1, "a"), (0, "b"), (1, "c")] {
             mon.watch(HostId(host), service, None);
         }
-        mon.unwatch(HostId(1), "a");
-        mon.unwatch(HostId(1), "never-watched");
+        mon.unwatch([(HostId(1), "a"), (HostId(1), "never-watched")]);
         // The slots behind the removed entry moved down: a re-watch must
         // still find them, and a new pair goes to the end.
         mon.watch(HostId(0), "b", Some(1));
@@ -398,7 +407,7 @@ mod tests {
         sim.start_service(h, "celery", None).unwrap();
         let mut mon = Monitor::new();
         mon.watch(h, "celery", None);
-        mon.unwatch(h, "celery");
+        mon.unwatch([(h, "celery")]);
         sim.crash_service(h, "celery").unwrap();
         assert!(mon.tick(&sim).unwrap().is_empty());
         assert!(!sim.service_running(h, "celery"));

@@ -12,9 +12,9 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use engage_config::{ConfigEngine, ConfigError, ConfigOutcome, ConfigSession, ConstraintGroup};
-use engage_deploy::{service_name, Deployment, DeploymentEngine, RetryPolicy};
-use engage_model::{DriverState, InstallSpec, InstanceId};
-use engage_sat::{Cnf, ExactlyOneEncoding, Lit, Solver, Var};
+use engage_deploy::{service_name, Deployment, DeploymentEngine, RetryPolicy, Target};
+use engage_model::{BasicState, DriverState, InstallSpec, InstanceId};
+use engage_sat::{Cnf, Lit, Solver, Var};
 use engage_sim::{DownloadSource, FaultPlan, Sim};
 
 use crate::Scenario;
@@ -182,11 +182,12 @@ pub fn check_scenario_perturbed(
     // sim — its worker-count equivalence is implied by the main leg).
     let sim = Sim::new(DownloadSource::local_cache());
     let engine = DeploymentEngine::new(sim, &scenario.universe);
-    if let Err(e) = engine.deploy(&reconfigured) {
+    let mut dep = Deployment::new(&reconfigured);
+    if let Err(failure) = engine.run(&mut dep, Target::all(BasicState::Active)) {
         return Err(diverged(
             scenario,
             "deploy/reconfigure",
-            format!("reconfigured spec failed to deploy: {e}"),
+            format!("reconfigured spec failed to deploy: {}", failure.error),
         ));
     }
     Ok(SweepStats {
@@ -332,8 +333,9 @@ fn run_cell(
     let engine = DeploymentEngine::new(sim, &scenario.universe)
         .with_retry_policy(fault.retry(scenario.seed))
         .with_workers(workers);
-    let outcome = engine.deploy_parallel(deploy_spec);
-    let dep = outcome.map_err(|e| e.to_string())?.deployment;
+    let mut dep = Deployment::new(deploy_spec);
+    let run = engine.run(&mut dep, Target::all(BasicState::Active));
+    run.map_err(|failure| failure.error.to_string())?;
     Ok(observe(observe_spec, engine.sim(), &dep))
 }
 
@@ -485,21 +487,18 @@ fn check_unsat(scenario: &Scenario) -> Result<SweepStats, Divergence> {
             }
         }
     }
-    for encoding in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
-        let cell = format!("plan/diagnose/{encoding}");
-        let diagnosis = ConfigEngine::new(&scenario.universe)
-            .with_encoding(encoding)
-            .diagnose(&scenario.partial)
-            .map_err(|e| diverged(scenario, &cell, e.to_string()))?;
-        let Some((diagnosis, _)) = diagnosis else {
-            return Err(diverged(
-                scenario,
-                &cell,
-                "diagnosis found no conflict on an UNSAT scenario".to_owned(),
-            ));
-        };
-        check_mus_certificate(diagnosis.groups()).map_err(|e| diverged(scenario, &cell, e))?;
-    }
+    let cell = "plan/diagnose";
+    let diagnosis = ConfigEngine::new(&scenario.universe)
+        .diagnose(&scenario.partial)
+        .map_err(|e| diverged(scenario, cell, e.to_string()))?;
+    let Some((diagnosis, _)) = diagnosis else {
+        return Err(diverged(
+            scenario,
+            cell,
+            "diagnosis found no conflict on an UNSAT scenario".to_owned(),
+        ));
+    };
+    check_mus_certificate(diagnosis.groups()).map_err(|e| diverged(scenario, cell, e))?;
     let counted = ConfigEngine::new(&scenario.universe)
         .count_configurations(&scenario.partial, 5000)
         .map_err(|e| diverged(scenario, "plan/count", e.to_string()))?;

@@ -30,7 +30,7 @@
 //!   spans, atomic counters/gauges, a structured event log, and
 //!   pluggable sinks (in-memory for tests, JSON Lines for tools) — that
 //!   every pipeline stage reports into.
-//! * [`env`] is also native: the one sweep-size environment-knob
+//! * [`mod@env`] is also native: the one sweep-size environment-knob
 //!   parser (`ENGAGE_*_SWEEP_SEEDS`) every seeded test sweep shares.
 //! * [`hash`] is also native: stable FNV-1a hashing for cross-run cache
 //!   keys (std's `DefaultHasher` is seeded per process).

@@ -18,7 +18,7 @@
 //!
 //! Supported surface: the [`Strategy`] trait with `prop_map`,
 //! `prop_recursive`, and `boxed`; integer-range, tuple, string-regex
-//! ([`mod@string`]) and collection ([`collection`]) strategies;
+//! (`string`) and collection ([`collection`]) strategies;
 //! [`any`]; and the `proptest!`, `prop_assert!`, `prop_assert_eq!`,
 //! `prop_assert_ne!`, `prop_assume!`, and `prop_oneof!` macros.
 

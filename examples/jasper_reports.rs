@@ -9,7 +9,8 @@
 //!
 //! Run with: `cargo run --example jasper_reports`
 
-use engage::Engage;
+use engage::{Engage, Target};
+use engage_model::BasicState;
 use engage_sim::DownloadSource;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -72,7 +73,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     for (id, state) in engage.status(&deployment) {
         println!("  {id:<28} {state}");
     }
-    engage.stop(&mut deployment)?;
-    println!("  ... stopped in reverse dependency order; restartable via start()");
+    engage.run(&mut deployment, Target::all(BasicState::Inactive))?;
+    println!("  ... stopped in reverse dependency order; restartable with Target::all(Active)");
     Ok(())
 }

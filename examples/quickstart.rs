@@ -8,9 +8,9 @@
 //!
 //! Run with: `cargo run --example quickstart`
 
-use engage::Engage;
+use engage::{Engage, Target};
 use engage_config::{generate, graph_gen};
-use engage_model::PortKind;
+use engage_model::{BasicState, PortKind};
 use engage_sat::ExactlyOneEncoding;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -113,7 +113,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("== Ordered shutdown (reverse dependency order) ==");
     let before = deployment.timeline().len();
-    engage.stop(&mut deployment)?;
+    engage.run(&mut deployment, Target::all(BasicState::Inactive))?;
     for entry in &deployment.timeline()[before..] {
         println!("  {} {}", entry.action, entry.instance);
     }

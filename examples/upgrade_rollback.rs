@@ -8,7 +8,7 @@
 //!
 //! Run with: `cargo run --example upgrade_rollback`
 
-use engage::Engage;
+use engage::{Engage, UpgradeStrategy};
 use engage_model::{PartialInstallSpec, PartialInstance};
 
 fn fa_partial(version: u32) -> PartialInstallSpec {
@@ -37,7 +37,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(deployment.is_deployed());
 
     println!("\n== Upgrade to FA version 2 (schema migration via South) ==");
-    let report = engage.upgrade(&mut deployment, &fa_partial(2))?;
+    let report = engage.upgrade(&mut deployment, &fa_partial(2), UpgradeStrategy::WorstCase)?;
     println!(
         "upgrade took {:.1} min (worst-case strategy: {})",
         report.took.as_secs_f64() / 60.0,
@@ -54,10 +54,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     assert!(deployment.is_deployed());
 
     println!("\n== Roll back: downgrade to FA 1, then retry an upgrade that fails ==");
-    engage.upgrade(&mut deployment, &fa_partial(1))?;
+    engage.upgrade(&mut deployment, &fa_partial(1), UpgradeStrategy::WorstCase)?;
     println!("downgraded; now inject an error into the FA 2 install...");
     engage.sim().inject_install_failure("fa-2", 1);
-    match engage.upgrade(&mut deployment, &fa_partial(2)) {
+    match engage.upgrade(&mut deployment, &fa_partial(2), UpgradeStrategy::WorstCase) {
         Err(e) => println!("upgrade failed as expected: {e}"),
         Ok(_) => panic!("expected the injected failure to abort the upgrade"),
     }

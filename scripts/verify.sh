@@ -24,9 +24,11 @@ cargo run --release --offline --quiet --manifest-path "$ledger" -- --smoke > /de
 # (the parent's build is kept under target/bench_pair between runs).
 scripts/bench_pair.sh reconcile_storm 1 1 > /dev/null
 
-# Style and lint gates (both offline; clippy warnings are errors).
+# Style and lint gates (all offline; clippy and rustdoc warnings are
+# errors, so no doc link to a deleted item survives).
 cargo fmt --check
 cargo clippy --offline --workspace --all-targets -- -D warnings
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --offline --workspace -q
 
 # Hermeticity guard: the lockfile may only contain our own path
 # packages. Any other name means a registry dependency crept back in.
@@ -150,4 +152,4 @@ ENGAGE_SERVE_SWEEP_SEEDS=8 sweep serve_differential
 sweep serve_concurrency
 sweep serve_cli
 
-echo "verify: OK (build + tests + fmt + clippy green, lockfile hermetic, ledger smoke, exp_paper claims + EXPERIMENTS.md in sync, doc targets and symbols exist, trace shape, sweeps passed)"
+echo "verify: OK (build + tests + fmt + clippy + rustdoc green, lockfile hermetic, ledger smoke, exp_paper claims + EXPERIMENTS.md in sync, doc targets and symbols exist, trace shape, sweeps passed)"

@@ -2,9 +2,9 @@
 //! configuration engine → deployment engine → monitoring → shutdown, on
 //! the paper's three case studies.
 
-use engage::Engage;
+use engage::{Deployment, Engage, Target, UpgradeStrategy};
 use engage_config::ConfigEngine;
-use engage_model::{check_install_spec, InstanceId, Value};
+use engage_model::{check_install_spec, BasicState, InstanceId, Value};
 
 fn engage_full() -> Engage {
     Engage::new(engage_library::full_universe())
@@ -65,7 +65,7 @@ fn openmrs_full_pipeline() {
     assert_eq!(url, &Value::from("http://localhost:8080/openmrs"));
 
     // Stop everything; no services left running.
-    e.stop(&mut dep).unwrap();
+    e.run(&mut dep, Target::all(BasicState::Inactive)).unwrap();
     for svc in ["tomcat", "mysql", "openmrs"] {
         assert!(!e.sim().service_running(host, svc));
     }
@@ -162,6 +162,7 @@ fn lifecycle_profiles_deploy_the_same_app_everywhere() {
         .upgrade(
             &mut dep,
             &engage_library::LifecycleStage::Staging.partial_spec("Codespeed 0.8"),
+            UpgradeStrategy::WorstCase,
         )
         .unwrap();
     assert!(!report.plan.is_empty());
@@ -303,7 +304,8 @@ fn deploying_a_parsed_spec_equals_deploying_the_computed_one() {
     let outcome = e.plan(&engage_library::openmrs_partial()).unwrap();
     let json = engage_dsl::render_install_spec(&outcome.spec);
     let parsed = engage_dsl::parse_install_spec(&json).unwrap();
-    let dep = e.deploy_spec(&parsed).unwrap();
+    let mut dep = Deployment::new(&parsed);
+    e.run(&mut dep, Target::all(BasicState::Active)).unwrap();
     assert!(dep.is_deployed());
 }
 
@@ -361,11 +363,12 @@ fn status_transitions_follow_figure_3() {
     let (_, mut dep) = e.deploy(&engage_library::openmrs_partial()).unwrap();
     let id: InstanceId = "openmrs".into();
     assert_eq!(dep.state(&id).unwrap().to_string(), "active");
-    e.stop(&mut dep).unwrap();
+    e.run(&mut dep, Target::all(BasicState::Inactive)).unwrap();
     assert_eq!(dep.state(&id).unwrap().to_string(), "inactive");
-    e.start(&mut dep).unwrap();
+    e.run(&mut dep, Target::all(BasicState::Active)).unwrap();
     assert_eq!(dep.state(&id).unwrap().to_string(), "active");
-    e.uninstall(&mut dep).unwrap();
+    e.run(&mut dep, Target::all(BasicState::Uninstalled))
+        .unwrap();
     assert_eq!(dep.state(&id).unwrap().to_string(), "uninstalled");
 }
 

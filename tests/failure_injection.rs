@@ -1,8 +1,8 @@
 //! Failure-injection integration tests: crashed services, failed installs,
 //! upgrade rollback, and port conflicts.
 
-use engage::Engage;
-use engage_model::{PartialInstallSpec, PartialInstance, Value};
+use engage::{Engage, Target, UpgradeStrategy};
+use engage_model::{BasicState, PartialInstallSpec, PartialInstance, Value};
 
 fn engage_sys() -> Engage {
     Engage::new(engage_library::full_universe())
@@ -69,7 +69,9 @@ fn upgrade_failure_rolls_back_and_preserves_database() {
     let db_before = e.sim().read_file(host, "/var/db/fa/records").unwrap();
 
     e.sim().inject_install_failure("fa-2", 1);
-    let err = e.upgrade(&mut dep, &fa_partial(2)).unwrap_err();
+    let err = e
+        .upgrade(&mut dep, &fa_partial(2), UpgradeStrategy::WorstCase)
+        .unwrap_err();
     assert!(err.to_string().contains("rolled back"), "{err}");
 
     // Old stack restored, running, with its data.
@@ -92,7 +94,8 @@ fn successful_upgrade_runs_the_migration_exactly_once() {
     let e = engage_sys();
     let (_, mut dep) = e.deploy(&fa_partial(1)).unwrap();
     let host = dep.host_of(&"app".into()).unwrap();
-    e.upgrade(&mut dep, &fa_partial(2)).unwrap();
+    e.upgrade(&mut dep, &fa_partial(2), UpgradeStrategy::WorstCase)
+        .unwrap();
     let records = e.sim().read_file(host, "/var/db/fa/records").unwrap();
     assert_eq!(records.matches("migrated schema=2").count(), 1);
     assert_eq!(
@@ -120,13 +123,16 @@ fn rollback_failure_mid_upgrade_leaves_partial_installs_removed() {
     .into_iter()
     .collect();
     e.sim().inject_install_failure("redis-2.4", 1);
-    let err = e.upgrade(&mut dep, &with_redis).unwrap_err();
+    let err = e
+        .upgrade(&mut dep, &with_redis, UpgradeStrategy::WorstCase)
+        .unwrap_err();
     assert!(err.to_string().contains("rolled back"), "{err}");
     assert!(!e.sim().has_package(host, "redis-2.4"));
     assert!(dep.is_deployed());
 
     // With the failure cleared, the same upgrade succeeds.
-    e.upgrade(&mut dep, &with_redis).unwrap();
+    e.upgrade(&mut dep, &with_redis, UpgradeStrategy::WorstCase)
+        .unwrap();
     assert!(e.sim().has_package(host, "redis-2.4"));
     assert!(e.sim().service_running(host, "redis"));
 }
@@ -148,15 +154,10 @@ fn port_conflicts_are_caught_by_the_simulated_substrate() {
 fn guard_prevents_starting_app_while_database_down() {
     let e = engage_sys();
     let (_, mut dep) = e.deploy(&engage_library::openmrs_partial()).unwrap();
-    e.stop(&mut dep).unwrap();
+    e.run(&mut dep, Target::all(BasicState::Inactive)).unwrap();
     // Try to activate just OpenMRS while everything upstream is inactive.
-    let err = e
-        .drive_to(
-            &mut dep,
-            &"openmrs".into(),
-            engage_model::BasicState::Active,
-        )
-        .unwrap_err();
+    let openmrs = Target::only(["openmrs".into()], BasicState::Active);
+    let err = e.run(&mut dep, openmrs).unwrap_err().error;
     assert!(err.to_string().contains("guard"), "{err}");
 }
 

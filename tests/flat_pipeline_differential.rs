@@ -31,7 +31,8 @@ fn render(spec: &InstallSpec) -> String {
 
 /// CNF + var-map byte-identity, then verdict and projected-model
 /// identity, then (on SAT) propagate byte-identity.
-fn check(s: &Scenario, enc: ExactlyOneEncoding) {
+fn check(s: &Scenario) {
+    let enc = ExactlyOneEncoding::Pairwise;
     let g = graph_gen(&s.universe, &s.partial)
         .unwrap_or_else(|e| panic!("{}: graph gen failed: {e}", s.name()));
 
@@ -135,9 +136,7 @@ fn flat_pipeline_matches_legacy_across_families() {
     for family in Family::ALL {
         for seed in 0..sweep_seeds() {
             let s = scenario(family, seed);
-            for enc in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
-                check(&s, enc);
-            }
+            check(&s);
         }
     }
 }
@@ -150,9 +149,7 @@ fn flat_pipeline_matches_legacy_on_unsat_scenarios() {
     for family in Family::ALL {
         for seed in 0..seeds {
             let s = unsat_scenario(family, seed);
-            for enc in [ExactlyOneEncoding::Pairwise, ExactlyOneEncoding::Sequential] {
-                check(&s, enc);
-            }
+            check(&s);
         }
     }
 }

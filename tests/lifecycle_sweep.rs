@@ -29,7 +29,7 @@
 
 use std::collections::BTreeMap;
 
-use engage::{DeployJournal, Engage, JournalRecord, UpgradeStrategy};
+use engage::{DeployJournal, Engage, JournalRecord, Target, UpgradeStrategy};
 use engage_deploy::{package_name, service_name, Deployment};
 use engage_model::{BasicState, DriverState, InstallSpec, InstanceId};
 use engage_sim::{FaultKind, FaultOp, Sim};
@@ -196,11 +196,8 @@ fn lifecycle(s: &Scenario, strategy: UpgradeStrategy, text: &mut String) {
         ("start", BasicState::Active),
     ] {
         let (mark, before) = (journal.records().len(), states_of(&dep));
-        let run = match state {
-            BasicState::Inactive => sys.stop(&mut dep),
-            _ => sys.start(&mut dep),
-        };
-        run.unwrap_or_else(|e| panic!("{what}: {name} failed: {e}"));
+        sys.run(&mut dep, Target::all(state))
+            .unwrap_or_else(|e| panic!("{what}: {name} failed: {e}"));
         assert!(all_in(&dep, state), "{what}: {name}");
         let records = &journal.records()[mark..];
         let replayed = checked(s, &leg(name), dep.spec(), &before, records, false);
@@ -212,7 +209,7 @@ fn lifecycle(s: &Scenario, strategy: UpgradeStrategy, text: &mut String) {
         let mark = journal.records().len();
         let before = (dep.timeline().len(), estate(&dep));
         let (old_spec, old_states) = (dep.spec().clone(), states_of(&dep));
-        let result = sys.upgrade_with(&mut dep, target, strategy);
+        let result = sys.upgrade(&mut dep, target, strategy);
         // Stop and uninstall on the old spec, then bring-up on the new.
         let new_spec = match &result {
             Ok(_) => dep.spec().clone(),
@@ -278,9 +275,9 @@ fn lifecycle(s: &Scenario, strategy: UpgradeStrategy, text: &mut String) {
     // simulator error: the pinned listing then holds the aborted walk.
     // `teardown` below uninstalls a stack that never had a twin.
     let (mark, before) = (journal.records().len(), states_of(&dep));
-    let outcome = sys.uninstall(&mut dep);
-    if let Err(e) = &outcome {
-        text.push_str(&format!("error: {e}\n"));
+    let outcome = sys.run(&mut dep, Target::all(BasicState::Uninstalled));
+    if let Err(failure) = &outcome {
+        text.push_str(&format!("error: {}\n", failure.error));
     }
     let records = &journal.records()[mark..];
     let replayed = checked(s, &leg("uninstall"), dep.spec(), &before, records, false);
@@ -316,11 +313,11 @@ fn teardown(s: &Scenario, text: &mut String) {
     for name in ["teardown/uninstall", "teardown/reinstall"] {
         let (mark, before) = (journal.records().len(), states_of(&dep));
         if name == "teardown/uninstall" {
-            sys.uninstall(&mut dep)
+            sys.run(&mut dep, Target::all(BasicState::Uninstalled))
                 .unwrap_or_else(|e| panic!("{what}: uninstall failed: {e}"));
             assert_clean(&what, sys.sim(), &dep);
         } else {
-            sys.start(&mut dep)
+            sys.run(&mut dep, Target::all(BasicState::Active))
                 .unwrap_or_else(|e| panic!("{what}: reinstall failed: {e}"));
             assert!(dep.is_deployed(), "{what}: reinstall");
         }
@@ -338,7 +335,6 @@ fn rollback(
     s: &Scenario,
     spec: &InstallSpec,
     name: &str,
-    parallel: bool,
     inject: impl FnOnce(&Sim),
     text: &mut String,
 ) {
@@ -348,12 +344,10 @@ fn rollback(
         .with_workers(1)
         .with_auto_rollback();
     inject(sys.sim());
-    let result = if parallel {
-        sys.deploy_parallel_spec_with_recovery(spec)
-            .map(|outcome| outcome.deployment)
-    } else {
-        sys.deploy_spec_with_recovery(spec)
-    };
+    let mut dep = Deployment::new(spec);
+    let result = sys
+        .run(&mut dep, Target::all(BasicState::Active))
+        .map(|()| dep);
     text.push_str(&format!("## {name}\n"));
     match result {
         // The fault named nothing this scenario runs (e.g. no service
@@ -426,19 +420,19 @@ fn listing(s: &Scenario) -> String {
     // The last hosted instance never installs: most of the stack is
     // already active and has to be stopped and uninstalled again.
     let package = package_name(last.key());
-    for (name, parallel) in [
-        ("rollback/install", false),
-        ("rollback/install/wavefront", true),
-    ] {
+    // The second leg ran through a separate pool entry point at one
+    // worker until both became `run`; it repeats the first, and stays so
+    // the pinned listings do not move.
+    for name in ["rollback/install", "rollback/install/wavefront"] {
         let inject =
             |sim: &Sim| sim.inject_fault(FaultOp::Install, &package, 99, FaultKind::Permanent);
-        rollback(s, &spec, name, parallel, inject, &mut text);
+        rollback(s, &spec, name, inject, &mut text);
     }
     // The first hosted instance installs but never starts: the rollback
     // meets an `inactive` instance under a mostly uninstalled stack.
     let service = service_name(first.key());
     let inject = |sim: &Sim| sim.inject_fault(FaultOp::Start, &service, 99, FaultKind::Permanent);
-    rollback(s, &spec, "rollback/start", false, inject, &mut text);
+    rollback(s, &spec, "rollback/start", inject, &mut text);
     text
 }
 

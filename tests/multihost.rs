@@ -2,8 +2,8 @@
 //! across machines, per-node spec splitting, host ordering, and cloud
 //! provisioning.
 
-use engage::Engage;
-use engage_model::{PartialInstallSpec, PartialInstance};
+use engage::{Deployment, Engage, Target};
+use engage_model::{BasicState, PartialInstallSpec, PartialInstance};
 
 fn engage_sys() -> Engage {
     Engage::new(engage_library::full_universe())
@@ -209,12 +209,14 @@ fn mutually_dependent_hosts_violate_the_paper_assumption() {
 
 #[test]
 fn true_parallel_slaves_deploy_the_production_stack() {
-    let e = engage_sys();
-    let (outcome, parallel) = e
-        .deploy_parallel(&engage_library::openmrs_production_partial())
+    let e = engage_sys().with_workers(2);
+    let outcome = e
+        .plan(&engage_library::openmrs_production_partial())
         .unwrap();
-    assert_eq!(parallel.slaves, 2);
-    assert!(parallel.deployment.is_deployed());
+    let mut parallel = Deployment::new(&outcome.spec);
+    e.run(&mut parallel, Target::all(BasicState::Active))
+        .unwrap();
+    assert!(parallel.is_deployed());
     // Same effect as the one-worker `deploy`.
     let seq = engage_sys();
     let (_, seq_dep) = seq
@@ -223,17 +225,13 @@ fn true_parallel_slaves_deploy_the_production_stack() {
     for inst in outcome.spec.iter() {
         assert_eq!(
             seq_dep.state(inst.id()).map(ToString::to_string),
-            parallel
-                .deployment
-                .state(inst.id())
-                .map(ToString::to_string),
+            parallel.state(inst.id()).map(ToString::to_string),
             "{}",
             inst.id()
         );
     }
     // Guards kept order: MySQL started before OpenMRS even across hosts.
     let starts: Vec<&str> = parallel
-        .deployment
         .timeline()
         .iter()
         .filter(|t| t.action == "start")

@@ -46,7 +46,7 @@ fn span_tree_matches_pipeline_order() {
     let solve = span_start(&records, "config.solve");
     let propagate = span_start(&records, "config.propagate");
     let static_check = span_start(&records, "config.static_check");
-    let deploy = span_start(&records, "deploy.deploy");
+    let deploy = span_start(&records, "deploy.run");
 
     let first_transition = records
         .iter()
@@ -92,15 +92,18 @@ fn config_phases_nest_under_the_configure_span() {
 }
 
 /// A plain (non-parallel) deploy runs on the one executor: its
-/// `deploy.deploy` span parents a one-worker `deploy.wavefront`.
+/// `deploy.run` span (target `active`) parents a one-worker
+/// `deploy.wavefront`.
 #[test]
 fn plain_deploy_runs_on_the_wavefront_executor() {
     let sink = deployed_sink();
     let spans = sink.finished_spans();
     let deploy = spans
         .iter()
-        .find(|s| s.name == "deploy.deploy")
+        .find(|s| s.name == "deploy.run")
         .expect("deploy span");
+    let target = deploy.fields.iter().find(|(k, _)| k == "target");
+    assert_eq!(target.map(|(_, v)| v.as_str()), Some("active"));
     let wavefront = spans
         .iter()
         .find(|s| s.name == "deploy.wavefront")

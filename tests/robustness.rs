@@ -5,7 +5,10 @@
 
 use std::collections::BTreeMap;
 
-use engage::{DeployJournal, Engage, JournalRecord, ResumeMode, RetryPolicy};
+use engage::{
+    DeployFailure, DeployJournal, Deployment, Engage, JournalRecord, ResumeMode, RetryPolicy,
+    Target,
+};
 use engage_model::{BasicState, DriverState, InstallSpec, PartialInstance, Universe};
 use engage_sim::{FaultKind, FaultOp, FaultPlan};
 use engage_testgen::kernel::check_guard_trace;
@@ -18,6 +21,26 @@ fn engage_sys() -> Engage {
 }
 
 /// Plans the single-host OpenMRS stack once (planning is deterministic).
+/// `spec` brought up from the empty estate.
+fn deployed(sys: &Engage, spec: &InstallSpec) -> Result<Deployment, Box<DeployFailure>> {
+    let mut dep = Deployment::new(spec);
+    sys.run(&mut dep, Target::all(BasicState::Active))?;
+    Ok(dep)
+}
+
+/// `spec` brought up from the estate `records` journaled.
+fn resumed(
+    sys: &Engage,
+    spec: &InstallSpec,
+    records: &[JournalRecord],
+    mode: ResumeMode,
+) -> Result<Deployment, String> {
+    let mut dep = sys.replay(spec, records, mode).map_err(|e| e.to_string())?;
+    let run = sys.run(&mut dep, Target::all(BasicState::Active));
+    run.map_err(|f| f.to_string())?;
+    Ok(dep)
+}
+
 fn openmrs_spec() -> InstallSpec {
     engage_sys()
         .plan(&engage_library::openmrs_partial())
@@ -103,7 +126,7 @@ fn seeded_chaos_deploy_converges_with_retries() {
             .with_install_faults(0.25, 1.0)
             .with_start_faults(0.25, 1.0),
     );
-    let dep = sys.deploy_spec(&spec).expect("retries absorb the chaos");
+    let dep = deployed(&sys, &spec).expect("retries absorb the chaos");
     assert!(dep.is_deployed());
     let m = obs.metrics();
     assert!(m.counter("deploy.retries") > 0, "seed 3 injects faults");
@@ -133,7 +156,7 @@ fn retries_hold_convergence_across_transient_fault_rates() {
                             .with_start_faults(rate, 1.0),
                     );
                 }
-                sys.deploy_spec(&spec).is_ok()
+                deployed(&sys, &spec).is_ok()
             };
             (0..TRIALS).filter(trial).count() as u64
         };
@@ -165,7 +188,7 @@ fn same_chaos_seed_gives_identical_runs() {
                 .with_install_faults(0.2, 1.0)
                 .with_start_faults(0.2, 1.0),
         );
-        let dep = sys.deploy_spec(&spec).unwrap();
+        let dep = deployed(&sys, &spec).unwrap();
         let timeline: Vec<_> = dep
             .timeline()
             .iter()
@@ -184,15 +207,14 @@ fn chaos_parallel_deploy_converges_with_retries() {
     let obs = Obs::new();
     let sys = engage_sys()
         .with_obs(obs.clone())
-        .with_retry_policy(RetryPolicy::new(4).with_seed(2));
+        .with_retry_policy(RetryPolicy::new(4).with_seed(2))
+        .with_workers(2);
     sys.sim()
         .inject_fault(FaultOp::Install, "mysql-5.1", 2, FaultKind::Transient);
     sys.sim()
         .inject_fault(FaultOp::Start, "tomcat", 1, FaultKind::Transient);
-    let parallel = sys
-        .deploy_parallel_spec_with_recovery(&spec)
-        .expect("retries absorb injected faults");
-    assert!(parallel.deployment.is_deployed());
+    let parallel = deployed(&sys, &spec).expect("retries absorb injected faults");
+    assert!(parallel.is_deployed());
     assert_eq!(obs.metrics().counter("deploy.retries"), 3);
 }
 
@@ -216,7 +238,7 @@ fn crash_storms_are_repaired_by_monitor_ticks() {
 #[test]
 fn resume_after_kill_equals_uninterrupted_at_every_kill_point() {
     let spec = openmrs_spec();
-    let reference = engage_sys().deploy_spec(&spec).unwrap();
+    let reference = deployed(&engage_sys(), &spec).unwrap();
     let total = reference.timeline().len() as u64;
     assert!(total >= 4);
 
@@ -225,7 +247,7 @@ fn resume_after_kill_equals_uninterrupted_at_every_kill_point() {
         let sys = engage_sys()
             .with_journal(journal.clone())
             .with_kill_point(kill_at);
-        let failure = sys.deploy_spec_with_recovery(&spec).unwrap_err();
+        let failure = deployed(&sys, &spec).unwrap_err();
         assert!(
             failure.error.to_string().contains("engine killed"),
             "kill point {kill_at}: {}",
@@ -239,8 +261,7 @@ fn resume_after_kill_equals_uninterrupted_at_every_kill_point() {
         let resumer = engage_sys()
             .with_sim(sys.sim().clone())
             .with_journal(journal.clone());
-        let resumed = resumer
-            .resume_spec(&spec, &journal.records(), ResumeMode::Attach)
+        let resumed = resumed(&resumer, &spec, &journal.records(), ResumeMode::Attach)
             .unwrap_or_else(|e| panic!("kill point {kill_at}: {e}"));
         assert!(resumed.is_deployed(), "kill point {kill_at}");
         assert_guarded(&format!("kill point {kill_at}"), &spec, &journal.records());
@@ -267,7 +288,7 @@ fn jsonl_journal_survives_a_crash_and_replays_on_a_fresh_sim() {
     let sys = engage_sys()
         .with_journal(DeployJournal::jsonl_create(&path).unwrap())
         .with_kill_point(4);
-    let failure = sys.deploy_spec_with_recovery(&spec).unwrap_err();
+    let failure = deployed(&sys, &spec).unwrap_err();
     assert!(failure.error.to_string().contains("engine killed"));
     drop(sys); // the "crashed" process: only the journal file survives
 
@@ -275,13 +296,11 @@ fn jsonl_journal_survives_a_crash_and_replays_on_a_fresh_sim() {
     assert!(records.len() > 4, "attempts + commits + provisioning");
     let obs = Obs::new();
     let fresh = engage_sys().with_obs(obs.clone());
-    let resumed = fresh
-        .resume_spec(&spec, &records, ResumeMode::Replay)
-        .unwrap();
+    let resumed = resumed(&fresh, &spec, &records, ResumeMode::Replay).unwrap();
     assert!(resumed.is_deployed());
     assert_eq!(obs.metrics().counter("deploy.resumes"), 1);
 
-    let reference = engage_sys().deploy_spec(&spec).unwrap();
+    let reference = deployed(&engage_sys(), &spec).unwrap();
     assert_eq!(states_of(&spec, &resumed), states_of(&spec, &reference));
     std::fs::remove_file(&path).ok();
 }
@@ -289,7 +308,7 @@ fn jsonl_journal_survives_a_crash_and_replays_on_a_fresh_sim() {
 #[test]
 fn resume_after_compaction_equals_resume_from_full_history() {
     let spec = openmrs_spec();
-    let reference = engage_sys().deploy_spec(&spec).unwrap();
+    let reference = deployed(&engage_sys(), &spec).unwrap();
     let dir = std::env::temp_dir().join("engage-robustness-tests");
     std::fs::create_dir_all(&dir).unwrap();
 
@@ -297,13 +316,13 @@ fn resume_after_compaction_equals_resume_from_full_history() {
     // fault plan): one resumes from the full journal history, the other
     // compacts its JSONL file first. Both must finish the deployment
     // identically.
-    let resumed = |name: &str, compact: bool| {
+    let resume = |name: &str, compact: bool| {
         let path = dir.join(format!("{name}-{}.jsonl", std::process::id()));
         let journal = DeployJournal::jsonl_create(&path).unwrap();
         let sys = engage_sys()
             .with_journal(journal.clone())
             .with_kill_point(5);
-        let failure = sys.deploy_spec_with_recovery(&spec).unwrap_err();
+        let failure = deployed(&sys, &spec).unwrap_err();
         assert!(failure.error.to_string().contains("engine killed"));
         if compact {
             let full_len = journal.records().len();
@@ -317,18 +336,18 @@ fn resume_after_compaction_equals_resume_from_full_history() {
                 "compaction folds commits into observations"
             );
         }
-        let resumed = engage_sys()
+        let resumer = engage_sys()
             .with_sim(sys.sim().clone())
-            .with_journal(journal.clone())
-            .resume_spec(&spec, &journal.records(), ResumeMode::Attach)
+            .with_journal(journal.clone());
+        let resumed = resumed(&resumer, &spec, &journal.records(), ResumeMode::Attach)
             .unwrap_or_else(|e| panic!("resume ({name}) failed: {e}"));
         assert_guarded(name, &spec, &journal.records());
         std::fs::remove_file(&path).ok();
         resumed
     };
 
-    let full = resumed("resume-full", false);
-    let compacted = resumed("resume-compacted", true);
+    let full = resume("resume-full", false);
+    let compacted = resume("resume-compacted", true);
     assert!(full.is_deployed());
     assert!(compacted.is_deployed());
     assert_eq!(states_of(&spec, &compacted), states_of(&spec, &full));
@@ -345,8 +364,9 @@ fn parallel_kill_is_resumable() {
     let journal = DeployJournal::in_memory();
     let sys = engage_sys()
         .with_journal(journal.clone())
-        .with_kill_point(5);
-    let failure = sys.deploy_parallel_spec_with_recovery(&spec).unwrap_err();
+        .with_kill_point(5)
+        .with_workers(2);
+    let failure = deployed(&sys, &spec).unwrap_err();
     assert!(
         failure.error.to_string().contains("engine killed"),
         "{}",
@@ -356,9 +376,7 @@ fn parallel_kill_is_resumable() {
     let resumer = engage_sys()
         .with_sim(sys.sim().clone())
         .with_journal(journal.clone());
-    let resumed = resumer
-        .resume_spec(&spec, &journal.records(), ResumeMode::Attach)
-        .unwrap();
+    let resumed = resumed(&resumer, &spec, &journal.records(), ResumeMode::Attach).unwrap();
     assert!(resumed.is_deployed());
     assert_guarded("parallel kill", &spec, &journal.records());
 }
@@ -394,7 +412,7 @@ fn permanent_failure_rolls_back_every_host_clean() {
     // already installed and running when the rollback kicks in.
     sys.sim()
         .inject_fault(FaultOp::Start, "openmrs", 99, FaultKind::Permanent);
-    let failure = sys.deploy_spec_with_recovery(&spec).unwrap_err();
+    let failure = deployed(&sys, &spec).unwrap_err();
     assert_eq!(failure.rolled_back, Some(true), "{:?}", failure.error);
     assert_eq!(obs.metrics().counter("deploy.rollbacks"), 1);
     clean(sys.sim(), &spec);
@@ -418,7 +436,7 @@ fn permanent_failure_rolls_back_every_host_clean() {
                 .with_install_faults(0.15, 0.0)
                 .with_start_faults(0.15, 0.0),
         );
-        if let Err(failure) = sys.deploy_spec_with_recovery(&spec) {
+        if let Err(failure) = deployed(&sys, &spec) {
             assert_eq!(failure.rolled_back, Some(true), "{:?}", failure.error);
             clean(sys.sim(), &spec);
             failed += 1;

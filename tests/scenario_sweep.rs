@@ -11,10 +11,10 @@
 //! the name in the panic message: `engage_testgen::scenario(family,
 //! seed)`. See `docs/testing.md`.
 
-use engage::{DeployJournal, Engage, ResumeMode};
+use engage::{DeployJournal, Engage, ResumeMode, Target};
 use engage_config::ConfigEngine;
 use engage_deploy::Deployment;
-use engage_model::InstallSpec;
+use engage_model::{BasicState, InstallSpec};
 use engage_sim::Sim;
 use engage_testgen::{
     check_scenario, check_scenario_perturbed, scenario, scenario_strategy, scenario_with,
@@ -195,8 +195,9 @@ fn journal_resume_under_wavefront_matches_uninterrupted() {
         // Reference: uninterrupted wavefront deployment.
         let reference_journal = DeployJournal::in_memory();
         let reference_sys = wavefront_sys(&s, &reference_journal);
-        let reference = reference_sys
-            .deploy_parallel_spec_with_recovery(&spec)
+        let mut reference = Deployment::new(&spec);
+        reference_sys
+            .run(&mut reference, Target::all(BasicState::Active))
             .unwrap_or_else(|f| panic!("{}: clean deploy failed: {}", s.name(), f.error));
         // The kill switch counts *committed* transitions; the journal
         // also holds write-ahead Attempt and Provisioned records.
@@ -212,7 +213,7 @@ fn journal_resume_under_wavefront_matches_uninterrupted() {
         let journal = DeployJournal::in_memory();
         let killed_sys = wavefront_sys(&s, &journal).with_kill_point(kill_at);
         let failure = killed_sys
-            .deploy_parallel_spec_with_recovery(&spec)
+            .run(&mut Deployment::new(&spec), Target::all(BasicState::Active))
             .expect_err("kill point did not fire");
         assert!(
             failure.error.to_string().contains("engine killed"),
@@ -220,10 +221,13 @@ fn journal_resume_under_wavefront_matches_uninterrupted() {
             s.name(),
             failure.error
         );
-        let resumed = Engage::new(s.universe.clone())
-            .with_sim(killed_sys.sim().clone())
-            .resume_spec(&spec, &journal.records(), ResumeMode::Attach)
-            .unwrap_or_else(|e| panic!("{}: resume after kill {kill_at} failed: {e}", s.name()));
+        let resumer = Engage::new(s.universe.clone()).with_sim(killed_sys.sim().clone());
+        let mut resumed = resumer
+            .replay(&spec, &journal.records(), ResumeMode::Attach)
+            .unwrap_or_else(|e| panic!("{}: replay after kill {kill_at} failed: {e}", s.name()));
+        resumer
+            .run(&mut resumed, Target::all(BasicState::Active))
+            .unwrap_or_else(|f| panic!("{}: resume after kill {kill_at} failed: {f}", s.name()));
         assert!(
             resumed.is_deployed(),
             "{}: resume after kill {kill_at} left the stack undeployed",
@@ -231,7 +235,7 @@ fn journal_resume_under_wavefront_matches_uninterrupted() {
         );
         assert_eq!(
             end_state(&spec, killed_sys.sim(), &resumed),
-            end_state(&spec, reference_sys.sim(), &reference.deployment),
+            end_state(&spec, reference_sys.sim(), &reference),
             "{}: resumed end state diverges (kill at {kill_at}/{total})",
             s.name()
         );

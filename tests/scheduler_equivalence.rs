@@ -1,20 +1,25 @@
 //! Seeded property sweep: the executor's pool must be observationally
-//! equivalent to its one-worker run, `deploy` — identical final driver
-//! states, identical per-instance action sequences, identical running
-//! services — across `engage-testgen` scenarios (rotating through every
-//! topology family), worker counts {1, 2, 4, 8}, and fault plans. Every
-//! run's journal must also pass the guard-trace checker
+//! equivalent to its one-worker run — identical final driver states,
+//! identical per-instance action sequences, identical running services,
+//! identical monitor watch sets — across `engage-testgen` scenarios
+//! (rotating through every topology family), worker counts {1, 2, 4, 8},
+//! and fault plans, on every target: the deploy from the empty estate,
+//! then `Target::all` of `inactive`, `active` and `uninstalled` in turn
+//! on the deployed estate (stop, start again, uninstall). Every leg's
+//! journal must also pass the guard-trace checker
 //! (`engage_testgen::kernel::check_guard_trace`): no transition fired
 //! while its `↑s` / `↓s` guard failed.
 //!
 //! Seed depth is controlled by `ENGAGE_SCHED_SWEEP_SEEDS` (default 4).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use engage_config::ConfigEngine;
-use engage_deploy::{package_name, service_name, DeployJournal, DeploymentEngine, RetryPolicy};
-use engage_model::InstallSpec;
-use engage_sim::{DownloadSource, FaultKind, FaultOp, FaultPlan, Sim};
+use engage_deploy::{
+    package_name, service_name, DeployJournal, Deployment, DeploymentEngine, RetryPolicy, Target,
+};
+use engage_model::{BasicState, InstallSpec};
+use engage_sim::{DownloadSource, FaultKind, FaultOp, FaultPlan, HostId, Sim};
 use engage_testgen::kernel::check_guard_trace;
 use engage_testgen::{observe, scenario, Family, Observation, Scenario};
 
@@ -48,43 +53,62 @@ fn fault_targets(spec: &InstallSpec) -> (String, String) {
     (package_name(first.key()), service_name(last.key()))
 }
 
-/// Runs one engine configuration over `spec`, checks its journal's
-/// guard trace and observes the result: `deploy` (`None`) or
-/// `deploy_parallel` at a worker count.
+/// The targets run on the deployed estate, in turn, after the deploy.
+const LEGS: [BasicState; 3] = [
+    BasicState::Inactive,
+    BasicState::Active,
+    BasicState::Uninstalled,
+];
+
+/// What one leg leaves behind: the testgen observation and the
+/// monitor's watch set.
+type Leg = (Observation, BTreeSet<(HostId, String)>);
+
+/// Runs every leg over `spec` on `workers` workers, checking each leg's
+/// journal against the guard-trace checker, and observes each result.
 fn run(
     s: &Scenario,
     spec: &InstallSpec,
     configure: &dyn Fn(&Sim),
     retry: &RetryPolicy,
-    workers: Option<usize>,
-) -> Observation {
+    workers: usize,
+) -> Vec<Leg> {
     let sim = Sim::new(DownloadSource::local_cache());
     configure(&sim);
     let journal = DeployJournal::in_memory();
     let engine = DeploymentEngine::new(sim, &s.universe)
         .with_retry_policy(retry.clone())
-        .with_journal(journal.clone());
-    let dep = match workers {
-        None => engine.deploy(spec).unwrap(),
-        Some(workers) => {
-            let engine = engine.clone().with_workers(workers);
-            engine.deploy_parallel(spec).unwrap().deployment
-        }
-    };
-    let commits = journal.records();
-    check_guard_trace(&s.universe, spec, &BTreeMap::new(), &commits, false)
-        .unwrap_or_else(|e| panic!("{} at {workers:?} workers: {e}", s.name()));
-    observe(spec, engine.sim(), &dep)
+        .with_journal(journal.clone())
+        .with_workers(workers);
+    let mut dep = Deployment::new(spec);
+    let mut legs = Vec::new();
+    for state in [BasicState::Active].into_iter().chain(LEGS) {
+        let what = format!("{} at {workers} workers, to {state}", s.name());
+        let mark = journal.records().len();
+        let before: BTreeMap<_, _> = (spec.iter())
+            .filter_map(|i| Some((i.id().clone(), dep.state(i.id())?.clone())))
+            .collect();
+        engine
+            .run(&mut dep, Target::all(state))
+            .unwrap_or_else(|f| panic!("{what}: {f}"));
+        let commits = &journal.records()[mark..];
+        check_guard_trace(&s.universe, spec, &before, commits, false)
+            .unwrap_or_else(|e| panic!("{what}: {e}"));
+        let watches = dep.monitor().watches().iter();
+        let watched = watches.map(|w| (w.host, w.service.clone())).collect();
+        legs.push((observe(spec, engine.sim(), &dep), watched));
+    }
+    legs
 }
 
-/// The sweep core: the one-worker `deploy` vs. the pool at every worker
+/// The sweep core: the one-worker run vs. the pool at every worker
 /// count, on one seeded topology and fault setup.
 fn assert_equivalent(seed: u64, configure: &dyn Fn(&Sim, &InstallSpec), retry: &RetryPolicy) {
     let (s, spec) = case(seed);
     let setup = |sim: &Sim| configure(sim, &spec);
-    let oracle = run(&s, &spec, &setup, retry, None);
+    let oracle = run(&s, &spec, &setup, retry, 1);
     for workers in WORKER_COUNTS {
-        let wavefront = run(&s, &spec, &setup, retry, Some(workers));
+        let wavefront = run(&s, &spec, &setup, retry, workers);
         assert_eq!(
             oracle,
             wavefront,
