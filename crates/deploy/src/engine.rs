@@ -9,7 +9,7 @@ use std::time::{Duration, Instant};
 
 use engage_model::{
     topological_order, topological_positions, BasicState, DriverSpec, DriverState, InstallSpec,
-    InstanceId, ModelError, ResourceInstance, ResourceKey, Transition, Universe,
+    InstanceId, ModelError, ResourceInstance, Transition, Universe,
 };
 use engage_sim::{HostId, Monitor, Os, Sim};
 use engage_util::obs::Obs;
@@ -563,17 +563,6 @@ impl<'a> DeploymentEngine<'a> {
         to: Target,
         workers: usize,
     ) -> Result<(), Box<DeployFailure>> {
-        let (n, target, w) = (
-            dep.spec.len().to_string(),
-            to.state.to_string(),
-            workers.to_string(),
-        );
-        let fields = [
-            ("instances", n.as_str()),
-            ("target", &target),
-            ("workers", &w),
-        ];
-        let _span = self.obs.span_with("deploy.run", &fields);
         let empty = dep.machines.is_empty() && dep.timeline.is_empty();
         let mark = dep.timeline.len();
         let admitted = match to.admitted(&dep.spec) {
@@ -581,6 +570,17 @@ impl<'a> DeploymentEngine<'a> {
             Err(error) => return Err(self.recover(dep, error, mark, false)),
         };
         let admitted = admitted.as_deref();
+        let _span = self.obs.is_enabled().then(|| {
+            let n = admitted.map_or(dep.spec.len(), |a| a.iter().filter(|&&a| a).count());
+            self.obs.span_with(
+                "deploy.run",
+                &[
+                    ("instances", &n.to_string()),
+                    ("target", &to.state.to_string()),
+                    ("workers", &workers.to_string()),
+                ],
+            )
+        });
         self.provision_machines(dep);
         // One walk: the static rejection, or the run's first failure.
         let walk = |dep: &mut Deployment, state, admitted: Option<&[bool]>| match self
@@ -665,10 +665,16 @@ impl<'a> DeploymentEngine<'a> {
         let active = DriverState::Basic(BasicState::Active);
         let mut stale: Vec<(HostId, String)> = Vec::new();
         for (pos, inst) in dep.spec.iter().enumerate() {
-            let admitted = admitted.is_none_or(|a| a[pos]);
-            match dep.host_of(inst.id()).filter(|_| admitted) {
+            if admitted.is_some_and(|a| !a[pos]) {
+                continue;
+            }
+            match dep.host_of(inst.id()) {
                 Some(host) if dep.states[inst.id()] == active => {
-                    self.watch_if_running(&mut dep.monitor, host, inst.key());
+                    let name = service_name(inst.key());
+                    if self.sim.service_running(host, &name) {
+                        let port = self.sim.service_state(host, &name).and_then(|s| s.port);
+                        dep.monitor.watch(host, name, port);
+                    }
                 }
                 Some(host) => stale.push((host, service_name(inst.key()))),
                 None => {}
@@ -686,16 +692,6 @@ impl<'a> DeploymentEngine<'a> {
         let stale = stale.iter().filter(|pair| !shared.contains(pair));
         dep.monitor
             .unwatch(stale.map(|(host, name)| (*host, name.as_str())));
-    }
-
-    /// Watches the service of a `key`-typed instance on `host`, with the
-    /// port it listens on, if it is running there.
-    pub(crate) fn watch_if_running(&self, monitor: &mut Monitor, host: HostId, key: &ResourceKey) {
-        let name = service_name(key);
-        if self.sim.service_running(host, &name) {
-            let port = self.sim.service_state(host, &name).and_then(|s| s.port);
-            monitor.watch(host, name, port);
-        }
     }
 
     /// Rebuilds an interrupted deployment's estate from its journal: the

@@ -75,9 +75,7 @@ pub use error::{DeployError, DeployFailure};
 pub use journal::{
     load_jsonl, parse_driver_state, parse_os, DeployJournal, JournalError, JournalRecord,
 };
-pub use reconcile::{
-    InstanceHealth, ReconcileLoop, ReconcileOptions, ReconcileRound, ReconcileStats,
-};
+pub use reconcile::{InstanceHealth, ReconcileLoop, ReconcileRound, ReconcileStats};
 pub use retry::RetryPolicy;
 pub use upgrade::{plan_upgrade, ReplanInfo, UpgradePlanEntry, UpgradeReport, UpgradeStrategy};
 

@@ -30,13 +30,19 @@
 //! 4. **Repair** — lost hosts get replacement machines
 //!    (journaled like first-run provisioning), observed states are adopted
 //!    (and journaled as [`JournalRecord::Observed`] for crash-resume), and
-//!    only the *delta* transitions are compiled into the wavefront DAG
-//!    scheduler — converged instances contribute zero DAG nodes. Repairs
-//!    honor the engine's [`RetryPolicy`](crate::RetryPolicy) and journal.
+//!    the instances the round selects go to `active` in one
+//!    [`DeploymentEngine::run`] to [`Target::only`] them: converged and
+//!    deferred instances contribute zero DAG nodes, guards that name them
+//!    read their real state, and the run re-syncs the monitor for what it
+//!    drove. Repairs honor the engine's [`RetryPolicy`](crate::RetryPolicy)
+//!    and journal.
 //!
-//! Rounds are budget-bounded (at most `budget` driver transitions per
-//! round) and anti-flap: an instance whose repair keeps failing is backed
-//! off exponentially (in rounds) instead of being re-driven every tick.
+//! Rounds are budget-bounded (at most [`ReconcileLoop::with_budget`]
+//! driver transitions per round) and anti-flap: an instance whose repair
+//! keeps failing is backed off exponentially (in rounds) instead of being
+//! re-driven every tick. Deferral closes downward: a dependent of a
+//! deferred instance is deferred with it, at no budget cost, so no
+//! service starts while an upstream it needs is down (Figure 3's `↑s`).
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -79,30 +85,12 @@ impl fmt::Display for InstanceHealth {
     }
 }
 
-/// Tuning knobs for the reconcile loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ReconcileOptions {
-    /// Maximum driver transitions to schedule per round (`0` = unbounded).
-    /// A round always repairs at least one instance even when its path is
-    /// longer than the budget, so progress is guaranteed.
-    pub budget: usize,
-    /// Consecutive failed repairs of one instance before anti-flap
-    /// backoff kicks in.
-    pub flap_threshold: u32,
-    /// Base backoff in *rounds* once the flap threshold is reached;
-    /// doubles with every further failure (capped at 64× base).
-    pub flap_backoff_rounds: u64,
-}
-
-impl Default for ReconcileOptions {
-    fn default() -> Self {
-        ReconcileOptions {
-            budget: 0,
-            flap_threshold: 3,
-            flap_backoff_rounds: 2,
-        }
-    }
-}
+/// Consecutive failed repairs of one instance before anti-flap backoff
+/// kicks in.
+const FLAP_THRESHOLD: u32 = 3;
+/// Base backoff in *rounds* once the flap threshold is reached; doubles
+/// with every further failure (capped at 64× base).
+const FLAP_BACKOFF_ROUNDS: u64 = 2;
 
 /// What one reconciliation round observed and did.
 #[derive(Debug, Clone, Default)]
@@ -116,12 +104,13 @@ pub struct ReconcileRound {
     /// orphaned. Sparse: a managed instance absent from the map is
     /// converged, and a drift-free round reports an empty map.
     pub health: BTreeMap<InstanceId, InstanceHealth>,
-    /// Driver transitions compiled into this round's delta DAG.
+    /// Driver transitions the round's repair committed.
     pub actions: usize,
     /// Instances repaired back to `active` this round.
     pub repaired: Vec<InstanceId>,
     /// Drifted instances deliberately *not* repaired this round
-    /// (anti-flap backoff or budget exhaustion).
+    /// (anti-flap backoff, budget exhaustion, or a deferred instance they
+    /// link to).
     pub deferred: Vec<InstanceId>,
     /// Machine instances whose lost host was replaced:
     /// `(machine, old host, new host)`.
@@ -147,7 +136,7 @@ pub struct ReconcileStats {
     pub rounds: u64,
     /// Rounds that observed no drift and did nothing.
     pub zero_action_rounds: u64,
-    /// Total driver transitions scheduled.
+    /// Total driver transitions committed.
     pub actions: u64,
     /// Distinct outage episodes observed (drift after convergence).
     pub outages: u64,
@@ -184,8 +173,6 @@ type Placed = (HostId, u32, usize);
 /// `reconcile.index_rebuilds` counter) — never per tick or per event.
 #[derive(Debug)]
 struct EstateIndex {
-    /// Each instance's host.
-    hosts: Vec<Option<HostId>>,
     /// The distinct service names, numbered.
     services: BTreeMap<String, u32>,
     /// Sorted: the instances of one host, and of one service on it, are
@@ -201,11 +188,10 @@ impl EstateIndex {
     fn new(dep: &Deployment, obs: &Obs) -> Self {
         obs.counter("reconcile.index_rebuilds").incr();
         let insts = dep.spec.instances();
-        let hosts: Vec<Option<HostId>> = insts.iter().map(|i| dep.host_of(i.id())).collect();
         let mut services = BTreeMap::new();
         let mut placed = Vec::with_capacity(insts.len());
         for (pos, inst) in insts.iter().enumerate() {
-            if let Some(host) = hosts[pos] {
+            if let Some(host) = dep.host_of(inst.id()) {
                 let next = services.len() as u32;
                 let service = *services.entry(service_name(inst.key())).or_insert(next);
                 placed.push((host, service, pos));
@@ -216,7 +202,6 @@ impl EstateIndex {
         by_id.sort_unstable_by_key(|&pos| insts[pos].id());
         let order = ordered(&dep.spec.dependents_table());
         EstateIndex {
-            hosts,
             services,
             placed,
             by_id,
@@ -260,7 +245,7 @@ pub struct ReconcileLoop<'a> {
     partial: PartialInstallSpec,
     dep: Deployment,
     index: EstateIndex,
-    options: ReconcileOptions,
+    budget: usize,
     round: u64,
     flap: BTreeMap<InstanceId, FlapEntry>,
     outage_since: Option<Duration>,
@@ -286,7 +271,7 @@ impl<'a> ReconcileLoop<'a> {
             partial,
             dep,
             index,
-            options: ReconcileOptions::default(),
+            budget: 0,
             round: 0,
             flap: BTreeMap::new(),
             outage_since: None,
@@ -295,9 +280,12 @@ impl<'a> ReconcileLoop<'a> {
         }
     }
 
-    /// Overrides the loop's tuning knobs (builder-style).
-    pub fn with_options(mut self, options: ReconcileOptions) -> Self {
-        self.options = options;
+    /// Caps the driver transitions a round schedules at `budget`
+    /// (builder-style; default `0`, unbounded). A round always repairs at
+    /// least one instance even when its path is longer than the budget,
+    /// so progress is guaranteed.
+    pub fn with_budget(mut self, budget: usize) -> Self {
+        self.budget = budget;
         self
     }
 
@@ -534,91 +522,87 @@ impl<'a> ReconcileLoop<'a> {
         drop(adopt);
 
         let converge = obs.span("reconcile.converge");
-        // ---- budget + anti-flap selection ----
+        // ---- budget + anti-flap selection, deferral closed downward ----
         let order = match &self.index.order {
             Ok(order) => order,
             Err(cycle) => return Err(cycle.clone()),
         };
-        let mut selected: Vec<usize> = Vec::new();
+        let active = DriverState::Basic(BasicState::Active);
+        let mut is_deferred = vec![false; insts.len()];
+        let mut selected: Vec<InstanceId> = Vec::new();
         let mut deferred: Vec<InstanceId> = Vec::new();
         let mut budget_spent = 0usize;
+        let spec = &self.dep.spec;
         for &pos in order {
             let (inst, id) = (&insts[pos], insts[pos].id());
-            if self.dep.states[id] == DriverState::Basic(BasicState::Active) {
+            if self.dep.states[id] == active {
                 continue;
             }
-            if self.flap.get(id).is_some_and(|f| f.skip_until > round) {
+            let flapping = self.flap.get(id).is_some_and(|f| f.skip_until > round);
+            if flapping {
                 obs.counter("reconcile.flap_deferrals").incr();
-                deferred.push(id.clone());
-                continue;
             }
-            let cost = self.transition_cost(inst, &self.dep.states[id]);
-            if self.options.budget > 0
-                && !selected.is_empty()
-                && budget_spent + cost > self.options.budget
-            {
-                deferred.push(id.clone());
-                continue;
+            // A dependent of a deferred instance is deferred with it, at
+            // no budget cost: its start guard needs that instance up.
+            let defer = flapping
+                || (inst.links()).any(|l| spec.position(l).is_some_and(|p| is_deferred[p]));
+            let cost = (!defer).then(|| self.transition_cost(inst, &self.dep.states[id]));
+            match cost {
+                Some(cost)
+                    if self.budget == 0
+                        || selected.is_empty()
+                        || budget_spent + cost <= self.budget =>
+                {
+                    budget_spent += cost;
+                    selected.push(id.clone());
+                }
+                _ => {
+                    is_deferred[pos] = true;
+                    deferred.push(id.clone());
+                }
             }
-            budget_spent += cost;
-            selected.push(pos);
         }
 
-        // ---- compile and run only the delta on the wavefront pool ----
-        // Deferred instances are held out of the run: masked as `active`,
-        // they and the guard edges onto them contribute no nodes.
-        let active = DriverState::Basic(BasicState::Active);
-        let states = &mut self.dep.states;
-        let held: Vec<DriverState> = (deferred.iter())
-            .map(|id| std::mem::replace(states.get_mut(id).expect("managed"), active.clone()))
-            .collect();
-        let workers = self.engine.workers;
-        let run = (self.engine).execute(&mut self.dep, BasicState::Active, None, workers);
-        self.dep.states.extend(deferred.iter().cloned().zip(held));
-        let (actions, failure) = run?;
+        // ---- run only the delta: the selected instances to `active` ----
+        let mark = self.dep.timeline.len();
+        let repair = Target::only(selected.iter().cloned(), BasicState::Active);
+        let error = match self.engine.run(&mut self.dep, repair) {
+            Ok(()) => None,
+            Err(failure) => match failure.error {
+                error @ (DeployError::NoPath { .. }
+                | DeployError::GuardFailed { .. }
+                | DeployError::Model(_)) => return Err(error),
+                error => Some(error.to_string()),
+            },
+        };
+        let actions = self.dep.timeline.len() - mark;
         obs.gauge("reconcile.delta_size").set(actions as i64);
         obs.counter("reconcile.actions").add(actions as u64);
         self.stats.actions += actions as u64;
-        let error = failure.map(|e| e.to_string());
 
         // ---- anti-flap bookkeeping ----
-        let insts = self.dep.spec.instances();
         let mut repaired = Vec::new();
-        for id in selected.iter().map(|&pos| insts[pos].id()) {
-            if self.dep.states[id] == DriverState::Basic(BasicState::Active) {
-                repaired.push(id.clone());
-                self.flap.remove(id);
-            } else {
-                let entry = self.flap.entry(id.clone()).or_default();
+        let (spec, states) = (&self.dep.spec, &self.dep.states);
+        let links_up = |i: &ResourceInstance| i.links().all(|l| states.get(l) == Some(&active));
+        for id in selected {
+            if states[&id] == active {
+                self.flap.remove(&id);
+                repaired.push(id);
+            } else if spec.get(&id).is_some_and(links_up) {
+                // Its own repair failed. A dependent its upstream's
+                // failure held back waits with it, uncharged, as a
+                // deferred one does.
+                let entry = self.flap.entry(id).or_default();
                 entry.failures += 1;
-                if entry.failures >= self.options.flap_threshold {
-                    let exp = (entry.failures - self.options.flap_threshold).min(6);
-                    entry.skip_until = round + (self.options.flap_backoff_rounds << exp);
+                if entry.failures >= FLAP_THRESHOLD {
+                    let exp = (entry.failures - FLAP_THRESHOLD).min(6);
+                    entry.skip_until = round + (FLAP_BACKOFF_ROUNDS << exp);
                 }
             }
         }
         drop(converge);
 
-        // ---- refresh watches, convergence, MTTR ----
-        let _refresh = obs.span("reconcile.refresh");
-        // Only what the round drove can have started a service, unless the
-        // re-plan changed the spec: an orphan may have shared its watch
-        // with an instance that stays, so look at the whole estate again.
-        // In spec order, so new watches land where a whole-estate
-        // registration would put them.
-        selected.sort_unstable();
-        let refresh = if spec_changed {
-            (0..insts.len()).collect()
-        } else {
-            selected
-        };
-        for pos in refresh {
-            if let Some(host) = self.index.hosts[pos] {
-                let key = self.dep.spec.instances()[pos].key();
-                self.engine
-                    .watch_if_running(&mut self.dep.monitor, host, key);
-            }
-        }
+        // ---- convergence, MTTR ----
         let converged =
             self.dep.is_deployed() && self.dep.monitor.scan(self.engine.sim()).is_empty();
         if converged {
@@ -815,10 +799,7 @@ mod tests {
         let u = universe();
         let obs = Obs::new();
         let (rl, sim) = reconciler(&u, obs.clone());
-        let mut rl = rl.with_options(ReconcileOptions {
-            budget: 1,
-            ..ReconcileOptions::default()
-        });
+        let mut rl = rl.with_budget(1);
         // Crash both services: two `start` transitions are owed.
         for id in ["db", "app"] {
             let id = InstanceId::new(id);
@@ -840,26 +821,28 @@ mod tests {
     fn anti_flap_backs_off_repeatedly_failing_instance() {
         let u = universe();
         let obs = Obs::new();
-        let (rl, sim) = reconciler(&u, obs.clone());
-        let mut rl = rl.with_options(ReconcileOptions {
-            flap_threshold: 1,
-            flap_backoff_rounds: 2,
-            ..ReconcileOptions::default()
-        });
+        let (mut rl, sim) = reconciler(&u, obs.clone());
         let db = InstanceId::new("db");
         let host = rl.deployment().host_of(&db).unwrap();
         let svc = service_name(rl.deployment().spec().get(&db).unwrap().key());
         sim.crash_service(host, &svc).unwrap();
         // Every restart attempt fails permanently for a while.
-        sim.inject_fault(FaultOp::Start, &svc, 3, FaultKind::Permanent);
+        sim.inject_fault(
+            FaultOp::Start,
+            &svc,
+            FLAP_THRESHOLD + 1,
+            FaultKind::Permanent,
+        );
 
-        let r1 = rl.tick().unwrap();
-        assert!(r1.error.is_some(), "repair must fail");
-        assert!(r1.repaired.is_empty());
+        for _ in 0..FLAP_THRESHOLD {
+            let r = rl.tick().unwrap();
+            assert!(r.error.is_some(), "repair must fail");
+            assert!(r.repaired.is_empty());
+        }
         // Threshold reached: the next rounds defer instead of re-driving.
-        let r2 = rl.tick().unwrap();
-        assert_eq!(r2.deferred, vec![db.clone()], "{r2:?}");
-        assert_eq!(r2.actions, 0);
+        let r = rl.tick().unwrap();
+        assert_eq!(r.deferred, vec![db.clone()], "{r:?}");
+        assert_eq!(r.actions, 0);
         assert!(obs.metrics().counter("reconcile.flap_deferrals") >= 1);
         // Backoff expires and the remaining fault charges drain; the
         // service eventually comes back.
@@ -878,20 +861,59 @@ mod tests {
     }
 
     #[test]
+    fn a_backed_off_upstream_defers_its_degraded_dependent() {
+        let u = universe();
+        let (mut rl, sim) = reconciler(&u, Obs::new());
+        let service = |rl: &ReconcileLoop<'_>, id: &InstanceId| {
+            let dep = rl.deployment();
+            (
+                dep.host_of(id).unwrap(),
+                service_name(dep.spec().get(id).unwrap().key()),
+            )
+        };
+        let (db, app) = (InstanceId::new("db"), InstanceId::new("app"));
+        let (db_host, db_svc) = service(&rl, &db);
+        sim.crash_service(db_host, &db_svc).unwrap();
+        sim.inject_fault(
+            FaultOp::Start,
+            &db_svc,
+            FLAP_THRESHOLD,
+            FaultKind::Permanent,
+        );
+        for _ in 0..FLAP_THRESHOLD {
+            assert!(rl.tick().unwrap().error.is_some(), "db's restart fails");
+        }
+
+        // `db` is backing off when `app`, which peers with it, crashes.
+        let (app_host, app_svc) = service(&rl, &app);
+        sim.crash_service(app_host, &app_svc).unwrap();
+        let round = rl.tick().unwrap();
+        assert_eq!(round.deferred, vec![db, app.clone()], "{round:?}");
+        assert_eq!(round.actions, 0);
+        assert!(
+            !sim.service_running(app_host, &app_svc),
+            "app started under a stopped db"
+        );
+        assert_eq!(
+            rl.deployment().state(&app),
+            Some(&DriverState::Basic(BasicState::Inactive))
+        );
+        assert!(rl.run_until_converged(8).unwrap(), "the backoff expires");
+    }
+
+    #[test]
     fn orphaning_a_flapping_instance_forgets_its_backoff() {
         let u = universe();
-        let (rl, sim) = reconciler(&u, Obs::new());
-        let mut rl = rl.with_options(ReconcileOptions {
-            flap_threshold: 1,
-            ..ReconcileOptions::default()
-        });
+        let (mut rl, sim) = reconciler(&u, Obs::new());
         let app = InstanceId::new("app");
         let host = rl.deployment().host_of(&app).unwrap();
         let svc = service_name(rl.deployment().spec().get(&app).unwrap().key());
         sim.crash_service(host, &svc).unwrap();
         sim.inject_fault(FaultOp::Start, &svc, 8, FaultKind::Permanent);
-        assert!(rl.tick().unwrap().repaired.is_empty());
-        assert!(rl.flap.contains_key(&app), "app is backing off");
+        for _ in 0..FLAP_THRESHOLD {
+            assert!(rl.tick().unwrap().repaired.is_empty());
+        }
+        assert!(rl.flap[&app].skip_until > rl.round(), "app is backing off");
 
         // The operator drops `app` from the desired spec while it flaps.
         rl.partial = partial()

@@ -1,7 +1,8 @@
 //! The transition DAG executor, the one executor every lifecycle
 //! operation compiles onto — deploy, resume, start / stop / uninstall,
 //! the upgrade phases, auto-rollback, orphan teardown and the
-//! reconciler's repair — and the paper's §5.2 contract ("slave
+//! reconciler's repair, each a [`DeploymentEngine::run`] — and the
+//! paper's §5.2 contract ("slave
 //! deployments can run in parallel when the slaves have no
 //! inter-dependencies"). An operation compiles into a **transition
 //! DAG**: its **nodes** are the steps of each admitted instance's
@@ -15,10 +16,9 @@
 //! decrements — no guard is ever re-scanned. A worker keeps the released
 //! successor with the longest critical path as its continuation and
 //! publishes the rest for idle workers to steal.
-//! [`DeploymentEngine::run`] and the reconciler's repair run it on the
-//! engine's worker count; the default is one worker, which is
-//! deterministic, so its journal, kill points and resume are
-//! reproducible.
+//! [`DeploymentEngine::run`] runs it on the engine's worker count; the
+//! default is one worker, which is deterministic, so its journal, kill
+//! points and resume are reproducible.
 //!
 //! **The static guard reading.** For each instance a guard `↑s` (`↓s`)
 //! names — the instance's links (dependents) — the compiler takes the
@@ -28,7 +28,9 @@
 //! entering that point and before the node leaving it, so the guard
 //! holds in every order the DAG allows, on bring-up and teardown alike.
 //! An instance without nodes (at the target, or not admitted) keeps its
-//! current state throughout. With the standard drivers bring-up paths
+//! current state throughout: a guard naming it reads that real state,
+//! which is why the reconciler defers a dependent with its deferred
+//! upstream rather than admit it here. With the standard drivers bring-up paths
 //! end in `active` and teardown paths only descend, so every edge is an
 //! entering one: dependencies first going up, dependents first going
 //! down. A guard with no acceptable point can never hold: outside

@@ -574,7 +574,6 @@ fn runtime(u: Universe, opts: &Options, obs: &Obs) -> Result<Engage, String> {
 /// self-healing reconcile loop for `--ticks` rounds while `--chaos`
 /// crashes services (and occasionally whole hosts) between rounds.
 fn run_reconcile(opts: &Options, obs: &Obs) -> Result<String, String> {
-    use engage::ReconcileOptions;
     use engage_util::rand::{Rng, SeedableRng, StdRng};
 
     let u = load_universe(opts)?;
@@ -597,10 +596,7 @@ fn run_reconcile(opts: &Options, obs: &Obs) -> Result<String, String> {
     );
     let mut rl = system
         .reconciler(&partial, deployment)
-        .with_options(ReconcileOptions {
-            budget: opts.budget.unwrap_or(0),
-            ..ReconcileOptions::default()
-        });
+        .with_budget(opts.budget.unwrap_or(0));
     let mut host_rng = StdRng::seed_from_u64(seed ^ 0x005e_c09c_11e5);
     let ticks = opts.ticks.unwrap_or(10);
     for _ in 0..ticks {

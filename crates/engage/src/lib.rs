@@ -60,8 +60,8 @@ pub use engage_config::ConfigEngine as RawConfigEngine;
 pub use engage_config::SolverMode;
 pub use engage_deploy::{
     load_jsonl, DeployFailure, DeployJournal, Deployment, InstanceHealth, JournalRecord,
-    ReconcileLoop, ReconcileOptions, ReconcileRound, ReconcileStats, ResumeMode, RetryPolicy,
-    Target, UpgradeReport, UpgradeStrategy,
+    ReconcileLoop, ReconcileRound, ReconcileStats, ResumeMode, RetryPolicy, Target, UpgradeReport,
+    UpgradeStrategy,
 };
 
 /// Top-level error: configuration or deployment.

@@ -10,9 +10,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use engage_config::{ConfigEngine, ConfigError, ConfigSession};
-use engage_deploy::{
-    Deployment, DeploymentEngine, DriverRegistry, ReconcileLoop, ReconcileOptions, Target,
-};
+use engage_deploy::{Deployment, DeploymentEngine, DriverRegistry, ReconcileLoop, Target};
 use engage_dsl::Json;
 use engage_model::{BasicState, PartialInstallSpec, ResourceInstance, Universe, UniverseIndex};
 use engage_sim::{DownloadSource, FaultPlan, Sim};
@@ -413,10 +411,7 @@ impl ServerState {
         }
         let mut rl = ReconcileLoop::new(engine, config, partial, dep)
             .with_session(session)
-            .with_options(ReconcileOptions {
-                budget: req.budget.unwrap_or(0) as usize,
-                ..ReconcileOptions::default()
-            });
+            .with_budget(req.budget.unwrap_or(0) as usize);
         let chaos = req.chaos.unwrap_or(0.0);
         let mut converged = true;
         let mut failure = None;

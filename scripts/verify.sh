@@ -134,6 +134,19 @@ if grep -qv '^{.*}$' "$tmp/trace.jsonl" ||
     exit 1
 fi
 
+# A reconciler's repair is one lifecycle run: a drifted tick's
+# `reconcile.converge` span parents a `deploy.run`.
+cargo run -q --release --offline --bin engage -- reconcile --library base \
+    --spec examples/openmrs_figure2.json --ticks 3 --chaos 0.3:7 \
+    --trace "$tmp/reconcile.jsonl" > /dev/null
+converge=$(grep -m 1 -o '"id":[0-9]*,"parent":[0-9]*,"name":"reconcile.converge"' \
+    "$tmp/reconcile.jsonl" | sed 's/^"id":\([0-9]*\),.*/\1/' || true)
+if [ -z "$converge" ] ||
+    ! grep -q "\"parent\":$converge,\"name\":\"deploy.run\"" "$tmp/reconcile.jsonl"; then
+    echo "error: no deploy.run span under reconcile.converge in the reconcile trace" >&2
+    exit 1
+fi
+
 # The seeded sweeps at CI depth (release build; each test file's header
 # says what it pins): flat-pipeline and GraphGen oracles, static re-check
 # goldens, crash recovery and the fault-rate bars, lifecycle goldens,

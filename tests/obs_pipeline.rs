@@ -157,8 +157,9 @@ fn gauges_report_graph_and_cnf_sizes() {
 }
 
 /// The reconcile round is no longer one opaque span: a drifted tick has
-/// its five stages as children, an idle tick has none, and repaired /
-/// scanned is readable from the gauges alone.
+/// its four stages as children, an idle tick has none, the repair is a
+/// `deploy.run` of just the drifted instance under the last stage, and
+/// repaired / scanned is readable from the gauges alone.
 #[test]
 fn reconcile_stages_nest_under_a_drifted_tick_only() {
     let sink = Arc::new(MemorySink::new());
@@ -206,10 +207,25 @@ fn reconcile_stages_nest_under_a_drifted_tick_only() {
             "reconcile.classify",
             "reconcile.replan",
             "reconcile.adopt",
-            "reconcile.converge",
-            "reconcile.refresh"
+            "reconcile.converge"
         ]
     );
+    // The repair is one lifecycle run, under the converge stage.
+    let converge = (spans.iter())
+        .find(|s| s.name == "reconcile.converge")
+        .expect("converge span");
+    let repair = (spans.iter())
+        .find(|s| s.name == "deploy.run" && s.parent == Some(converge.id))
+        .expect("a deploy.run span under reconcile.converge");
+    let field = |k: &str| {
+        repair
+            .fields
+            .iter()
+            .find(|(f, _)| f == k)
+            .map(|(_, v)| v.as_str())
+    };
+    assert_eq!(field("target"), Some("active"));
+    assert_eq!(field("instances"), Some("1"));
 }
 
 /// The daemon hands its `Obs` to the engines it builds: a traced `plan`

@@ -14,7 +14,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use engage::{DeployJournal, Engage, InstanceHealth, JournalRecord, RetryPolicy};
 use engage_deploy::{Deployment, ReconcileRound};
-use engage_model::{BasicState, DriverState, InstallSpec, InstanceId};
+use engage_model::{DriverState, InstallSpec, InstanceId};
 use engage_sim::{DriftEvent, FaultKind, FaultOp, FaultPlan, HostId, Sim, WatchEntry};
 use engage_testgen::kernel::check_guard_trace;
 use engage_testgen::{scenario, scenario_with, Family, Knobs};
@@ -397,6 +397,77 @@ fn estate_index_is_rebuilt_only_when_the_estate_changes_shape() {
     assert_eq!(rebuilds(), 2, "a replaced host moves instances");
 }
 
+/// Property: repair obeys Figure 3 at any budget. Under a random round
+/// budget, seeded transient start faults and a seeded failing restart
+/// (often enough to back an instance off), with the odd host loss, every
+/// round's journal passes the guard-trace checker against the true
+/// states — a deferred instance is down, so nothing that needs it may
+/// start — and replays to the loop's states, and the stack reconverges
+/// to the end state of a fresh deploy.
+#[test]
+fn deferred_repairs_obey_the_guards_and_reconverge() {
+    for family in Family::ALL {
+        for seed in 0..sweep_seeds() {
+            let s = scenario(family, seed);
+            let ref_sys = Engage::new(s.universe.clone());
+            let (ref_out, ref_dep) = ref_sys
+                .deploy(&s.partial)
+                .unwrap_or_else(|e| panic!("{}: reference deploy failed: {e}", s.name()));
+
+            let journal = DeployJournal::in_memory();
+            let sys = Engage::new(s.universe.clone())
+                .with_retry_policy(RetryPolicy::new(2).with_seed(seed))
+                .with_journal(journal.clone());
+            let (_, dep) = sys
+                .deploy(&s.partial)
+                .unwrap_or_else(|e| panic!("{}: chaos deploy failed: {e}", s.name()));
+            sys.sim()
+                .set_fault_plan(FaultPlan::new(seed).with_start_faults(0.2, 1.0));
+            let mut rng = StdRng::seed_from_u64(seed ^ 0xDEF_E44A1);
+            let budget = rng.gen_range(0..8usize);
+            let name = format!("{} budget={budget}", s.name());
+            let watches = dep.monitor().watches().to_vec();
+            let mut rl = sys.reconciler(&s.partial, dep).with_budget(budget);
+            let mut states = states_of(rl.deployment());
+            for storm in 0..3 {
+                sys.sim().crash_storm(0.3);
+                let flapper = &watches[rng.gen_range(0..watches.len())];
+                let charges = rng.gen_range(1..6u32);
+                sys.sim().inject_fault(
+                    FaultOp::Start,
+                    &flapper.service,
+                    charges,
+                    FaultKind::Permanent,
+                );
+                if rng.gen_bool(0.3) {
+                    let hosts: Vec<HostId> = rl.deployment().machines().values().copied().collect();
+                    let _ = sys.sim().fail_host(hosts[rng.gen_range(0..hosts.len())]);
+                }
+                // A few backoffs at their cap of 128 rounds.
+                let converged = (0..512).any(|tick| {
+                    let mark = journal.records().len();
+                    let round = rl
+                        .tick()
+                        .unwrap_or_else(|e| panic!("{name}: storm {storm} tick {tick}: {e}"));
+                    let journaled = &journal.records()[mark..];
+                    let spec = rl.deployment().spec();
+                    states = check_guard_trace(&s.universe, spec, &states, journaled, false)
+                        .unwrap_or_else(|e| panic!("{name}: storm {storm} tick {tick}: {e}"));
+                    assert_eq!(states, states_of(rl.deployment()), "{name}: replay");
+                    round.converged
+                });
+                assert!(converged, "{name}: storm {storm} did not reconverge");
+            }
+            let dep = rl.into_deployment();
+            assert_eq!(
+                end_state(&ref_out.spec, sys.sim(), &dep),
+                end_state(&ref_out.spec, ref_sys.sim(), &ref_dep),
+                "{name}: reconciled end state diverges from a fresh deploy"
+            );
+        }
+    }
+}
+
 /// One tick rendered for the golden: the drift it saw (in scan order, so
 /// the watch list's order is pinned too), what it classified (only the
 /// non-converged entries, so a dense and a sparse `health` map render
@@ -461,42 +532,15 @@ fn states_of(dep: &Deployment) -> BTreeMap<InstanceId, DriverState> {
         .collect()
 }
 
-/// Guard-checks one round's journal slice from the `before` states: the
-/// observations are adopted first, then the committed repair replays
-/// with the round's deferred instances held at `active`, as the repair
-/// saw them. Returns the replayed states, true values for the held.
-fn check_round(
-    universe: &engage_model::Universe,
-    spec: &InstallSpec,
-    before: &BTreeMap<InstanceId, DriverState>,
-    round: &ReconcileRound,
-    journaled: &[JournalRecord],
-) -> Result<BTreeMap<InstanceId, DriverState>, String> {
-    let (observed, rest): (Vec<_>, Vec<_>) = journaled
-        .iter()
-        .cloned()
-        .partition(|r| matches!(r, JournalRecord::Observed { .. }));
-    let adopted = check_guard_trace(universe, spec, before, &observed, false)?;
-    let mut held = adopted.clone();
-    for id in &round.deferred {
-        held.insert(id.clone(), DriverState::Basic(BasicState::Active));
-    }
-    let mut after = check_guard_trace(universe, spec, &held, &rest, false)?;
-    for id in &round.deferred {
-        after.insert(id.clone(), adopted[id].clone());
-    }
-    Ok(after)
-}
-
 /// Golden differential against the parent commit: the listing below was
-/// captured from the reconciler that classified by scanning the whole
-/// spec once per drift event, before that scan was deleted in favour of
-/// the per-plan estate index — a fixed three-level estate through twelve
-/// storm ticks (one instance made to flap through its backoff), a host
-/// loss, and the ticks that reconverge it. Which instances a round calls
-/// degraded or lost, which it repairs or defers, and what it journals
-/// must not move. Every round's journal also passes the guard-trace
-/// checker and replays to the reconciled driver states.
+/// captured from the reconciler whose repair is one run of the selected
+/// instances to `active`, with deferral closed downward — a fixed
+/// three-level estate through twelve storm ticks (one instance made to
+/// flap through its backoff), a host loss, and the ticks that reconverge
+/// it. Which instances a round calls degraded or lost, which it repairs
+/// or defers, and what it journals must not move. Every round's journal
+/// also passes the guard-trace checker against the true driver states,
+/// deferred instances included, and replays to the reconciled states.
 /// `ENGAGE_RECONCILE_PRINT_GOLDEN=1 … -- --nocapture` prints the listing
 /// instead of comparing it.
 #[test]
@@ -519,7 +563,7 @@ fn storm_rounds_reproduce_the_parent_commit_listing() {
         let round = rl.tick().expect("golden tick");
         let journaled = &journal.records()[mark..];
         let spec = rl.deployment().spec();
-        states = check_round(&s.universe, spec, &states, &round, journaled)
+        states = check_guard_trace(&s.universe, spec, &states, journaled, false)
             .unwrap_or_else(|e| panic!("{label}: guard trace: {e}"));
         assert_eq!(states, states_of(rl.deployment()), "{label}: replay");
         push_round(text, label, &round, journaled);
