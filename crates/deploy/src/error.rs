@@ -6,7 +6,7 @@ use std::fmt;
 use engage_model::{DriverState, InstanceId, ModelError};
 use engage_sim::SimError;
 
-use crate::engine::TimelineEntry;
+use crate::deployment::TimelineEntry;
 
 /// Error from deploying, managing, or upgrading an application stack.
 #[derive(Debug, Clone, PartialEq)]

@@ -6,9 +6,12 @@
 //! that ends in an `Attempt` with no matching `Commit` pinpoints the
 //! in-flight transition at the moment of the crash. Machine provisioning
 //! is journaled too ([`JournalRecord::Provisioned`]), which lets
-//! [`DeploymentEngine::resume`](crate::DeploymentEngine::resume) rebuild
+//! [`DeploymentEngine::replay`](crate::DeploymentEngine::replay) rebuild
 //! the instance→host map — either attaching to the surviving simulated
 //! data center or replaying into a fresh one.
+//!
+//! Records are typed; only the JSON Lines sink renders and parses them.
+//! What a record does to the estate is `Deployment::apply`, its one writer.
 //!
 //! Sinks are pluggable, mirroring the obs layer: [`DeployJournal::in_memory`]
 //! for tests, [`DeployJournal::jsonl_create`] for a durable JSON Lines
@@ -55,11 +58,11 @@ pub enum JournalRecord {
         instance: InstanceId,
         /// The action name.
         action: String,
-        /// State before, rendered (`uninstalled` / `inactive` / `active`
-        /// or a custom state name).
-        from: String,
-        /// State after, rendered.
-        to: String,
+        /// State before (rendered `uninstalled` / `inactive` / `active` or
+        /// a custom state name in the JSON Lines form).
+        from: DriverState,
+        /// State after.
+        to: DriverState,
         /// Simulated start time, nanoseconds.
         start_ns: u64,
         /// Simulated end time, nanoseconds.
@@ -74,8 +77,8 @@ pub enum JournalRecord {
     Observed {
         /// The instance whose state was observed.
         instance: InstanceId,
-        /// The observed state, rendered.
-        state: String,
+        /// The observed state.
+        state: DriverState,
     },
 }
 
@@ -115,15 +118,15 @@ impl JournalRecord {
                 "{{\"type\":\"commit\",\"instance\":{},\"action\":{},\"from\":{},\"to\":{},\"start_ns\":{},\"end_ns\":{}}}",
                 json_string(instance.as_str()),
                 json_string(action),
-                json_string(from),
-                json_string(to),
+                json_string(&from.to_string()),
+                json_string(&to.to_string()),
                 start_ns,
                 end_ns
             ),
             JournalRecord::Observed { instance, state } => format!(
                 "{{\"type\":\"observed\",\"instance\":{},\"state\":{}}}",
                 json_string(instance.as_str()),
-                json_string(state)
+                json_string(&state.to_string())
             ),
         }
     }
@@ -164,14 +167,14 @@ impl JournalRecord {
             "commit" => Ok(JournalRecord::Commit {
                 instance: InstanceId::new(get_str("instance")?),
                 action: get_str("action")?,
-                from: get_str("from")?,
-                to: get_str("to")?,
+                from: parse_driver_state(&get_str("from")?),
+                to: parse_driver_state(&get_str("to")?),
                 start_ns: get_num("start_ns")?,
                 end_ns: get_num("end_ns")?,
             }),
             "observed" => Ok(JournalRecord::Observed {
                 instance: InstanceId::new(get_str("instance")?),
-                state: get_str("state")?,
+                state: parse_driver_state(&get_str("state")?),
             }),
             other => Err(JournalError::new(format!("unknown record type `{other}`"))),
         }
@@ -369,43 +372,38 @@ impl DeployJournal {
 /// reached state per instance (in first-touched order) as `Observed`
 /// records. Attempts never survive compaction.
 fn compact_records(records: &[JournalRecord]) -> Vec<JournalRecord> {
-    use std::collections::BTreeMap;
-    let mut prov_order: Vec<InstanceId> = Vec::new();
-    let mut prov: BTreeMap<InstanceId, JournalRecord> = BTreeMap::new();
-    let mut state_order: Vec<InstanceId> = Vec::new();
-    let mut state: BTreeMap<InstanceId, String> = BTreeMap::new();
-    let mut touch_state = |order: &mut Vec<InstanceId>, instance: &InstanceId, s: &str| {
-        if !state.contains_key(instance) {
-            order.push(instance.clone());
-        }
-        state.insert(instance.clone(), s.to_owned());
-    };
+    use std::collections::btree_map::{BTreeMap, Entry};
+    let (mut machines, mut states) = (Vec::new(), Vec::new());
+    // Where each (kind, instance)'s latest record sits in its list.
+    let mut slots: BTreeMap<(bool, &InstanceId), usize> = BTreeMap::new();
     for rec in records {
-        match rec {
-            JournalRecord::Provisioned { instance, .. } => {
-                if !prov.contains_key(instance) {
-                    prov_order.push(instance.clone());
-                }
-                prov.insert(instance.clone(), rec.clone());
+        let (machine, instance, latest) = match rec {
+            JournalRecord::Provisioned { instance, .. } => (true, instance, rec.clone()),
+            JournalRecord::Commit {
+                instance,
+                to: state,
+                ..
             }
-            JournalRecord::Commit { instance, to, .. } => {
-                touch_state(&mut state_order, instance, to);
+            | JournalRecord::Observed { instance, state } => {
+                let observed = JournalRecord::Observed {
+                    instance: instance.clone(),
+                    state: state.clone(),
+                };
+                (false, instance, observed)
             }
-            JournalRecord::Observed { instance, state: s } => {
-                touch_state(&mut state_order, instance, s);
+            JournalRecord::Attempt { .. } => continue,
+        };
+        let list = if machine { &mut machines } else { &mut states };
+        match slots.entry((machine, instance)) {
+            Entry::Occupied(slot) => list[*slot.get()] = latest,
+            Entry::Vacant(slot) => {
+                slot.insert(list.len());
+                list.push(latest);
             }
-            JournalRecord::Attempt { .. } => {}
         }
     }
-    let mut out: Vec<JournalRecord> = prov_order
-        .into_iter()
-        .map(|id| prov.remove(&id).expect("provisioned above"))
-        .collect();
-    out.extend(state_order.into_iter().map(|instance| {
-        let state = state.remove(&instance).expect("touched above");
-        JournalRecord::Observed { instance, state }
-    }));
-    out
+    machines.append(&mut states);
+    machines
 }
 
 /// Reads a JSONL journal file back into records.
@@ -545,14 +543,14 @@ mod tests {
             JournalRecord::Commit {
                 instance: InstanceId::new("db"),
                 action: "install".into(),
-                from: "uninstalled".into(),
-                to: "inactive".into(),
+                from: BasicState::Uninstalled.into(),
+                to: BasicState::Inactive.into(),
                 start_ns: 0,
                 end_ns: 1_500_000_000,
             },
             JournalRecord::Observed {
                 instance: InstanceId::new("db"),
-                state: "inactive".into(),
+                state: BasicState::Inactive.into(),
             },
         ]
     }
@@ -653,8 +651,8 @@ mod tests {
         let commit = |inst: &str, action: &str, from: &str, to: &str| JournalRecord::Commit {
             instance: InstanceId::new(inst),
             action: action.into(),
-            from: from.into(),
-            to: to.into(),
+            from: parse_driver_state(from),
+            to: parse_driver_state(to),
             start_ns: 0,
             end_ns: 1,
         };
@@ -666,7 +664,7 @@ mod tests {
             // The reconciler observed drift and re-drove the db.
             JournalRecord::Observed {
                 instance: InstanceId::new("db"),
-                state: "inactive".into(),
+                state: BasicState::Inactive.into(),
             },
             commit("db", "start", "inactive", "active"),
             // A replacement host for the same machine instance.
@@ -699,11 +697,11 @@ mod tests {
                 },
                 JournalRecord::Observed {
                     instance: InstanceId::new("db"),
-                    state: "active".into(),
+                    state: BasicState::Active.into(),
                 },
                 JournalRecord::Observed {
                     instance: InstanceId::new("app"),
-                    state: "inactive".into(),
+                    state: BasicState::Inactive.into(),
                 },
             ]
         );
@@ -727,7 +725,7 @@ mod tests {
         // The sink keeps appending to the rotated file.
         let tail = JournalRecord::Observed {
             instance: InstanceId::new("app"),
-            state: "active".into(),
+            state: BasicState::Active.into(),
         };
         j.append(tail.clone());
         let after = load_jsonl(&path).unwrap();

@@ -54,6 +54,7 @@
 #![forbid(unsafe_code)]
 
 mod action;
+mod deployment;
 mod discovery;
 mod engine;
 mod error;
@@ -66,10 +67,10 @@ mod upgrade;
 pub use action::{
     generic_action, package_name, service_name, ActionCtx, ActionFn, DriverBinding, DriverRegistry,
 };
+pub use deployment::{Deployment, TimelineEntry};
 pub use discovery::{discover_all, discover_machine};
 pub use engine::{
-    os_for_key, Deployment, DeploymentEngine, ParallelOutcome, ProvisionMode, ResumeMode, Target,
-    TimelineEntry,
+    os_for_key, DeploymentEngine, ParallelOutcome, ProvisionMode, ResumeMode, Target,
 };
 pub use error::{DeployError, DeployFailure};
 pub use journal::{

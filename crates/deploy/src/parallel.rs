@@ -8,7 +8,8 @@
 mod tests {
     use std::time::{Duration, Instant};
 
-    use crate::engine::{Deployment, DeploymentEngine, Target};
+    use crate::deployment::Deployment;
+    use crate::engine::{DeploymentEngine, Target};
     use crate::error::{DeployError, DeployFailure};
     use engage_model::{BasicState, InstallSpec, ResourceInstance, Universe, Value};
     use engage_sim::{DownloadSource, Sim};
@@ -227,28 +228,44 @@ mod tests {
     }
 
     /// Every worker count reaches the one-worker run's final driver
-    /// states and commits, per instance, the same actions.
+    /// states and commits, per instance, the same actions — also when
+    /// every action takes no simulated time, so an instance's two
+    /// transitions start at one instant and only their DAG order keeps
+    /// its commits chained.
     #[test]
     fn wavefront_matches_sequential_at_every_worker_count() {
+        use crate::action::{DriverBinding, DriverRegistry};
         let u = universe();
         let spec = two_host_spec();
         let actions = |dep: &Deployment, id: &engage_model::InstanceId| -> Vec<String> {
             let of_id = dep.timeline().iter().filter(|t| &t.instance == id);
             of_id.map(|t| t.action.clone()).collect()
         };
-        let seq_engine = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u);
-        let sequential = seq_engine.deploy(&spec).unwrap();
-        for workers in [1usize, 2, 4, 8] {
-            let e = DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u)
-                .with_workers(workers);
-            let dep = deployed(&e, &spec).unwrap();
-            for inst in spec.iter() {
-                let id = inst.id();
-                assert_eq!(
-                    (sequential.state(id), actions(&sequential, id)),
-                    (dep.state(id), actions(&dep, id)),
-                    "workers={workers}"
-                );
+        let instant = ["Ubuntu 10.10", "MySQL 5.1", "App 1.0"].into_iter().fold(
+            DriverRegistry::new(),
+            |registry, key| {
+                let nothing = DriverBinding::new()
+                    .action("install", |_: &_| Ok(()))
+                    .action("start", |_: &_| Ok(()));
+                registry.bind(key, nothing)
+            },
+        );
+        for registry in [DriverRegistry::new(), instant] {
+            let engine = || {
+                DeploymentEngine::new(Sim::new(DownloadSource::local_cache()), &u)
+                    .with_registry(registry.clone())
+            };
+            let sequential = engine().deploy(&spec).unwrap();
+            for workers in [1usize, 2, 4, 8] {
+                let dep = deployed(&engine().with_workers(workers), &spec).unwrap();
+                for inst in spec.iter() {
+                    let id = inst.id();
+                    assert_eq!(
+                        (sequential.state(id), actions(&sequential, id)),
+                        (dep.state(id), actions(&dep, id)),
+                        "workers={workers}"
+                    );
+                }
             }
         }
     }

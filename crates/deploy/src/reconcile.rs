@@ -54,7 +54,8 @@ use engage_sim::{DriftEvent, HostId};
 use engage_util::obs::Obs;
 
 use crate::action::service_name;
-use crate::engine::{find_path, ordered, Deployment, DeploymentEngine, Target};
+use crate::deployment::Deployment;
+use crate::engine::{find_path, ordered, DeploymentEngine, Target};
 use crate::error::DeployError;
 use crate::journal::JournalRecord;
 
@@ -374,10 +375,7 @@ impl<'a> ReconcileLoop<'a> {
             .add(drift.len() as u64);
         obs.gauge("reconcile.scanned")
             .set(self.dep.monitor.watches().len() as i64);
-        let dead: Vec<(InstanceId, HostId)> = self
-            .dep
-            .machines
-            .iter()
+        let dead: Vec<(InstanceId, HostId)> = (self.dep.machines().iter())
             .filter(|(_, h)| !self.engine.sim().host_alive(**h))
             .map(|(m, h)| (m.clone(), *h))
             .collect();
@@ -478,13 +476,12 @@ impl<'a> ReconcileLoop<'a> {
         let mut replaced = Vec::new();
         for (machine, old) in &dead {
             self.dep.monitor.unwatch_host(*old);
+            // A machine the re-plan orphaned went with the rebase.
             let Some(inst) = self.dep.spec.get(machine) else {
-                // The machine itself was orphaned by the re-plan.
-                self.dep.machines.remove(machine);
                 continue;
             };
-            let fresh = self.engine.provision_one(inst);
-            self.dep.machines.insert(machine.clone(), fresh);
+            (self.dep.apply(self.engine.provision_one(inst))).expect("a machine of the spec");
+            let fresh = self.dep.machines()[machine];
             obs.counter("reconcile.replaced_hosts").incr();
             replaced.push((machine.clone(), *old, fresh));
         }
@@ -493,10 +490,9 @@ impl<'a> ReconcileLoop<'a> {
         }
 
         // ---- adopt observed states (journaled for crash-resume) ----
-        let insts = self.dep.spec.instances();
         let mut report = BTreeMap::new();
         for (pos, &h) in health.iter().enumerate() {
-            let observed = match h {
+            let state = match h {
                 // A lost instance restarts from scratch on its
                 // replacement host.
                 Lost => DriverState::Basic(BasicState::Uninstalled),
@@ -504,18 +500,15 @@ impl<'a> ReconcileLoop<'a> {
                 Degraded => DriverState::Basic(BasicState::Inactive),
                 _ => continue,
             };
-            let id = insts[pos].id();
-            report.insert(id.clone(), h);
-            let state = (self.dep.states.get_mut(id)).expect("every managed instance has a state");
-            if *state != observed {
-                if let Some(journal) = self.engine.journal() {
-                    journal.append(JournalRecord::Observed {
-                        instance: id.clone(),
-                        state: observed.to_string(),
-                    });
-                }
-                *state = observed;
+            let instance = self.dep.spec.instances()[pos].id().clone();
+            if self.dep.state(&instance) != Some(&state) {
+                let instance = instance.clone();
+                let observed = self
+                    .engine
+                    .journaled(JournalRecord::Observed { instance, state });
+                self.dep.apply(observed).expect("a managed instance");
             }
+            report.insert(instance, h);
         }
         report.extend(orphaned.iter().map(|id| (id.clone(), Orphaned)));
         obs.gauge("reconcile.drifted").set(report.len() as i64);
@@ -527,6 +520,7 @@ impl<'a> ReconcileLoop<'a> {
             Ok(order) => order,
             Err(cycle) => return Err(cycle.clone()),
         };
+        let insts = self.dep.spec.instances();
         let active = DriverState::Basic(BasicState::Active);
         let mut is_deferred = vec![false; insts.len()];
         let mut selected: Vec<InstanceId> = Vec::new();
@@ -535,9 +529,9 @@ impl<'a> ReconcileLoop<'a> {
         let spec = &self.dep.spec;
         for &pos in order {
             let (inst, id) = (&insts[pos], insts[pos].id());
-            if self.dep.states[id] == active {
+            let Some(state) = self.dep.state(id).filter(|&s| *s != active) else {
                 continue;
-            }
+            };
             let flapping = self.flap.get(id).is_some_and(|f| f.skip_until > round);
             if flapping {
                 obs.counter("reconcile.flap_deferrals").incr();
@@ -546,7 +540,7 @@ impl<'a> ReconcileLoop<'a> {
             // no budget cost: its start guard needs that instance up.
             let defer = flapping
                 || (inst.links()).any(|l| spec.position(l).is_some_and(|p| is_deferred[p]));
-            let cost = (!defer).then(|| self.transition_cost(inst, &self.dep.states[id]));
+            let cost = (!defer).then(|| self.transition_cost(inst, state));
             match cost {
                 Some(cost)
                     if self.budget == 0
@@ -564,7 +558,7 @@ impl<'a> ReconcileLoop<'a> {
         }
 
         // ---- run only the delta: the selected instances to `active` ----
-        let mark = self.dep.timeline.len();
+        let mark = self.dep.timeline().len();
         let repair = Target::only(selected.iter().cloned(), BasicState::Active);
         let error = match self.engine.run(&mut self.dep, repair) {
             Ok(()) => None,
@@ -575,20 +569,20 @@ impl<'a> ReconcileLoop<'a> {
                 error => Some(error.to_string()),
             },
         };
-        let actions = self.dep.timeline.len() - mark;
+        let actions = self.dep.timeline().len() - mark;
         obs.gauge("reconcile.delta_size").set(actions as i64);
         obs.counter("reconcile.actions").add(actions as u64);
         self.stats.actions += actions as u64;
 
         // ---- anti-flap bookkeeping ----
         let mut repaired = Vec::new();
-        let (spec, states) = (&self.dep.spec, &self.dep.states);
-        let links_up = |i: &ResourceInstance| i.links().all(|l| states.get(l) == Some(&active));
+        let dep = &self.dep;
+        let links_up = |i: &ResourceInstance| i.links().all(|l| dep.state(l) == Some(&active));
         for id in selected {
-            if states[&id] == active {
+            if dep.state(&id) == Some(&active) {
                 self.flap.remove(&id);
                 repaired.push(id);
-            } else if spec.get(&id).is_some_and(links_up) {
+            } else if dep.spec.get(&id).is_some_and(links_up) {
                 // Its own repair failed. A dependent its upstream's
                 // failure held back waits with it, uncharged, as a
                 // deferred one does.

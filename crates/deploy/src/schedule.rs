@@ -44,13 +44,16 @@ use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use engage_model::{
-    BasicState, DriverSpec, DriverState, InstallSpec, ResourceKey, StatePred, Transition, Universe,
+    BasicState, DriverSpec, DriverState, InstallSpec, InstanceId, ResourceKey, StatePred,
+    Transition, Universe,
 };
 use engage_sim::HostId;
 use engage_util::sync::{channel, Mutex};
 
-use crate::engine::{find_path, ordered, Deployment, DeploymentEngine, TimelineEntry};
+use crate::deployment::Deployment;
+use crate::engine::{find_path, ordered, DeploymentEngine};
 use crate::error::DeployError;
+use crate::journal::JournalRecord;
 
 /// The sentinel a worker interprets as "shut down".
 const STOP: u32 = u32::MAX;
@@ -149,7 +152,7 @@ pub(crate) fn build_dag(
     let mut starts: Vec<&DriverState> = Vec::with_capacity(insts.len());
     for (i, inst) in insts.iter().enumerate() {
         runs.push(nodes.len() as u32);
-        let current = dep.states.get(inst.id()).unwrap_or(&uninstalled);
+        let current = dep.state(inst.id()).unwrap_or(&uninstalled);
         starts.push(current);
         if *current == target_state || admitted.is_some_and(|a| !a[i]) {
             continue;
@@ -310,13 +313,14 @@ impl DeploymentEngine<'_> {
 }
 
 /// Executes a compiled transition DAG on `workers` work-stealing workers
-/// (one runs on the calling thread), appending the committed transitions
-/// to `dep`'s timeline and advancing each driver's state along the
-/// executed prefix of its path (under failure, that is the partial
-/// deployment). Outside teardown the first failure stops the run; in a
-/// teardown a failed or blocked node retires only its DAG descendants.
-/// Returns the first error — an engine kill if there is one, else the
-/// failure of the lowest node in DAG order.
+/// (one runs on the calling thread), then applies the committed
+/// transitions' records to `dep` in timeline order — by simulated start,
+/// instance and DAG node, so an instance's transitions that start at one
+/// instant keep their path order and its commits chain (under failure,
+/// they are the partial deployment). Outside teardown the first failure
+/// stops the run; in a teardown a failed or blocked node retires only its
+/// DAG descendants. Returns the first error — an engine kill if there is
+/// one, else the failure of the lowest node in DAG order.
 ///
 /// Each worker owns a deque: it pushes released successors to the back
 /// and pops from the back (depth-first along the critical path), while
@@ -349,7 +353,6 @@ fn execute_wavefront(
         .collect();
 
     let pending: Vec<AtomicU32> = dag.indegree.iter().map(|&d| AtomicU32::new(d)).collect();
-    let executed: Vec<AtomicBool> = (0..dag.len()).map(|_| AtomicBool::new(false)).collect();
     let retired: Vec<AtomicBool> = (0..dag.len()).map(|_| AtomicBool::new(false)).collect();
     let deques: Vec<Mutex<VecDeque<u32>>> =
         (0..workers).map(|_| Mutex::new(VecDeque::new())).collect();
@@ -402,7 +405,7 @@ fn execute_wavefront(
         let _ = tx.send(r);
     }
 
-    let run_node = |id: u32| -> Result<TimelineEntry, DeployError> {
+    let run_node = |id: u32| -> Result<JournalRecord, DeployError> {
         let inst = &insts[dag.nodes[id as usize].inst as usize];
         let host =
             hosts[dag.nodes[id as usize].inst as usize].ok_or_else(|| DeployError::NoMachine {
@@ -412,7 +415,7 @@ fn execute_wavefront(
     };
 
     let work = |me: usize| {
-        let mut local: Vec<TimelineEntry> = Vec::new();
+        let mut local: Vec<(u32, JournalRecord)> = Vec::new();
         // The released successor chosen as this worker's next transition
         // (depth-first on the critical path).
         let mut next: Option<u32> = None;
@@ -453,9 +456,8 @@ fn execute_wavefront(
             };
             ready_count.fetch_sub(1, Ordering::AcqRel);
             match run_node(node_id) {
-                Ok(entry) => {
-                    local.push(entry);
-                    executed[node_id as usize].store(true, Ordering::Release);
+                Ok(commit) => {
+                    local.push((node_id, commit));
                     // O(1) guard resolution: decrement every successor's
                     // pending counter; the last decrement releases it —
                     // unless it is retired (a blocked node's other waits
@@ -498,7 +500,7 @@ fn execute_wavefront(
         local
     };
 
-    let mut timeline: Vec<TimelineEntry> = if workers == 1 {
+    let mut commits: Vec<(u32, JournalRecord)> = if workers == 1 {
         work(0)
     } else {
         std::thread::scope(|scope| {
@@ -513,28 +515,33 @@ fn execute_wavefront(
             merged
         })
     };
-    timeline.sort_by(|a, b| (a.start, &a.instance).cmp(&(b.start, &b.instance)));
-    dep.timeline.extend(timeline);
+    // Each worker's commits are already in start order: a stable sort
+    // merges those runs.
+    commits.sort_by(|a, b| timeline_key(a).cmp(&timeline_key(b)));
+    dep.reserve(commits.len());
+    for (_, commit) in commits {
+        dep.apply(commit).expect("an instance's commits chain");
+    }
 
     obs.counter("deploy.sched.steals")
         .add(steals.load(Ordering::Relaxed));
     obs.gauge("deploy.sched.ready_peak")
         .set_max(ready_peak.load(Ordering::Relaxed) as i64);
 
-    // Each driver ends where the executed prefix of its path left it.
-    for (i, inst) in insts.iter().enumerate() {
-        let last = (dag.runs[i]..dag.runs[i + 1])
-            .take_while(|&n| executed[n as usize].load(Ordering::Acquire))
-            .last();
-        if let Some(n) = last {
-            let entered = dag.transition(n).to();
-            dep.states.insert(inst.id().clone(), entered.clone());
-        }
-    }
-
     let mut errors = errors.into_inner();
     errors.sort_by_key(|(n, e)| (!matches!(e, DeployError::EngineKilled { .. }), *n));
     errors.into_iter().next().map(|(_, e)| e)
+}
+
+/// Where a DAG node's commit goes in the timeline: by simulated start,
+/// instance, then node (an instance's nodes are in path order).
+fn timeline_key((node, commit): &(u32, JournalRecord)) -> (u64, &InstanceId, u32) {
+    match commit {
+        JournalRecord::Commit {
+            instance, start_ns, ..
+        } => (*start_ns, instance, *node),
+        _ => unreachable!("a DAG node commits a `Commit`"),
+    }
 }
 
 #[cfg(test)]
@@ -587,12 +594,20 @@ mod tests {
         spec
     }
 
+    /// `id`'s state in `dep` observed to be `state`.
+    fn observe(dep: &mut Deployment, id: &str, state: BasicState) {
+        let instance = id.into();
+        let state = state.into();
+        dep.apply(JournalRecord::Observed { instance, state })
+            .unwrap();
+    }
+
     /// A deployment of `spec` with every instance in `state`.
     fn all_in(spec: &InstallSpec, state: BasicState) -> Deployment {
         let mut dep = Deployment::new(spec);
-        dep.states
-            .values_mut()
-            .for_each(|s| *s = DriverState::Basic(state));
+        for inst in spec.iter() {
+            observe(&mut dep, inst.id().as_str(), state);
+        }
         dep
     }
 
@@ -651,8 +666,7 @@ mod tests {
         // The app never got installed: a strict stop of the db wedges on
         // it, a teardown engine's relaxed reading lets it through.
         let mut gone = all_in(&spec, BasicState::Active);
-        gone.states
-            .insert("app".into(), DriverState::Basic(BasicState::Uninstalled));
+        observe(&mut gone, "app", BasicState::Uninstalled);
         let only_db = Some(&[false, true, false][..]);
         let strict = build_dag(&u, &gone, BasicState::Inactive, only_db, false);
         assert!(matches!(strict, Err(DeployError::GuardFailed { .. })));
@@ -763,8 +777,7 @@ mod tests {
         app.add_peer_link("db");
         spec.push(app).unwrap();
         let mut dep = initial(&spec);
-        dep.states
-            .insert("app".into(), DriverState::Basic(BasicState::Active));
+        observe(&mut dep, "app", BasicState::Active);
         let err = build_dag(&u, &dep, BasicState::Active, None, false).unwrap_err();
         assert!(matches!(err, DeployError::GuardFailed { .. }), "{err}");
     }

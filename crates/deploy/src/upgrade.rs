@@ -12,7 +12,8 @@ use std::collections::{BTreeMap, BTreeSet};
 use engage_model::{BasicState, InstallSpec, InstanceId};
 use engage_sim::Snapshot;
 
-use crate::engine::{ordered, Deployment, DeploymentEngine, Target};
+use crate::deployment::Deployment;
+use crate::engine::{ordered, DeploymentEngine, Target};
 use crate::error::DeployError;
 
 /// What the diff between the old and new specifications decided for each

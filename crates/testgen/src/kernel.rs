@@ -63,7 +63,7 @@ pub fn check_guard_trace(
                         "#{n}: observation of `{instance}`, not in the spec"
                     ));
                 };
-                *slot = engage_deploy::parse_driver_state(state);
+                *slot = state.clone();
                 continue;
             }
             JournalRecord::Attempt { .. } | JournalRecord::Provisioned { .. } => continue,
@@ -73,7 +73,7 @@ pub fn check_guard_trace(
             return Err(format!("{what}: instance not in the spec"));
         };
         let current = &states[instance];
-        if current.to_string() != *from {
+        if current != from {
             return Err(format!("{what}: replayed state is {current}"));
         }
         let driver = universe
@@ -82,7 +82,7 @@ pub fn check_guard_trace(
         let Some(t) = driver.transition(current, action) else {
             return Err(format!("{what}: no such transition in the driver"));
         };
-        if t.to().to_string() != *to {
+        if t.to() != to {
             return Err(format!("{what}: the driver's transition enters {}", t.to()));
         }
         for pred in t.guard().preds() {
@@ -144,8 +144,8 @@ mod tests {
         JournalRecord::Commit {
             instance: instance.into(),
             action: action.into(),
-            from: from.into(),
-            to: to.into(),
+            from: engage_deploy::parse_driver_state(from),
+            to: engage_deploy::parse_driver_state(to),
             start_ns: 0,
             end_ns: 0,
         }

@@ -147,6 +147,23 @@ if [ -z "$converge" ] ||
     exit 1
 fi
 
+# Kill and resume through the product CLI: a deploy killed after a few
+# commits leaves its journal, and a fresh process replays it (re-
+# provisioning and re-running the committed actions) and finishes.
+engage_deploy() {
+    cargo run -q --release --offline --bin engage -- deploy --library base \
+        --spec examples/openmrs_figure2.json "$@"
+}
+if engage_deploy --journal "$tmp/killed.jsonl" --kill-after 5 > /dev/null 2>&1; then
+    echo "error: engage deploy --kill-after 5 was not killed" >&2
+    exit 1
+fi
+engage_deploy --resume "$tmp/killed.jsonl" --trace "$tmp/resume.jsonl" > /dev/null
+if ! grep -q '"type":"span_start",[^{]*"name":"deploy.resume"' "$tmp/resume.jsonl"; then
+    echo "error: no deploy.resume span in the trace of engage deploy --resume" >&2
+    exit 1
+fi
+
 # The seeded sweeps at CI depth (release build; each test file's header
 # says what it pins): flat-pipeline and GraphGen oracles, static re-check
 # goldens, crash recovery and the fault-rate bars, lifecycle goldens,

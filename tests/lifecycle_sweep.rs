@@ -132,7 +132,8 @@ fn states_in(spec: &InstallSpec, state: BasicState) -> States {
 /// Whether a committed transition brings its instance up (install,
 /// start) rather than down (stop, uninstall).
 fn rising(record: &JournalRecord) -> bool {
-    matches!(record, JournalRecord::Commit { from, to, .. } if to == "active" || from == "uninstalled")
+    let (active, uninstalled) = (BasicState::Active.into(), BasicState::Uninstalled.into());
+    matches!(record, JournalRecord::Commit { from, to, .. } if *to == active || *from == uninstalled)
 }
 
 /// The guard-trace checker over one leg's `records`, from `states` on
