@@ -297,10 +297,12 @@ impl<'a> ConfigEngine<'a> {
     /// solver keeps still-healthy placements and produces a minimal-delta
     /// model instead of a fresh placement. Pins naming instances absent
     /// from the graph are ignored; if the pin set itself is
-    /// unsatisfiable (e.g. a pinned instance conflicts with a repair),
-    /// the solve is retried *without* pins rather than failing — a
-    /// wedged pin set must never block recovery (the
-    /// `config.pins.relaxed` counter records the fallback).
+    /// unsatisfiable, the solve is retried *without* pins rather than
+    /// failing — a wedged pin set must never block recovery (the
+    /// `config.pins.relaxed` counter records the fallback). The
+    /// reconciler pins every placement whose host lives, which the plan
+    /// those placements came from satisfies, so there the fallback fires
+    /// only after an edit of the desired spec.
     ///
     /// # Errors
     ///

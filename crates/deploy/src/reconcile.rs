@@ -21,12 +21,15 @@
 //!    drift. An empty drift set over a fully `active` stack is a
 //!    **zero-action round**: no re-plan, no SAT query, no transitions,
 //!    nothing per instance.
-//! 3. **Re-plan** — the desired partial spec is re-solved through the
-//!    cached incremental [`ConfigSession`], with every still-healthy
-//!    placement pinned as a solver assumption
-//!    ([`ConfigEngine::reconfigure_pinned`]): the solver may only move
-//!    what drift already broke, which keeps the new plan minimally distant
-//!    from the running one. Unsatisfiable pins are relaxed automatically.
+//! 3. **Re-plan** — only when the plan can change: a host died this
+//!    round, or the desired partial spec changed. It is re-solved through
+//!    the cached incremental [`ConfigSession`] with every placement whose
+//!    host lives pinned as a solver assumption
+//!    ([`ConfigEngine::reconfigure_pinned`]), so only what the lost host
+//!    took down may move. Any other round keeps the running spec: with
+//!    every instance pinned it is the one plan the pins allow.
+//!    Unsatisfiable pins (only possible after a desired-spec edit) are
+//!    relaxed automatically.
 //! 4. **Repair** — lost hosts get replacement machines
 //!    (journaled like first-run provisioning), observed states are adopted
 //!    (and journaled as [`JournalRecord::Observed`] for crash-resume), and
@@ -118,8 +121,8 @@ pub struct ReconcileRound {
     pub replaced_hosts: Vec<(InstanceId, HostId, HostId)>,
     /// Instances re-planning dropped from the desired spec.
     pub orphaned: Vec<InstanceId>,
-    /// Whether the round re-planned through the configuration engine
-    /// (`false` for zero-action rounds).
+    /// Whether the round re-planned through the configuration engine:
+    /// only when a host died this round or the desired spec changed.
     pub replanned: bool,
     /// Whether the stack is fully converged after this round.
     pub converged: bool,
@@ -179,7 +182,7 @@ struct EstateIndex {
     /// Sorted: the instances of one host, and of one service on it, are
     /// one contiguous run.
     placed: Vec<Placed>,
-    /// Positions in id order (the order healthy placements are pinned in).
+    /// Positions in id order (the order live placements are pinned in).
     by_id: Vec<usize>,
     /// Positions in dependency order, or the cycle error selection reports.
     order: Result<Vec<usize>, DeployError>,
@@ -244,6 +247,8 @@ pub struct ReconcileLoop<'a> {
     config: ConfigEngine<'a>,
     session: ConfigSession,
     partial: PartialInstallSpec,
+    /// `partial` changed since the running plan was solved from it.
+    stale: bool,
     dep: Deployment,
     index: EstateIndex,
     budget: usize,
@@ -256,8 +261,8 @@ pub struct ReconcileLoop<'a> {
 
 impl<'a> ReconcileLoop<'a> {
     /// Wraps a deployed stack in a reconcile loop. `partial` is the
-    /// desired specification `dep` was planned from; re-planning solves
-    /// it again with healthy placements pinned.
+    /// desired specification `dep` was planned from; a round that loses
+    /// a host solves it again with every live placement pinned.
     pub fn new(
         engine: DeploymentEngine<'a>,
         config: ConfigEngine<'a>,
@@ -270,6 +275,7 @@ impl<'a> ReconcileLoop<'a> {
             config,
             session: ConfigSession::new(),
             partial,
+            stale: false,
             dep,
             index,
             budget: 0,
@@ -311,7 +317,7 @@ impl<'a> ReconcileLoop<'a> {
     }
 
     /// Surrenders the managed deployment along with the re-planning
-    /// session (warm after the first drift round), so a pooled caller
+    /// session (warm once a round has re-planned), so a pooled caller
     /// can keep the session for the tenant's next reconcile.
     pub fn into_parts(self) -> (Deployment, ConfigSession) {
         (self.dep, self.session)
@@ -420,27 +426,37 @@ impl<'a> ReconcileLoop<'a> {
             }
         }
 
-        // ---- re-plan, pinning still-healthy placements ----
-        let new_spec = {
+        // ---- re-plan, only when the plan can change ----
+        // Every placement whose host lives is pinned, so without a lost
+        // host or a desired-spec edit the one plan the pins allow is the
+        // running one, and solving for it again is skipped.
+        let replanned = self.stale || !dead.is_empty();
+        let new_spec = if replanned {
             let _s = obs.span("reconcile.replan");
             let insts = self.dep.spec.instances();
             let pins: Vec<InstanceId> = (self.index.by_id.iter())
-                .filter(|&&pos| health[pos] == Converged)
+                .filter(|&&pos| health[pos] != Lost)
                 .map(|&pos| insts[pos].id().clone())
                 .collect();
-            self.config
+            let spec = self
+                .config
                 .reconfigure_pinned(&mut self.session, &self.partial, &pins)
                 .map_err(|e| DeployError::ReplanFailed {
                     detail: e.to_string(),
                 })?
-                .spec
+                .spec;
+            self.stale = false;
+            Some(spec)
+        } else {
+            None
         };
 
         let adopt = obs.span("reconcile.adopt");
         // ---- adopt the new plan, when the re-plan moved anything ----
         let mut orphaned: Vec<InstanceId> = Vec::new();
-        let spec_changed = new_spec != self.dep.spec;
-        if spec_changed {
+        let new_spec = new_spec.filter(|spec| *spec != self.dep.spec);
+        let spec_changed = new_spec.is_some();
+        if let Some(new_spec) = new_spec {
             // Orphans: managed instances the new plan dropped.
             orphaned = (self.dep.spec.iter())
                 .filter(|i| new_spec.get(i.id()).is_none())
@@ -625,7 +641,7 @@ impl<'a> ReconcileLoop<'a> {
             deferred,
             replaced_hosts: replaced,
             orphaned,
-            replanned: true,
+            replanned,
             converged,
             error,
         })
@@ -686,6 +702,15 @@ mod tests {
         p.push(PartialInstance::new("app", "App 1.0").inside("server"))
             .unwrap();
         p
+    }
+
+    impl ReconcileLoop<'_> {
+        /// Edits the desired spec under the running plan, as an operator
+        /// would: the next drifted round re-plans it.
+        fn set_desired(&mut self, partial: PartialInstallSpec) {
+            self.partial = partial;
+            self.stale = true;
+        }
     }
 
     /// Plans `partial()` and deploys it, returning the loop plus the sim.
@@ -910,12 +935,15 @@ mod tests {
         assert!(rl.flap[&app].skip_until > rl.round(), "app is backing off");
 
         // The operator drops `app` from the desired spec while it flaps.
-        rl.partial = partial()
-            .iter()
-            .filter(|i| *i.id() != app)
-            .cloned()
-            .collect();
+        rl.set_desired(
+            partial()
+                .iter()
+                .filter(|i| *i.id() != app)
+                .cloned()
+                .collect(),
+        );
         let round = rl.tick().unwrap();
+        assert!(round.replanned, "an edited desired spec is re-solved");
         assert_eq!(round.orphaned, vec![app.clone()]);
         assert_eq!(round.health.get(&app), Some(&InstanceHealth::Orphaned));
         assert!(rl.deployment().spec().get(&app).is_none());

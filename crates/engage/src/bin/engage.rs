@@ -624,7 +624,7 @@ fn run_reconcile(opts: &Options, obs: &Obs) -> Result<String, String> {
         let round = rl.tick().map_err(|e| e.to_string())?;
         let _ = writeln!(
             out,
-            "round {:>3}: drift={} actions={} repaired={} deferred={} replaced={} orphaned={}{}{}",
+            "round {:>3}: drift={} actions={} repaired={} deferred={} replaced={} orphaned={}{}{}{}",
             round.round,
             round.drift.len(),
             round.actions,
@@ -632,6 +632,7 @@ fn run_reconcile(opts: &Options, obs: &Obs) -> Result<String, String> {
             round.deferred.len(),
             round.replaced_hosts.len(),
             round.orphaned.len(),
+            if round.replanned { " replanned" } else { "" },
             if round.converged { " converged" } else { "" },
             match &round.error {
                 Some(e) => format!(" error={e}"),

@@ -413,11 +413,12 @@ impl Engage {
     }
 
     /// Wraps a running deployment in a self-healing [`ReconcileLoop`]:
-    /// each tick scans for drift, re-plans the desired partial spec with
-    /// healthy placements pinned, and repairs only the delta (see
-    /// `engage_deploy::ReconcileLoop`). The loop gets its own
-    /// configuration session, so it never disturbs this instance's
-    /// planning cache.
+    /// each tick scans for drift and repairs only the delta (see
+    /// `engage_deploy::ReconcileLoop`); a tick that lost a host first
+    /// re-plans the desired partial spec with every live placement
+    /// pinned. `partial` must be the spec `deployment` was planned from.
+    /// The loop gets its own configuration session, so it never disturbs
+    /// this instance's planning cache.
     pub fn reconciler(
         &self,
         partial: &PartialInstallSpec,

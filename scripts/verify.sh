@@ -135,10 +135,18 @@ if grep -qv '^{.*}$' "$tmp/trace.jsonl" ||
 fi
 
 # A reconciler's repair is one lifecycle run: a drifted tick's
-# `reconcile.converge` span parents a `deploy.run`.
+# `reconcile.converge` span parents a `deploy.run`. Only a round that
+# lost a host re-plans: the trace holds one `reconcile.replan` span per
+# `chaos: lost host` line (this seed loses one).
 cargo run -q --release --offline --bin engage -- reconcile --library base \
-    --spec examples/openmrs_figure2.json --ticks 3 --chaos 0.3:7 \
-    --trace "$tmp/reconcile.jsonl" > /dev/null
+    --spec examples/openmrs_figure2.json --ticks 12 --chaos 0.9:3 \
+    --trace "$tmp/reconcile.jsonl" > "$tmp/reconcile.out"
+lost=$(grep -c '^chaos: lost host' "$tmp/reconcile.out" || true)
+replans=$(grep -c '"type":"span_start".*"name":"reconcile.replan"' "$tmp/reconcile.jsonl" || true)
+if [ "$lost" -eq 0 ] || [ "$replans" -ne "$lost" ]; then
+    echo "error: $replans reconcile.replan span(s) for $lost lost host(s) in the reconcile trace" >&2
+    exit 1
+fi
 converge=$(grep -m 1 -o '"id":[0-9]*,"parent":[0-9]*,"name":"reconcile.converge"' \
     "$tmp/reconcile.jsonl" | sed 's/^"id":\([0-9]*\),.*/\1/' || true)
 if [ -z "$converge" ] ||

@@ -415,6 +415,38 @@ fn deploy_chaos_fails_without_retries_and_converges_with_them() {
     }
 }
 
+/// `engage reconcile` marks the rounds that solved the spec again:
+/// exactly the ones after a lost host. A crash-only round keeps the
+/// running plan.
+#[test]
+fn reconcile_marks_only_host_loss_rounds_replanned() {
+    let spec = write_temp("fig2r.json", FIGURE_2);
+    let out = engage_cmd(&[
+        "reconcile",
+        "--library",
+        "base",
+        "--spec",
+        spec.to_str().unwrap(),
+        "--ticks",
+        "12",
+        "--chaos",
+        "0.9:3",
+    ]);
+    assert!(out.status.success(), "{}", stderr(&out));
+    let text = stdout(&out);
+    let (mut lost, mut replans) = (false, 0);
+    for line in text.lines() {
+        if line.starts_with("chaos: lost host") {
+            lost = true;
+        } else if line.starts_with("round ") {
+            assert_eq!(line.contains(" replanned"), lost, "{line}\n{text}");
+            replans += usize::from(lost);
+            lost = false;
+        }
+    }
+    assert!(replans > 0, "the chaos must lose a host:\n{text}");
+}
+
 #[test]
 fn deploy_rollback_flag_cleans_up_after_permanent_failure() {
     let spec = write_temp("fig2n.json", FIGURE_2);

@@ -157,9 +157,12 @@ fn gauges_report_graph_and_cnf_sizes() {
 }
 
 /// The reconcile round is no longer one opaque span: a drifted tick has
-/// its four stages as children, an idle tick has none, the repair is a
+/// its stages as children, an idle tick has none, the repair is a
 /// `deploy.run` of just the drifted instance under the last stage, and
-/// repaired / scanned is readable from the gauges alone.
+/// repaired / scanned is readable from the gauges alone. Only a tick
+/// that lost a host re-plans: a crash-only tick has no `reconcile.replan`
+/// stage and runs no `config.configure` at all, while a host-loss tick
+/// runs `config.configure` under its `reconcile.replan`.
 #[test]
 fn reconcile_stages_nest_under_a_drifted_tick_only() {
     let sink = Arc::new(MemorySink::new());
@@ -181,17 +184,20 @@ fn reconcile_stages_nest_under_a_drifted_tick_only() {
         .sim()
         .crash_service(victim.host, &victim.service)
         .expect("victim was running");
-    let round = rl.tick().expect("drifted tick");
-    assert!(round.converged, "{round:?}");
+    let round = rl.tick().expect("crash-only tick");
+    assert!(round.converged && !round.replanned, "{round:?}");
     assert_eq!(obs.metrics().gauge("reconcile.drifted"), 1);
+    engage.sim().fail_host(victim.host).expect("host dies");
+    let round = rl.tick().expect("host-loss tick");
+    assert!(round.converged && round.replanned, "{round:?}");
 
     let spans = sink.finished_spans();
     let ticks: Vec<_> = spans
         .iter()
         .filter(|s| s.name == "reconcile.tick")
         .collect();
-    let [idle, drifted] = ticks[..] else {
-        panic!("expected two reconcile.tick spans, got {}", ticks.len());
+    let [idle, crashed, lost] = ticks[..] else {
+        panic!("expected three reconcile.tick spans, got {}", ticks.len());
     };
     let stages = |tick: &engage_util::obs::FinishedSpan| -> Vec<&str> {
         let mut under: Vec<_> = (spans.iter())
@@ -202,7 +208,15 @@ fn reconcile_stages_nest_under_a_drifted_tick_only() {
     };
     assert!(stages(idle).is_empty(), "{:?}", stages(idle));
     assert_eq!(
-        stages(drifted),
+        stages(crashed),
+        [
+            "reconcile.classify",
+            "reconcile.adopt",
+            "reconcile.converge"
+        ]
+    );
+    assert_eq!(
+        stages(lost),
         [
             "reconcile.classify",
             "reconcile.replan",
@@ -210,9 +224,25 @@ fn reconcile_stages_nest_under_a_drifted_tick_only() {
             "reconcile.converge"
         ]
     );
+    // The deploy's configure aside, the one configure is the host-loss
+    // tick's re-plan: the crash-only tick ran none.
+    let configures: Vec<_> = (spans.iter())
+        .filter(|s| s.name == "config.configure" && s.start > crashed.start)
+        .collect();
+    let [configure] = configures[..] else {
+        panic!(
+            "expected one configure after the deploy, got {}",
+            configures.len()
+        );
+    };
+    let replan = (spans.iter())
+        .find(|s| s.name == "reconcile.replan")
+        .expect("replan span");
+    assert_eq!(replan.parent, Some(lost.id));
+    assert_eq!(configure.parent, Some(replan.id));
     // The repair is one lifecycle run, under the converge stage.
     let converge = (spans.iter())
-        .find(|s| s.name == "reconcile.converge")
+        .find(|s| s.name == "reconcile.converge" && s.parent == Some(crashed.id))
         .expect("converge span");
     let repair = (spans.iter())
         .find(|s| s.name == "deploy.run" && s.parent == Some(converge.id))
@@ -281,8 +311,9 @@ fn serve_request_span_parents_the_configure_pipeline() {
 
 /// Every solve runs on a session whose solver mirrors its search into
 /// the engine's obs, so the two long-lived planners report solver work:
-/// a daemon `plan` request and a drifted reconcile round each raise
-/// `sat.propagations` (an idle round does not solve at all).
+/// a daemon `plan` request and a host-loss reconcile round each raise
+/// `sat.propagations` (an idle or crash-only round does not solve at
+/// all).
 #[test]
 fn daemon_plans_and_drifted_rounds_count_solver_work() {
     use engage::serve::{ServeConfig, Server};
@@ -317,8 +348,11 @@ fn daemon_plans_and_drifted_rounds_count_solver_work() {
         .sim()
         .crash_service(victim.host, &victim.service)
         .expect("victim was running");
-    assert!(rl.tick().expect("drifted tick").replanned);
-    assert!(propagations() > before, "the drifted round's re-plan");
+    assert!(!rl.tick().expect("crash-only tick").replanned);
+    assert_eq!(propagations(), before, "a crash-only round solves nothing");
+    engage.sim().fail_host(victim.host).expect("host dies");
+    assert!(rl.tick().expect("host-loss tick").replanned);
+    assert!(propagations() > before, "the host-loss round's re-plan");
 }
 
 /// Tenant names come from clients; the metrics registry must not grow

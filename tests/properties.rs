@@ -1,6 +1,7 @@
 //! Property-based tests (engage-util prop harness) on the core data structures and
 //! invariants: version ordering, JSON/value round trips, lexer totality,
-//! exactly-one encodings, SAT-vs-brute-force, and topological ordering.
+//! hostile input to the JSON and serve-request parsers, exactly-one
+//! encodings, SAT-vs-brute-force, and topological ordering.
 
 use engage_dsl::{json_to_value, parse_json, value_to_json};
 use engage_model::{
@@ -29,7 +30,89 @@ fn value_strategy() -> impl Strategy<Value = Value> {
     })
 }
 
+/// A valid partial spec in the shape operators write it.
+const SPEC: &str = include_str!("../examples/openmrs_figure2.json");
+
+/// A valid `engage serve` request line carrying [`SPEC`], with every
+/// JSON token kind: escapes, non-ASCII text, negative and fractional
+/// numbers, and a whole-valued float.
+fn request_line() -> String {
+    let spec = parse_json(SPEC)
+        .expect("the example spec is JSON")
+        .compact();
+    format!(
+        r#"{{"id":"r\u00e9-1","tenant":"t\t\"é😀","op":"reconcile","spec":{spec},"ticks":3,"chaos":1.0,"seed":7,"budget":0,"extra":[null,true,false,-12,2.5e-3,{{}},[]]}}"#
+    )
+}
+
+/// The hostile-input rules for one text: neither parser panics, a
+/// rejected JSON text gets a diagnostic whose span lies within it, and
+/// an accepted one re-parses equal from its compact rendering.
+fn parsers_hold_on(text: &str) -> Result<(), TestCaseError> {
+    let _ = engage::serve::protocol::parse_request(text);
+    match parse_json(text) {
+        Ok(json) => {
+            let compact = json.compact();
+            let back = parse_json(&compact)
+                .map_err(|e| TestCaseError::fail(format!("{e}: compact {compact:?}")))?;
+            prop_assert_eq!(back, json, "compact {:?} of {:?}", compact, text);
+        }
+        Err(diagnostic) => {
+            let span = diagnostic.span();
+            prop_assert!(
+                span.start <= span.end && span.end <= text.len(),
+                "span {span:?} outside {} bytes of {text:?}",
+                text.len()
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Every prefix of a valid request line and of a valid spec, cut at
+/// every byte offset (a cut inside a UTF-8 character leaves a
+/// replacement character, as a lossy reader would).
+#[test]
+fn parsers_survive_every_truncation() {
+    for text in [request_line(), SPEC.to_owned()] {
+        let bytes = text.as_bytes();
+        for cut in 0..=bytes.len() {
+            let prefix = String::from_utf8_lossy(&bytes[..cut]);
+            if let Err(e) = parsers_hold_on(&prefix) {
+                panic!("cut at byte {cut}: {e:?}");
+            }
+        }
+        assert!(parse_json(&text).is_ok(), "the whole text parses");
+    }
+}
+
+/// Bytes a mutation writes half the time: the JSON structure and number
+/// syntax, plus the lead byte of a two-byte UTF-8 character.
+const JSON_BYTES: &[u8] = b"{}[]\",:\\/u0123456789abcdefABCDEF.eE+-tfnrl \t\n\xc3";
+
 proptest! {
+    #[test]
+    fn parsers_survive_byte_mutations(
+        spec_only in any::<bool>(),
+        edits in engage_util::prop::collection::vec(
+            (0u8..3, any::<usize>(), any::<u8>()),
+            1..6
+        )
+    ) {
+        let mut bytes = if spec_only { SPEC.to_owned() } else { request_line() }.into_bytes();
+        for (kind, at, byte) in edits {
+            let byte = if byte % 2 == 0 { JSON_BYTES[usize::from(byte / 2) % JSON_BYTES.len()] } else { byte };
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 => bytes.insert(at, byte),
+                1 if at < bytes.len() => bytes[at] = byte,
+                _ if at < bytes.len() => drop(bytes.remove(at)),
+                _ => bytes.push(byte),
+            }
+        }
+        parsers_hold_on(&String::from_utf8_lossy(&bytes))?;
+    }
+
     #[test]
     fn version_display_parse_roundtrip(v in version_strategy()) {
         let text = v.to_string();
