@@ -5,10 +5,12 @@ use std::collections::BTreeMap;
 use std::time::Duration;
 
 use engage_model::{
-    topological_order, topological_positions, BasicState, DriverState, InstallSpec, InstanceId,
+    topological_positions, BasicState, DriverState, InstallSpec, InstanceId, ResourceInstance,
 };
 use engage_sim::{HostId, Monitor};
 
+use crate::engine::cycle;
+use crate::error::DeployError;
 use crate::journal::JournalRecord;
 
 /// One executed driver action, with simulated timing.
@@ -32,12 +34,25 @@ impl TimelineEntry {
 }
 
 /// A deployed (or partially deployed) application stack; the default is
-/// the empty stack.
+/// the empty stack. The estate is kept on spec positions: the per-spec
+/// structure below is built by `rebase`, the only spec swap, so a run
+/// reads it instead of rebuilding it.
 #[derive(Debug, Clone, Default)]
 pub struct Deployment {
     /// Swapped only by [`Deployment::rebase`].
     pub(crate) spec: InstallSpec,
-    states: BTreeMap<InstanceId, DriverState>,
+    /// The spec's [`InstallSpec::dependents_table`].
+    pub(crate) dependents: Vec<Vec<usize>>,
+    /// The positions in dependency order; shorter than the spec when its
+    /// dependency graph has a cycle.
+    order: Vec<usize>,
+    /// Each position's machine position (`None`: a dangling inside link
+    /// or an inside-cycle).
+    machine: Vec<Option<u32>>,
+    /// The driver state at each position.
+    states: Vec<DriverState>,
+    /// The host at each machine position.
+    hosts: Vec<Option<HostId>>,
     machines: BTreeMap<InstanceId, HostId>,
     timeline: Vec<TimelineEntry>,
     pub(crate) monitor: Monitor,
@@ -57,15 +72,17 @@ impl Deployment {
     /// and monitor carry over. (An upgrade has already driven whatever it
     /// replaces to `uninstalled`, so "kept" is the right state for it too.)
     pub(crate) fn rebase(&mut self, new_spec: InstallSpec) {
-        self.states = new_spec
-            .iter()
-            .map(|i| {
-                let kept = self.states.get(i.id()).cloned();
-                let fresh = DriverState::Basic(BasicState::Uninstalled);
-                (i.id().clone(), kept.unwrap_or(fresh))
-            })
-            .collect();
+        let fresh = DriverState::Basic(BasicState::Uninstalled);
+        let kept = |i: &ResourceInstance| self.spec.position(i.id()).map(|p| &self.states[p]);
+        let states = new_spec.iter().map(|i| kept(i).unwrap_or(&fresh).clone());
+        self.states = states.collect();
         self.machines.retain(|m, _| new_spec.get(m).is_some());
+        let hosts = new_spec.iter().map(|i| self.machines.get(i.id()).copied());
+        self.hosts = hosts.collect();
+        self.dependents = new_spec.dependents_table();
+        self.order = topological_positions(&self.dependents).unwrap_or_default();
+        let machine = (0..new_spec.len()).map(|p| machine_position(&new_spec, p));
+        self.machine = machine.collect();
         self.spec = new_spec;
     }
 
@@ -79,9 +96,10 @@ impl Deployment {
     pub(crate) fn apply(&mut self, record: JournalRecord) -> Result<(), String> {
         match record {
             JournalRecord::Provisioned { instance, host, .. } => {
-                if self.spec.get(&instance).is_none() {
+                let Some(pos) = self.spec.position(&instance) else {
                     return Err(format!("journaled machine `{instance}` is not in the spec"));
-                }
+                };
+                self.hosts[pos] = Some(host);
                 self.machines.insert(instance, host);
             }
             JournalRecord::Attempt { .. } => {}
@@ -93,7 +111,7 @@ impl Deployment {
                 start_ns,
                 end_ns,
             } => {
-                let Some(state) = self.states.get_mut(&instance) else {
+                let Some(state) = self.spec.position(&instance).map(|p| &mut self.states[p]) else {
                     return Err(format!(
                         "journaled instance `{instance}` is not in the spec"
                     ));
@@ -113,7 +131,7 @@ impl Deployment {
                 });
             }
             JournalRecord::Observed { instance, state } => {
-                let Some(slot) = self.states.get_mut(&instance) else {
+                let Some(slot) = self.spec.position(&instance).map(|p| &mut self.states[p]) else {
                     return Err(format!(
                         "journaled observation of `{instance}` which is not in the spec"
                     ));
@@ -136,25 +154,40 @@ impl Deployment {
 
     /// The driver state of an instance.
     pub fn state(&self, id: &InstanceId) -> Option<&DriverState> {
-        self.states.get(id)
+        self.spec.position(id).map(|p| &self.states[p])
     }
 
-    /// Every managed instance's driver state.
-    pub(crate) fn states(&self) -> &BTreeMap<InstanceId, DriverState> {
+    /// The driver state at spec position `pos`.
+    pub(crate) fn state_at(&self, pos: usize) -> &DriverState {
+        &self.states[pos]
+    }
+
+    /// Every managed instance's driver state, by spec position.
+    pub(crate) fn states(&self) -> &[DriverState] {
         &self.states
+    }
+
+    /// The spec positions in dependency order, or the cycle error.
+    pub(crate) fn order(&self) -> Result<&[usize], DeployError> {
+        let acyclic = self.order.len() == self.spec.len();
+        acyclic.then_some(&self.order[..]).ok_or_else(cycle)
     }
 
     /// Whether every driver is in its `active` state ("the system is
     /// defined to be deployed", §5.2).
     pub fn is_deployed(&self) -> bool {
         let active = DriverState::Basic(BasicState::Active);
-        self.states.values().all(|s| *s == active)
+        self.states.iter().all(|s| *s == active)
     }
 
     /// The machine (simulated host) of an instance.
     pub fn host_of(&self, id: &InstanceId) -> Option<HostId> {
-        let machine = self.spec.machine_of(id)?;
-        self.machines.get(&machine).copied()
+        self.host_at(self.spec.position(id)?)
+    }
+
+    /// The host of the instance at spec position `pos`.
+    pub(crate) fn host_at(&self, pos: usize) -> Option<HostId> {
+        self.hosts[self.machine[pos]? as usize]
     }
 
     /// The machine-instance → host mapping.
@@ -221,7 +254,7 @@ impl Deployment {
     /// inter-dependencies"): instances are scheduled greedily in dependency
     /// order, actions of one host serialize, cross-host actions overlap.
     pub fn parallel_makespan(&self) -> Duration {
-        let Some(order) = topological_order(&self.spec) else {
+        let Ok(order) = self.order() else {
             return self.sequential_duration();
         };
         // Total action time per instance.
@@ -232,14 +265,14 @@ impl Deployment {
         let mut finish: BTreeMap<&InstanceId, Duration> = BTreeMap::new();
         let mut host_free: BTreeMap<HostId, Duration> = BTreeMap::new();
         let mut makespan = Duration::ZERO;
-        for id in &order {
-            let inst = self.spec.get(id).expect("in spec");
+        for &pos in order {
+            let inst = &self.spec.instances()[pos];
             let deps_done = inst
                 .links()
                 .filter_map(|l| finish.get(l).copied())
                 .max()
                 .unwrap_or_default();
-            let host = self.host_of(id);
+            let host = self.host_at(pos);
             let host_ready = host
                 .and_then(|h| host_free.get(&h).copied())
                 .unwrap_or_default();
@@ -252,5 +285,98 @@ impl Deployment {
             makespan = makespan.max(end);
         }
         makespan
+    }
+}
+
+/// The position of the machine the instance at `pos` runs on, found as
+/// [`InstallSpec::machine_of`] finds it.
+fn machine_position(spec: &InstallSpec, mut pos: usize) -> Option<u32> {
+    for _ in 0..=spec.len() {
+        match spec.instances()[pos].inside_link() {
+            None => return Some(pos as u32),
+            Some(parent) => pos = spec.position(parent)?,
+        }
+    }
+    None // an inside-cycle
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `id` inside `machine` (`None`: a machine), peering with `peers`.
+    fn inst(id: &str, machine: Option<&str>, peers: &[&str]) -> ResourceInstance {
+        let mut inst = ResourceInstance::new(id, "T 1.0");
+        if let Some(machine) = machine {
+            inst.set_inside_link(machine);
+        }
+        for peer in peers {
+            inst.add_peer_link(*peer);
+        }
+        inst
+    }
+
+    fn spec(insts: Vec<ResourceInstance>) -> InstallSpec {
+        let mut spec = InstallSpec::new();
+        for inst in insts {
+            spec.push(inst).unwrap();
+        }
+        spec
+    }
+
+    #[test]
+    fn positions_survive_a_rebase_that_permutes_drops_and_adds() {
+        let old = spec(vec![
+            inst("m1", None, &[]),
+            inst("db1", Some("m1"), &[]),
+            inst("app1", Some("m1"), &["db1"]),
+            inst("m2", None, &[]),
+            inst("db2", Some("m2"), &[]),
+        ]);
+        let mut dep = Deployment::new(&old);
+        for (machine, host) in [("m1", 7), ("m2", 9)] {
+            let (hostname, os) = ("localhost".into(), "T 1.0".into());
+            let (instance, host) = (machine.into(), HostId(host));
+            let record = JournalRecord::Provisioned {
+                instance,
+                host,
+                hostname,
+                os,
+            };
+            dep.apply(record).unwrap();
+        }
+        let states = [("db1", BasicState::Inactive), ("app1", BasicState::Active)];
+        for (id, state) in states.into_iter().chain([("db2", BasicState::Active)]) {
+            let (instance, state) = (id.into(), state.into());
+            dep.apply(JournalRecord::Observed { instance, state })
+                .unwrap();
+        }
+
+        // Permuted, `m2` dropped with its stack, machine `m3` added.
+        let new = spec(vec![
+            inst("app1", Some("m1"), &["db1"]),
+            inst("m3", None, &[]),
+            inst("db1", Some("m1"), &[]),
+            inst("m1", None, &[]),
+        ]);
+        dep.rebase(new);
+        let uninstalled = DriverState::Basic(BasicState::Uninstalled);
+        for (id, state) in states.into_iter().chain([("m1", BasicState::Uninstalled)]) {
+            let id = InstanceId::new(id);
+            assert_eq!(dep.state(&id), Some(&DriverState::Basic(state)), "{id}");
+            assert_eq!(dep.host_of(&id), Some(HostId(7)), "{id}");
+        }
+        let m3 = InstanceId::new("m3");
+        assert_eq!(dep.state(&m3), Some(&uninstalled));
+        assert_eq!(dep.host_of(&m3), None);
+        for gone in ["m2", "db2"] {
+            let gone = InstanceId::new(gone);
+            assert_eq!((dep.state(&gone), dep.host_of(&gone)), (None, None));
+        }
+        let machines: Vec<&str> = dep.machines().keys().map(InstanceId::as_str).collect();
+        assert_eq!(machines, ["m1"]);
+        // The order is the new spec's: `m1`, `db1`, `app1` by position.
+        assert_eq!(dep.order().unwrap(), [1, 3, 2, 0]);
+        assert_eq!(dep.dependents[3], [0, 2]);
     }
 }

@@ -8,8 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use engage_model::{
-    topological_positions, BasicState, DriverSpec, DriverState, InstallSpec, InstanceId,
-    ModelError, ResourceInstance, Transition, Universe,
+    BasicState, DriverSpec, DriverState, InstallSpec, InstanceId, ModelError, ResourceInstance,
+    Transition, Universe,
 };
 use engage_sim::{HostId, Os, Sim};
 use engage_util::obs::Obs;
@@ -79,14 +79,11 @@ pub enum ProvisionMode {
     Cloud,
 }
 
-/// The spec positions in dependency order, read off the spec's
-/// `dependents` table, or the one cycle error every operation and
-/// selection over it reports.
-pub(crate) fn ordered(dependents: &[Vec<usize>]) -> Result<Vec<usize>, DeployError> {
-    topological_positions(dependents).ok_or_else(|| {
-        DeployError::Model(ModelError::SpecError {
-            detail: "instance dependency graph has a cycle".into(),
-        })
+/// The one error a dependency cycle in the spec gives, to every
+/// operation and selection over it.
+pub(crate) fn cycle() -> DeployError {
+    DeployError::Model(ModelError::SpecError {
+        detail: "instance dependency graph has a cycle".into(),
     })
 }
 
@@ -375,7 +372,7 @@ impl<'a> DeploymentEngine<'a> {
         });
         for pos in 0..dep.spec.len() {
             let inst = &dep.spec.instances()[pos];
-            if inst.inside_link().is_none() && !dep.machines().contains_key(inst.id()) {
+            if inst.inside_link().is_none() && dep.host_at(pos).is_none() {
                 (dep.apply(self.provision_one(inst))).expect("a machine of the spec");
             }
         }
@@ -389,11 +386,7 @@ impl<'a> DeploymentEngine<'a> {
         let mut error = None;
         if to.only.is_none() && to.state == BasicState::Uninstalled {
             let active = DriverState::Basic(BasicState::Active);
-            let running: Vec<bool> = dep
-                .spec
-                .iter()
-                .map(|i| dep.state(i.id()) == Some(&active))
-                .collect();
+            let running: Vec<bool> = dep.states().iter().map(|s| *s == active).collect();
             error = walk(dep, BasicState::Inactive, Some(&running));
         }
         // A teardown is best-effort: it removes what it can after a
@@ -422,7 +415,8 @@ impl<'a> DeploymentEngine<'a> {
         bring_up: bool,
     ) -> Box<DeployFailure> {
         let completed = dep.timeline()[mark..].to_vec();
-        let states = dep.states().clone();
+        let ids = dep.spec.iter().map(|i| i.id().clone());
+        let states = ids.zip(dep.states().iter().cloned()).collect();
         let killed = matches!(error, DeployError::EngineKilled { .. });
         let rolled_back = (bring_up && self.rollback_on_failure && !killed).then(|| {
             self.obs.counter("deploy.rollbacks").incr();
@@ -465,8 +459,8 @@ impl<'a> DeploymentEngine<'a> {
             if admitted.is_some_and(|a| !a[pos]) {
                 continue;
             }
-            match dep.host_of(inst.id()) {
-                Some(host) if dep.state(inst.id()) == Some(&active) => {
+            match dep.host_at(pos) {
+                Some(host) if *dep.state_at(pos) == active => {
                     let name = service_name(inst.key());
                     if self.sim.service_running(host, &name) {
                         let port = self.sim.service_state(host, &name).and_then(|s| s.port);
@@ -482,9 +476,9 @@ impl<'a> DeploymentEngine<'a> {
         }
         // An active instance keeps its watch even when its service is
         // down: the monitor exists to restart it.
-        let shared: HashSet<(HostId, String)> = (dep.spec.iter())
-            .filter(|i| dep.state(i.id()) == Some(&active))
-            .filter_map(|i| Some((dep.host_of(i.id())?, service_name(i.key()))))
+        let shared: HashSet<(HostId, String)> = (dep.spec.iter().enumerate())
+            .filter(|&(pos, _)| *dep.state_at(pos) == active)
+            .filter_map(|(pos, i)| Some((dep.host_at(pos)?, service_name(i.key()))))
             .collect();
         let stale = stale.iter().filter(|pair| !shared.contains(pair));
         dep.monitor
@@ -1236,7 +1230,7 @@ mod tests {
         assert!(!sim.service_running(host, "mysql"));
         // The rollback ran on the caller's estate.
         let uninstalled = DriverState::Basic(BasicState::Uninstalled);
-        assert!(dep.states().values().all(|s| *s == uninstalled));
+        assert!(dep.states().iter().all(|s| *s == uninstalled));
     }
 
     #[test]

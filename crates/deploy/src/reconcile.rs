@@ -47,7 +47,7 @@
 //! deferred instance is deferred with it, at no budget cost, so no
 //! service starts while an upstream it needs is down (Figure 3's `↑s`).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::fmt;
 use std::time::Duration;
 
@@ -58,7 +58,7 @@ use engage_util::obs::Obs;
 
 use crate::action::service_name;
 use crate::deployment::Deployment;
-use crate::engine::{find_path, ordered, DeploymentEngine, Target};
+use crate::engine::{find_path, DeploymentEngine, Target};
 use crate::error::DeployError;
 use crate::journal::JournalRecord;
 
@@ -184,8 +184,6 @@ struct EstateIndex {
     placed: Vec<Placed>,
     /// Positions in id order (the order live placements are pinned in).
     by_id: Vec<usize>,
-    /// Positions in dependency order, or the cycle error selection reports.
-    order: Result<Vec<usize>, DeployError>,
 }
 
 impl EstateIndex {
@@ -195,7 +193,7 @@ impl EstateIndex {
         let mut services = BTreeMap::new();
         let mut placed = Vec::with_capacity(insts.len());
         for (pos, inst) in insts.iter().enumerate() {
-            if let Some(host) = dep.host_of(inst.id()) {
+            if let Some(host) = dep.host_at(pos) {
                 let next = services.len() as u32;
                 let service = *services.entry(service_name(inst.key())).or_insert(next);
                 placed.push((host, service, pos));
@@ -204,12 +202,10 @@ impl EstateIndex {
         placed.sort_unstable();
         let mut by_id: Vec<usize> = (0..insts.len()).collect();
         by_id.sort_unstable_by_key(|&pos| insts[pos].id());
-        let order = ordered(&dep.spec.dependents_table());
         EstateIndex {
             services,
             placed,
             by_id,
-            order,
         }
     }
 
@@ -517,7 +513,7 @@ impl<'a> ReconcileLoop<'a> {
                 _ => continue,
             };
             let instance = self.dep.spec.instances()[pos].id().clone();
-            if self.dep.state(&instance) != Some(&state) {
+            if *self.dep.state_at(pos) != state {
                 let instance = instance.clone();
                 let observed = self
                     .engine
@@ -532,10 +528,7 @@ impl<'a> ReconcileLoop<'a> {
 
         let converge = obs.span("reconcile.converge");
         // ---- budget + anti-flap selection, deferral closed downward ----
-        let order = match &self.index.order {
-            Ok(order) => order,
-            Err(cycle) => return Err(cycle.clone()),
-        };
+        let order = self.dep.order()?;
         let insts = self.dep.spec.instances();
         let active = DriverState::Basic(BasicState::Active);
         let mut is_deferred = vec![false; insts.len()];
@@ -543,11 +536,13 @@ impl<'a> ReconcileLoop<'a> {
         let mut deferred: Vec<InstanceId> = Vec::new();
         let mut budget_spent = 0usize;
         let spec = &self.dep.spec;
+        // Instances of one key starting in one state share their cost.
+        let mut costs = HashMap::new();
         for &pos in order {
-            let (inst, id) = (&insts[pos], insts[pos].id());
-            let Some(state) = self.dep.state(id).filter(|&s| *s != active) else {
+            let (inst, id, state) = (&insts[pos], insts[pos].id(), self.dep.state_at(pos));
+            if *state == active {
                 continue;
-            };
+            }
             let flapping = self.flap.get(id).is_some_and(|f| f.skip_until > round);
             if flapping {
                 obs.counter("reconcile.flap_deferrals").incr();
@@ -556,7 +551,10 @@ impl<'a> ReconcileLoop<'a> {
             // no budget cost: its start guard needs that instance up.
             let defer = flapping
                 || (inst.links()).any(|l| spec.position(l).is_some_and(|p| is_deferred[p]));
-            let cost = (!defer).then(|| self.transition_cost(inst, state));
+            let cost = (!defer).then(|| {
+                let cost = || self.transition_cost(inst, state);
+                *costs.entry((inst.key(), state)).or_insert_with(cost)
+            });
             match cost {
                 Some(cost)
                     if self.budget == 0

@@ -40,18 +40,17 @@
 //! skips only itself and its DAG descendants.
 
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
 
 use engage_model::{
     BasicState, DriverSpec, DriverState, InstallSpec, InstanceId, ResourceKey, StatePred,
     Transition, Universe,
 };
-use engage_sim::HostId;
 use engage_util::sync::{channel, Mutex};
 
 use crate::deployment::Deployment;
-use crate::engine::{find_path, ordered, DeploymentEngine};
+use crate::engine::{find_path, DeploymentEngine};
 use crate::error::DeployError;
 use crate::journal::JournalRecord;
 
@@ -84,6 +83,12 @@ pub(crate) struct TransitionDag {
     priority: Vec<u32>,
     /// Number of topological wavefronts (the DAG's depth).
     wavefronts: u32,
+    /// The most nodes in one wavefront: more workers than this never
+    /// have work at once.
+    width: u32,
+    /// The instances whose state the build read: the admitted ones and
+    /// the ones their guards name.
+    visited: usize,
     /// Nodes whose guard can never hold (only a teardown keeps them).
     blocked: Vec<u32>,
 }
@@ -138,8 +143,8 @@ pub(crate) fn build_dag(
 ) -> Result<TransitionDag, DeployError> {
     let spec = &dep.spec;
     let insts = spec.instances();
-    let reverse = spec.dependents_table();
-    ordered(&reverse)?;
+    let reverse = &dep.dependents;
+    dep.order()?;
 
     let target_state = DriverState::Basic(target);
     let uninstalled = DriverState::Basic(BasicState::Uninstalled);
@@ -149,12 +154,15 @@ pub(crate) fn build_dag(
     let mut paths: HashMap<(u32, &DriverState), Option<Vec<usize>>> = HashMap::new();
     let mut nodes: Vec<DagNode> = Vec::new();
     let mut runs: Vec<u32> = Vec::with_capacity(insts.len() + 1);
-    let mut starts: Vec<&DriverState> = Vec::with_capacity(insts.len());
+    let mut visited = 0;
     for (i, inst) in insts.iter().enumerate() {
         runs.push(nodes.len() as u32);
-        let current = dep.state(inst.id()).unwrap_or(&uninstalled);
-        starts.push(current);
-        if *current == target_state || admitted.is_some_and(|a| !a[i]) {
+        if admitted.is_some_and(|a| !a[i]) {
+            continue;
+        }
+        visited += 1;
+        let current = dep.state_at(i);
+        if *current == target_state {
             continue;
         }
         let driver = match driver_of.entry(inst.key()) {
@@ -190,6 +198,8 @@ pub(crate) fn build_dag(
         indegree: Vec::new(),
         priority: Vec::new(),
         wavefronts: 0,
+        width: 0,
+        visited,
         blocked: Vec::new(),
     };
     let n = dag.len();
@@ -207,6 +217,8 @@ pub(crate) fn build_dag(
     };
     // Guard edges.
     let mut blocked = Vec::new();
+    // The instances outside `admitted` whose current state a guard reads.
+    let mut named = BTreeSet::new();
     'nodes: for id in 0..n as u32 {
         let me = dag.nodes[id as usize].inst as usize;
         for pred in dag.transition(id).guard().preds() {
@@ -217,9 +229,9 @@ pub(crate) fn build_dag(
             // A link outside the spec (`None`) can never satisfy it.
             let links = insts[me].links().filter(|_| up).map(|l| spec.position(l));
             let dependents = reverse[me].iter().filter(|_| !up).map(|&d| Some(d));
-            for dep in links.chain(dependents) {
-                let anchor = dep.and_then(|dep| {
-                    let (first, end) = (dag.runs[dep], dag.runs[dep + 1]);
+            for other in links.chain(dependents) {
+                let anchor = other.and_then(|other| {
+                    let (first, end) = (dag.runs[other], dag.runs[other + 1]);
                     // The last acceptable point: after a node, or the
                     // start when no node enters an acceptable state.
                     let entered = (first..end)
@@ -227,7 +239,10 @@ pub(crate) fn build_dag(
                         .find(|&m| accepts(dag.transition(m).to(), required));
                     match entered {
                         Some(m) => Some((Some(m), m + 1, end)),
-                        None => accepts(starts[dep], required).then_some((None, first, end)),
+                        None => {
+                            named.extend(admitted.is_some_and(|a| !a[other]).then_some(other));
+                            accepts(dep.state_at(other), required).then_some((None, first, end))
+                        }
                     }
                 });
                 let Some((entered, leaving, end)) = anchor else {
@@ -282,6 +297,12 @@ pub(crate) fn build_dag(
         }
     }
     dag.wavefronts = level.iter().copied().max().unwrap_or(0);
+    let mut width = vec![0u32; dag.wavefronts as usize + 1];
+    for &l in &level {
+        width[l as usize] += 1;
+    }
+    dag.width = width.into_iter().max().unwrap_or(0);
+    dag.visited += named.len();
     dag.blocked = blocked;
     dag.succs = succs;
     dag.indegree = indegree;
@@ -307,17 +328,19 @@ impl DeploymentEngine<'_> {
         workers: usize,
     ) -> Result<(usize, Option<DeployError>), DeployError> {
         let dag = build_dag(self.universe(), dep, target, admitted, self.teardown)?;
+        (self.obs().counter("deploy.dag.instances_visited")).add(dag.visited as u64);
         let error = (dag.len() > 0).then(|| execute_wavefront(self, dep, &dag, workers));
         Ok((dag.len(), error.flatten()))
     }
 }
 
-/// Executes a compiled transition DAG on `workers` work-stealing workers
-/// (one runs on the calling thread), then applies the committed
-/// transitions' records to `dep` in timeline order — by simulated start,
-/// instance and DAG node, so an instance's transitions that start at one
-/// instant keep their path order and its commits chain (under failure,
-/// they are the partial deployment). Outside teardown the first failure
+/// Executes a compiled transition DAG on `workers` work-stealing workers,
+/// at most as many as its widest wavefront holds nodes (one runs on the
+/// calling thread, so a DAG one node wide starts no pool), then applies
+/// the committed transitions' records to `dep` in timeline order — by
+/// simulated start, instance and DAG node, so an instance's transitions
+/// that start at one instant keep their path order and its commits chain
+/// (under failure, they are the partial deployment). Outside teardown the first failure
 /// stops the run; in a teardown a failed or blocked node retires only its
 /// DAG descendants. Returns the first error — an engine kill if there is
 /// one, else the failure of the lowest node in DAG order.
@@ -335,6 +358,7 @@ fn execute_wavefront(
     workers: usize,
 ) -> Option<DeployError> {
     let obs = engine.obs();
+    let workers = workers.min(dag.width as usize);
     let _span = obs.span_with(
         "deploy.wavefront",
         &[
@@ -346,11 +370,8 @@ fn execute_wavefront(
     obs.counter("deploy.sched.wavefronts")
         .add(u64::from(dag.wavefronts));
 
-    let insts = dep.spec.instances();
-    let driven = |i: usize| dag.runs[i] < dag.runs[i + 1];
-    let hosts: Vec<Option<HostId>> = (0..insts.len())
-        .map(|i| driven(i).then(|| dep.host_of(insts[i].id()))?)
-        .collect();
+    let estate: &Deployment = dep;
+    let insts = estate.spec.instances();
 
     let pending: Vec<AtomicU32> = dag.indegree.iter().map(|&d| AtomicU32::new(d)).collect();
     let retired: Vec<AtomicBool> = (0..dag.len()).map(|_| AtomicBool::new(false)).collect();
@@ -406,11 +427,11 @@ fn execute_wavefront(
     }
 
     let run_node = |id: u32| -> Result<JournalRecord, DeployError> {
-        let inst = &insts[dag.nodes[id as usize].inst as usize];
-        let host =
-            hosts[dag.nodes[id as usize].inst as usize].ok_or_else(|| DeployError::NoMachine {
-                instance: inst.id().clone(),
-            })?;
+        let pos = dag.nodes[id as usize].inst as usize;
+        let inst = &insts[pos];
+        let host = (estate.host_at(pos)).ok_or_else(|| DeployError::NoMachine {
+            instance: inst.id().clone(),
+        })?;
         engine.step(inst, host, dag.transition(id))
     };
 

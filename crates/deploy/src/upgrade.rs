@@ -9,11 +9,11 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use engage_model::{BasicState, InstallSpec, InstanceId};
+use engage_model::{topological_positions, BasicState, InstallSpec, InstanceId};
 use engage_sim::Snapshot;
 
 use crate::deployment::Deployment;
-use crate::engine::{ordered, DeploymentEngine, Target};
+use crate::engine::{cycle, DeploymentEngine, Target};
 use crate::error::DeployError;
 
 /// What the diff between the old and new specifications decided for each
@@ -248,7 +248,7 @@ fn affected_by(
     for spec in [old, new] {
         // In dependency order, so one pass closes the set: an instance
         // linking to an affected instance becomes affected.
-        for pos in ordered(&spec.dependents_table())? {
+        for pos in topological_positions(&spec.dependents_table()).ok_or_else(cycle)? {
             let inst = &spec.instances()[pos];
             if inst.links().any(|l| affected.contains(l)) {
                 affected.insert(inst.id().clone());

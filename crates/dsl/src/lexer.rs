@@ -156,6 +156,19 @@ pub fn lex(src: &str) -> Result<Vec<Spanned>, Diagnostic> {
                                 b'\\' => s.push('\\'),
                                 b'n' => s.push('\n'),
                                 b't' => s.push('\t'),
+                                b'r' => s.push('\r'),
+                                b'0' => s.push('\0'),
+                                // `\u{hex}`, as a printed string literal
+                                // (Rust's debug form) writes a control
+                                // or other unprintable character.
+                                b'u' => {
+                                    let (ch, len) =
+                                        unicode_escape(&bytes[j + 2..]).ok_or_else(|| {
+                                            Diagnostic::new("bad `\\u` escape", Span::new(j, j + 2))
+                                        })?;
+                                    s.push(ch);
+                                    j += len;
+                                }
                                 other => {
                                     return Err(Diagnostic::new(
                                         format!("unknown escape `\\{}`", other as char),
@@ -298,6 +311,15 @@ fn utf8_len(first_byte: u8) -> usize {
     }
 }
 
+/// The character a `\u{hex}` escape names, read from the bytes after
+/// its `\u`, and how many of those bytes it spans.
+fn unicode_escape(rest: &[u8]) -> Option<(char, usize)> {
+    let close = rest.iter().position(|&b| b == b'}')?;
+    let hex = std::str::from_utf8(rest.strip_prefix(b"{")?.get(..close - 1)?).ok()?;
+    let code = u32::from_str_radix(hex, 16).ok()?;
+    Some((char::from_u32(code)?, close + 1))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -359,6 +381,21 @@ mod tests {
             toks(r#""a\"b\\c\nd""#),
             vec![Token::Str("a\"b\\c\nd".into()), Token::Eof]
         );
+        // Every escape a printed (debug-formatted) literal can hold.
+        let odd = "\u{1}\r\0\u{200b}é\t";
+        assert_eq!(
+            toks(&format!("{odd:?}")),
+            vec![Token::Str(odd.into()), Token::Eof]
+        );
+        for bad in [
+            r#""\u""#,
+            r#""\u{}""#,
+            r#""\u{d800}""#,
+            r#""\u{1""#,
+            r#""\u1}""#,
+        ] {
+            assert!(lex(bad).is_err(), "{bad}");
+        }
     }
 
     #[test]

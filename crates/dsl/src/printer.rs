@@ -13,9 +13,10 @@ pub fn print_resource_type(ty: &ResourceType) -> String {
     if ty.is_abstract() {
         out.push_str("abstract ");
     }
-    let _ = write!(out, "resource \"{}\"", ty.key());
+    // Keys are string literals, escaped the way the lexer reads them.
+    let _ = write!(out, "resource {:?}", ty.key().to_string());
     if let Some(sup) = ty.extends() {
-        let _ = write!(out, " extends \"{sup}\"");
+        let _ = write!(out, " extends {:?}", sup.to_string());
     }
     out.push_str(" {\n");
     if let Some(dep) = ty.inside() {
@@ -185,6 +186,22 @@ mod tests {
         let t1 = parse_resources(src).unwrap().remove(0);
         let printed = print_resource_type(&t1);
         let t2 = parse_resources(&printed).unwrap().remove(0);
+        assert_eq!(t1, t2, "--- printed ---\n{printed}");
+    }
+
+    #[test]
+    fn escaped_keys_and_control_characters_roundtrip() {
+        // Quotes and backslashes in keys, a control character in a
+        // default: each printed as an escape the lexer reads back.
+        let src = "resource \"a\\\"b 1.0\" extends \"c\\\\ 1.0\" {
+          inside \"d\\\" [1.0, 2.0)\";
+          config port p: string = \"x\u{1}\";
+        }";
+        let t1 = parse_resources(src).unwrap().remove(0);
+        let printed = print_resource_type(&t1);
+        let t2 = parse_resources(&printed)
+            .unwrap_or_else(|e| panic!("{}\n--- printed ---\n{printed}", e.render(&printed)))
+            .remove(0);
         assert_eq!(t1, t2, "--- printed ---\n{printed}");
     }
 }

@@ -60,9 +60,10 @@ impl DepTarget {
 
 impl fmt::Display for DepTarget {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        // A string literal, escaped the way the `.ers` lexer reads it.
         match self {
-            DepTarget::Exact(k) => write!(f, "\"{k}\""),
-            DepTarget::Range { name, range } => write!(f, "\"{name} {range}\""),
+            DepTarget::Exact(k) => write!(f, "{:?}", k.to_string()),
+            DepTarget::Range { name, range } => write!(f, "{:?}", format!("{name} {range}")),
         }
     }
 }

@@ -1,8 +1,12 @@
 //! DSL round-trip integration tests: every resource file in the library
 //! parses, prints, and re-parses to the same model; install specs survive
-//! JSON round trips.
+//! JSON round trips; and the universe parser survives hostile input —
+//! every truncation and seeded byte mutations of printed universes.
 
 use engage_dsl::{parse_resources, parse_universe, print_resource_type, print_universe};
+use engage_model::Universe;
+use engage_testgen::{scenario, Family};
+use engage_util::prop::prelude::*;
 
 const ALL_SOURCES: &[(&str, &str)] = &[
     ("servers", engage_library::SERVERS_ERS),
@@ -163,4 +167,87 @@ fn comments_and_whitespace_are_insignificant() {
         .join(" ");
     let b = parse_resources(&stripped).unwrap();
     assert_eq!(a, b);
+}
+
+/// The printed universes the hostile-input tests start from: the base
+/// library and one generated universe per testgen family.
+fn printed_universes() -> Vec<String> {
+    let generated = Family::ALL.map(|family| scenario(family, 0).universe);
+    let universes = std::iter::once(engage_library::base_universe()).chain(generated);
+    universes.map(|u| print_universe(&u)).collect()
+}
+
+/// Whether `a` and `b` declare the same types.
+fn same_types(a: &Universe, b: &Universe) -> bool {
+    a.len() == b.len() && a.iter().all(|ty| b.get(ty.key()) == Some(ty))
+}
+
+/// The hostile-input rules for one DSL text: the parser does not panic,
+/// a rejection is a diagnostic whose span lies within the text, and an
+/// accepted text re-parses equal from its printed form.
+fn parser_holds_on(text: &str) -> Result<(), TestCaseError> {
+    match parse_universe(text) {
+        Ok(u) => {
+            let printed = print_universe(&u);
+            let back = parse_universe(&printed).map_err(|e| {
+                TestCaseError::fail(format!("{}\n---\n{printed}", e.render(&printed)))
+            })?;
+            prop_assert!(same_types(&u, &back), "reprint of {:?} changed", text);
+        }
+        Err(diagnostic) => {
+            let span = diagnostic.span();
+            prop_assert!(
+                span.start <= span.end && span.end <= text.len(),
+                "span {span:?} outside {} bytes of {text:?}",
+                text.len()
+            );
+        }
+    }
+    Ok(())
+}
+
+/// Every prefix of every printed universe, cut at every byte offset (a
+/// cut inside a UTF-8 character leaves a replacement character).
+#[test]
+fn universe_parser_survives_every_truncation() {
+    for text in printed_universes() {
+        let bytes = text.as_bytes();
+        for cut in 0..=bytes.len() {
+            let prefix = String::from_utf8_lossy(&bytes[..cut]);
+            if let Err(e) = parser_holds_on(&prefix) {
+                panic!("cut at byte {cut}: {e:?}");
+            }
+        }
+        assert!(parse_universe(&text).is_ok(), "the whole text parses");
+    }
+}
+
+/// Bytes a mutation writes half the time: the DSL's punctuation, string
+/// and number syntax, identifier letters, and the lead byte of a
+/// two-byte UTF-8 character.
+const DSL_BYTES: &[u8] = b"{}()[]<>;:,.=\"\\-+*/!&|0123456789aeinrstx_ \t\n\xc3";
+
+proptest! {
+    #[test]
+    fn universe_parser_survives_byte_mutations(
+        which in 0usize..6,
+        edits in engage_util::prop::collection::vec(
+            (0u8..3, any::<usize>(), any::<u8>()),
+            1..6
+        )
+    ) {
+        let texts = printed_universes();
+        let mut bytes = texts[which % texts.len()].clone().into_bytes();
+        for (kind, at, byte) in edits {
+            let byte = if byte % 2 == 0 { DSL_BYTES[usize::from(byte / 2) % DSL_BYTES.len()] } else { byte };
+            let at = at % (bytes.len() + 1);
+            match kind {
+                0 => bytes.insert(at, byte),
+                1 if at < bytes.len() => bytes[at] = byte,
+                _ if at < bytes.len() => drop(bytes.remove(at)),
+                _ => bytes.push(byte),
+            }
+        }
+        parser_holds_on(&String::from_utf8_lossy(&bytes))?;
+    }
 }

@@ -3,12 +3,15 @@
 //! before constraint generation and solving (§4) before propagation
 //! (§3.3) before any driver runs an action (§5).
 
+use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 
 use engage::Engage;
+use engage_deploy::service_name;
+use engage_testgen::{scenario_with, Family, Knobs};
 use engage_util::obs::{MemorySink, Obs, Record};
 
 fn deployed_sink() -> Arc<MemorySink> {
@@ -460,4 +463,56 @@ fn cli_trace_covers_phases_and_transitions() {
         metrics_line.contains(&format!("\"deploy.transitions\":{transition_lines}")),
         "{metrics_line}"
     );
+}
+
+/// A one-service repair costs what drifted: the instances whose state
+/// its DAG build reads (`deploy.dag.instances_visited`) are the crashed
+/// one and those its start guard names, on a 5x estate as on the small
+/// one; and its one-node DAG runs inline on a two-worker engine.
+#[test]
+fn a_one_crash_repair_visits_the_same_instances_at_any_estate_size() {
+    let visited = |machines: usize| {
+        let knobs = Knobs {
+            machines,
+            services: 6,
+            depth: 0,
+            width: 0,
+            unsat: false,
+        };
+        let s = scenario_with(Family::ThreeLevel, 1, knobs);
+        let sink = Arc::new(MemorySink::new());
+        let obs = Obs::new().with_sink(sink.clone());
+        let engage = Engage::new(s.universe.clone())
+            .with_workers(2)
+            .with_obs(obs.clone());
+        let (_, dep) = engage.deploy(&s.partial).expect("scenario deploys");
+        let victim = dep.monitor().watches()[0].clone();
+        let crashed = (dep.spec().iter())
+            .find(|i| {
+                dep.host_of(i.id()) == Some(victim.host) && service_name(i.key()) == victim.service
+            })
+            .expect("the victim's instance");
+        let named: BTreeSet<_> = crashed.links().collect();
+        let expected = 1 + named.len() as u64;
+        let mut rl = engage.reconciler(&s.partial, dep);
+        let before = obs.metrics().counter("deploy.dag.instances_visited");
+        engage
+            .sim()
+            .crash_service(victim.host, &victim.service)
+            .expect("victim was running");
+        let round = rl.tick().expect("crash-only tick");
+        assert!(round.converged && round.actions == 1, "{round:?}");
+        let visited = obs.metrics().counter("deploy.dag.instances_visited") - before;
+        assert_eq!(visited, expected, "{machines} machines");
+
+        let spans = sink.finished_spans();
+        let repair = (spans.iter())
+            .filter(|s| s.name == "deploy.wavefront")
+            .max_by_key(|s| s.start)
+            .expect("the repair's wavefront span");
+        let workers = (repair.fields.iter()).find(|(f, _)| f == "workers");
+        assert_eq!(workers.map(|(_, v)| v.as_str()), Some("1"), "{machines}");
+        visited
+    };
+    assert_eq!(visited(25), visited(125));
 }

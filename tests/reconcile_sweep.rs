@@ -403,8 +403,9 @@ fn estate_index_is_rebuilt_only_when_the_estate_changes_shape() {
 /// (often enough to back an instance off), with the odd host loss, every
 /// round's journal passes the guard-trace checker against the true
 /// states — a deferred instance is down, so nothing that needs it may
-/// start — and replays to the loop's states, and the stack reconverges
-/// to the end state of a fresh deploy.
+/// start — and replays to the loop's states, every instance's host is
+/// its machine's, and the stack reconverges to the end state of a fresh
+/// deploy.
 ///
 /// A round re-plans exactly when it lost a host. Every other round
 /// solves nothing and keeps a spec equal to what a fresh pinned re-plan
@@ -465,6 +466,13 @@ fn deferred_repairs_obey_the_guards_and_reconverge() {
                     states = check_guard_trace(&s.universe, spec, &states, journaled, false)
                         .unwrap_or_else(|e| panic!("{name}: storm {storm} tick {tick}: {e}"));
                     assert_eq!(states, states_of(dep), "{name}: replay");
+                    // The host table, by position, against its id-keyed
+                    // definition: a host-loss round's rebase moves positions.
+                    for inst in spec.iter() {
+                        let by_id = (spec.machine_of(inst.id()))
+                            .and_then(|m| dep.machines().get(&m).copied());
+                        assert_eq!(dep.host_of(inst.id()), by_id, "{name}: {}", inst.id());
+                    }
                     let lost =
                         (round.drift.iter()).any(|d| matches!(d, DriftEvent::HostLost { .. }));
                     assert_eq!(round.replanned, lost, "{name}: storm {storm} tick {tick}");
