@@ -146,6 +146,9 @@ impl std::error::Error for DeployError {}
 pub struct DeployFailure {
     /// The underlying error.
     pub error: DeployError,
+    /// The instances whose own transition failed, in spec order: not the
+    /// rest of their cones, nor the ones an engine kill stopped.
+    pub failed: Vec<InstanceId>,
     /// Driver transitions that completed before the failure, in order.
     pub completed: Vec<TimelineEntry>,
     /// Driver states at the moment of failure (before any rollback).

@@ -574,13 +574,13 @@ impl<'a> ReconcileLoop<'a> {
         // ---- run only the delta: the selected instances to `active` ----
         let mark = self.dep.timeline().len();
         let repair = Target::only(selected.iter().cloned(), BasicState::Active);
-        let error = match self.engine.run(&mut self.dep, repair) {
-            Ok(()) => None,
+        let (error, failed) = match self.engine.run(&mut self.dep, repair) {
+            Ok(()) => (None, Vec::new()),
             Err(failure) => match failure.error {
                 error @ (DeployError::NoPath { .. }
                 | DeployError::GuardFailed { .. }
                 | DeployError::Model(_)) => return Err(error),
-                error => Some(error.to_string()),
+                error => (Some(error.to_string()), failure.failed),
             },
         };
         let actions = self.dep.timeline().len() - mark;
@@ -590,22 +590,20 @@ impl<'a> ReconcileLoop<'a> {
 
         // ---- anti-flap bookkeeping ----
         let mut repaired = Vec::new();
-        let dep = &self.dep;
-        let links_up = |i: &ResourceInstance| i.links().all(|l| dep.state(l) == Some(&active));
         for id in selected {
-            if dep.state(&id) == Some(&active) {
+            if self.dep.state(&id) == Some(&active) {
                 self.flap.remove(&id);
                 repaired.push(id);
-            } else if dep.spec.get(&id).is_some_and(links_up) {
-                // Its own repair failed. A dependent its upstream's
-                // failure held back waits with it, uncharged, as a
-                // deferred one does.
-                let entry = self.flap.entry(id).or_default();
-                entry.failures += 1;
-                if entry.failures >= FLAP_THRESHOLD {
-                    let exp = (entry.failures - FLAP_THRESHOLD).min(6);
-                    entry.skip_until = round + (FLAP_BACKOFF_ROUNDS << exp);
-                }
+            }
+        }
+        // Only an instance whose own transition failed is charged: one in
+        // its cone waits with it, uncharged, as a deferred one does.
+        for id in failed {
+            let entry = self.flap.entry(id).or_default();
+            entry.failures += 1;
+            if entry.failures >= FLAP_THRESHOLD {
+                let exp = (entry.failures - FLAP_THRESHOLD).min(6);
+                entry.skip_until = round + (FLAP_BACKOFF_ROUNDS << exp);
             }
         }
         drop(converge);
@@ -686,6 +684,10 @@ mod tests {
           config port port: int = 8000;
           output port url: string = "http://app";
           driver service;
+        }
+        resource "Cache 1.0" {
+          inside "Server";
+          driver service;
         }"#,
         )
         .unwrap()
@@ -713,14 +715,30 @@ mod tests {
 
     /// Plans `partial()` and deploys it, returning the loop plus the sim.
     fn reconciler(u: &Universe, obs: Obs) -> (ReconcileLoop<'_>, Sim) {
+        reconciler_of(u, obs, partial())
+    }
+
+    /// Plans `desired` and deploys it, returning the loop plus the sim.
+    fn reconciler_of(
+        u: &Universe,
+        obs: Obs,
+        desired: PartialInstallSpec,
+    ) -> (ReconcileLoop<'_>, Sim) {
         let config = ConfigEngine::new(u).with_obs(obs.clone());
-        let spec = config.configure(&partial()).unwrap().spec;
+        let spec = config.configure(&desired).unwrap().spec;
         let sim = Sim::new(DownloadSource::local_cache());
         let engine = DeploymentEngine::new(sim.clone(), u)
             .with_obs(obs)
             .with_retry_policy(crate::RetryPolicy::new(1));
         let dep = engine.deploy(&spec).unwrap();
-        (ReconcileLoop::new(engine, config, partial(), dep), sim)
+        (ReconcileLoop::new(engine, config, desired, dep), sim)
+    }
+
+    /// `id`'s host and service name in the loop's estate.
+    fn service(rl: &ReconcileLoop<'_>, id: &InstanceId) -> (HostId, String) {
+        let dep = rl.deployment();
+        let key = dep.spec().get(id).unwrap().key();
+        (dep.host_of(id).unwrap(), service_name(key))
     }
 
     #[test]
@@ -881,13 +899,6 @@ mod tests {
     fn a_backed_off_upstream_defers_its_degraded_dependent() {
         let u = universe();
         let (mut rl, sim) = reconciler(&u, Obs::new());
-        let service = |rl: &ReconcileLoop<'_>, id: &InstanceId| {
-            let dep = rl.deployment();
-            (
-                dep.host_of(id).unwrap(),
-                service_name(dep.spec().get(id).unwrap().key()),
-            )
-        };
         let (db, app) = (InstanceId::new("db"), InstanceId::new("app"));
         let (db_host, db_svc) = service(&rl, &db);
         sim.crash_service(db_host, &db_svc).unwrap();
@@ -916,6 +927,45 @@ mod tests {
             Some(&DriverState::Basic(BasicState::Inactive))
         );
         assert!(rl.run_until_converged(8).unwrap(), "the backoff expires");
+    }
+
+    #[test]
+    fn a_failed_upstream_is_charged_alone_and_holds_back_only_its_cone() {
+        let u = universe();
+        let mut desired = partial();
+        let cache = PartialInstance::new("cache", "Cache 1.0").inside("server");
+        desired.push(cache).unwrap();
+        let (mut rl, sim) = reconciler_of(&u, Obs::new(), desired);
+        let [db, app, cache] = ["db", "app", "cache"].map(InstanceId::new);
+        for id in [&db, &app, &cache] {
+            let (host, svc) = service(&rl, id);
+            sim.crash_service(host, &svc).unwrap();
+        }
+        // `db` cannot start, so `app`, which peers with it, cannot either;
+        // `cache` depends on neither.
+        let db_svc = service(&rl, &db).1;
+        sim.inject_fault(FaultOp::Start, &db_svc, 8, FaultKind::Permanent);
+        let charged = |rl: &ReconcileLoop<'_>| {
+            let flap = rl.flap.iter();
+            flap.map(|(id, f)| (id.clone(), f.failures))
+                .collect::<Vec<_>>()
+        };
+        let round = rl.tick().unwrap();
+        assert!(round.error.is_some(), "{round:?}");
+        assert_eq!(round.repaired, vec![cache.clone()], "{round:?}");
+        let (cache_host, cache_svc) = service(&rl, &cache);
+        assert!(sim.service_running(cache_host, &cache_svc));
+        // Only `db`'s own start failed: `app` waits with it, uncharged.
+        assert_eq!(charged(&rl), vec![(db.clone(), 1)]);
+        let round = rl.tick().unwrap();
+        assert!(round.repaired.is_empty(), "{round:?}");
+        assert_eq!(charged(&rl), vec![(db.clone(), 2)]);
+
+        // The run's report names `db` alone, not `app` in its cone.
+        let mut dep = rl.deployment().clone();
+        let both = Target::only([db.clone(), app], BasicState::Active);
+        let failure = rl.engine().run(&mut dep, both).unwrap_err();
+        assert_eq!(failure.failed, vec![db]);
     }
 
     #[test]

@@ -3,10 +3,11 @@
 # choosing-metrics guide's section 8 rule as one command, because single
 # readings on this shared 2-core box move 20-60 % with no code change.
 #
-#   scripts/bench_pair.sh WORKLOAD[,WORKLOAD...] [PAIRS=10] [SECONDS=10] [FIRST_SEED=1]
+#   scripts/bench_pair.sh WORKLOAD[,WORKLOAD...] [PAIRS=10] [SECONDS=10] [FIRST_SEED=1] [PARENT]
 #
-# The parent is HEAD when the work tree is dirty (the change is not
-# committed yet), else HEAD~1. It is unpacked with `git archive` (plain
+# The parent is the revision PARENT names; by default HEAD when the work
+# tree is dirty (the change is not committed yet), else HEAD~1 — name it
+# when the change spans more than one commit. It is unpacked with `git archive` (plain
 # local git, no remote, nothing registered in .git) into a throwaway
 # directory under target/; both ledger packages are built offline, then
 # parent and change run alternately — who goes first swaps every pair,
@@ -19,14 +20,17 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-workloads=${1:?usage: scripts/bench_pair.sh WORKLOAD[,WORKLOAD...] [PAIRS=10] [SECONDS=10] [FIRST_SEED=1]}
+workloads=${1:?usage: scripts/bench_pair.sh WORKLOAD[,WORKLOAD...] [PAIRS=10] [SECONDS=10] [FIRST_SEED=1] [PARENT]}
 pairs=${2:-10}
 seconds=${3:-10}
 first_seed=${4:-1}
+parent=${5:-}
 ledger=crates/bench/src/bin/exp_pipeline
 
-if [ -n "$(git status --porcelain)" ]; then parent=HEAD; else parent=HEAD~1; fi
-parent=$(git rev-parse --short "$parent")
+if [ -z "$parent" ]; then
+    if [ -n "$(git status --porcelain)" ]; then parent=HEAD; else parent=HEAD~1; fi
+fi
+parent=$(git rev-parse --short --verify "$parent^{commit}")
 work=target/bench_pair
 rm -rf "$work/parent" && mkdir -p "$work/parent"
 trap 'rm -rf "$work/parent"' EXIT
