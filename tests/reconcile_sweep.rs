@@ -588,7 +588,7 @@ fn storm_rounds_reproduce_the_parent_commit_listing() {
     let journal = DeployJournal::in_memory();
     let sys = Engage::new(s.universe.clone())
         .with_retry_policy(RetryPolicy::new(2).with_seed(5))
-        .with_workers(1) // a failing round commits what ran before the failure
+        .with_workers(1) // the journal order the listing pins
         .with_journal(journal.clone());
     let (_, dep) = sys.deploy(&s.partial).expect("golden scenario deploys");
     sys.sim().set_fault_plan(FaultPlan::new(5));
